@@ -385,16 +385,19 @@ class ExtensionRecord:
 
 
 def _int_nth_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) by integer Newton iteration (exact at any size)."""
     if n < 0:
         raise ValueError("negative radicand")
     if k == 1 or n == 0:
         return n
-    x = int(round(n ** (1.0 / k)))
-    while x > 0 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # 2^ceil(bits/k) >= n^(1/k); from above, Newton's steps decrease
+    # strictly until they reach the floor of the root
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _ell_free_primes_up_to(K: NumberField, ell: int, bound: int) -> list[PrimeIdeal]:

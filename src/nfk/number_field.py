@@ -216,6 +216,8 @@ class NumberField:
         self._roots_cache: tuple[int, list] | None = None
         self._zeta_cache: dict[int, AlgebraicNumber | None] = {}
         self._norm_form: dict[tuple[int, ...], int] | None = None
+        # float embedding rows and unit-balance scale per units tuple (ideals.py)
+        self._generator_search_cache: dict[tuple, tuple] = {}
         self.ell = 2  # Kummer degree attached by build_field
 
     # -- basis bookkeeping --------------------------------------------------

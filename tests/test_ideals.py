@@ -3,9 +3,14 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from sympy import primerange
 
-from nfk.errors import NotASquareError, NotPrincipalError, RankError
+from nfk import ideals
+from nfk.class_unit import compute_unit_group
+from nfk.config import Ceilings
+from nfk.errors import CeilingError, NotASquareError, NotPrincipalError, RankError
 from nfk.ideals import (
     FactoredIdeal,
     FractionalIdeal,
@@ -23,6 +28,7 @@ from nfk.ideals import (
     sqrt_of_square,
     valuation,
 )
+from nfk.number_field import build_field
 
 
 def elem(K, *coords):
@@ -302,6 +308,77 @@ def test_box_generator_real_quadratic(field_qs2):
 def test_box_requires_units(field_qs2):
     with pytest.raises(RankError):
         principal_test_generator(ideal_from_rational(field_qs2, 3))
+
+
+def _integral_ideals(K, bound):
+    """Every integral ideal of norm <= bound, as FactoredIdeals."""
+    primes = [q for p in primerange(2, bound + 1) for q in split_prime(K, p) if q.norm <= bound]
+    out = [FactoredIdeal.unit(K)]
+
+    def extend(start, exps, nrm):
+        for j in range(start, len(primes)):
+            q = primes[j]
+            e, m = 1, nrm * q.norm
+            while m <= bound:
+                more = {**exps, q: e}
+                out.append(FactoredIdeal(K, more))
+                extend(j + 1, more, m)
+                e, m = e + 1, m * q.norm
+
+    extend(0, {}, 1)
+    return out
+
+
+def _box_bound(K, units, target):
+    """M = N^(1/n) e^(max spread) * 1.0001, the bound of the box oracle."""
+    with mpmath.workprec(120):
+        spread = [mpmath.mpf(0)] * (K.r1 + K.r2)
+        for u in units:
+            for i, v in enumerate(K.embeddings(u, 80)):
+                spread[i] += abs(mpmath.log(abs(v))) / 2
+        nth = mpmath.mpf(target) ** (mpmath.mpf(1) / K.degree)
+        return nth * mpmath.exp(max(spread)) * mpmath.mpf("1.0001")
+
+
+@pytest.mark.parametrize("name, bound", [("cubic9", 40), ("qs2", 60), ("cyclic_cubic", 40)])
+def test_lattice_search_matches_box_oracle(name, bound, request, monkeypatch):
+    if name == "cyclic_cubic":  # x^3 - 3x - 1, unit rank 2
+        K = build_field([-1, -3, 0, 1], ell=2, label="cyclic-cubic-9")
+    else:
+        K = request.getfixturevalue(f"field_{name}")
+    units = compute_unit_group(K).fundamental
+    ceilings = Ceilings()
+    verdicts = set()
+    for fa in _integral_ideals(K, bound):
+        a = fa.to_ideal()
+        target = a.norm()
+        box = ideals._box_norm_matches(a, target, units, ceilings)
+        lattice = ideals._lattice_norm_matches(a, target, units, ceilings)
+        assert bool(box) == bool(lattice), fa
+        verdicts.add(bool(box))
+        M = _box_bound(K, units, target)
+
+        def inside(matches):
+            return {tuple(c) for c in matches if max(map(abs, K.embeddings(K.element(c), 64))) <= M}
+
+        assert inside(box) == inside(lattice), fa
+        assert bool(inside(box)) == bool(box), fa
+        fast = principal_test_generator(a, units)
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "_lattice_norm_matches", ideals._box_norm_matches)
+            slow = principal_test_generator(a, units)
+        assert (fast and fast.coords) == (slow and slow.coords), fa
+    # the cubic (h = 3) exercises non-principal ideals as well
+    assert verdicts == ({True, False} if name == "cubic9" else {True})
+
+
+def test_lattice_search_honours_point_ceiling(field_cubic9):
+    K = field_cubic9
+    units = compute_unit_group(K).fundamental
+    a = ideal_from_rational(K, 5)
+    assert canonical_generator(a, units).coords == (5, 0, 0)
+    with pytest.raises(CeilingError):
+        canonical_generator(a, units, Ceilings(search_points=10))
 
 
 def test_generator_roundtrip_random(field_qi, field_qm5):

@@ -11,6 +11,7 @@ from nfk.ideals import FactoredIdeal, factor_ideal, ideal_from_element, split_pr
 from nfk.kummer import (
     ExtensionRecord,
     KummerDatum,
+    _int_nth_root,
     enumerate_extensions,
     is_isomorphic,
     iter_extensions,
@@ -403,3 +404,18 @@ def test_unit_only_extensions(field_qi):
     unit_recs = [r for r in recs if r.datum.gamma_ideal().is_unit_ideal()]
     assert len(unit_recs) >= 1
     assert all(abs(r.datum.gamma.norm()) == 1 for r in unit_recs)
+
+
+def test_int_nth_root_beyond_float_range():
+    # a float seed overflows past 1e308, and 2^106 - 1 rounds up to 2^106
+    # as a double, so a float seed lands one above its root
+    assert _int_nth_root(10**400, 2) == 10**200
+    assert _int_nth_root(10**400 - 1, 2) == 10**200 - 1
+    assert _int_nth_root(2**106 - 1, 2) == 2**53 - 1
+    assert _int_nth_root(2**106, 2) == 2**53
+    rng = random.Random(5)
+    for _ in range(500):
+        k = rng.randint(1, 6)
+        n = rng.randint(0, 10 ** rng.randint(0, 400))
+        x = _int_nth_root(n, k)
+        assert x**k <= n < (x + 1) ** k
