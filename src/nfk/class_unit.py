@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import mpmath
 
@@ -30,6 +29,7 @@ from .ideals import (
     factor_ideal,
     ideal_from_element,
     principal_test_generator,
+    primes_of_norm_up_to,
     split_prime,
 )
 from .number_field import AlgebraicNumber, NumberField
@@ -570,12 +570,7 @@ def compute_class_group(
         return None
 
     prime_class: dict[PrimeIdeal, int] = {}
-    small_primes: list[PrimeIdeal] = []
-    for p in primerange(2, int(bound) + 1):
-        for q in split_prime(K, p):
-            if Fraction(q.norm) <= bound:
-                small_primes.append(q)
-    for q in sorted(small_primes):
+    for q in sorted(primes_of_norm_up_to(K, bound)):
         fa = FactoredIdeal(K, {q: 1})
         idx = find_class(fa)
         if idx is None:

@@ -15,6 +15,7 @@ from .class_unit import compute_class_group, compute_unit_group
 from .config import Ceilings
 from .density import density_report, identity_check
 from .errors import CeilingError, NfkError
+from .exact_math import frac_str
 from .harness import (
     count_check_json_dict,
     ideal_label,
@@ -49,10 +50,6 @@ def _emit(data: bytes) -> None:
 def _kv_table(pairs) -> bytes:
     width = max(len(k) for k, _ in pairs)
     return ("\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n").encode()
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -165,7 +162,7 @@ def _cmd_steinitz(args, K, ell, ceilings) -> int:
         counts[rec.steinitz] += 1
         total += 1
     rows = [
-        [c, counts[c], _frac_str(Fraction(counts[c], total)) if total else "0"]
+        [c, counts[c], frac_str(Fraction(counts[c], total)) if total else "0"]
         for c in realizable
     ]
     if args.format == "json":
@@ -198,12 +195,12 @@ def _cmd_identity_check(args, K, ell, ceilings) -> int:
     got = identity_check(K, ceilings)
     want = Fraction(1, 2**K.r2)
     if args.format == "json":
-        data = {"identity": _frac_str(got), "expected": _frac_str(want), "match": got == want}
+        data = {"identity": frac_str(got), "expected": frac_str(want), "match": got == want}
         _emit((json.dumps(data, indent=2) + "\n").encode())
     else:
         _emit(_kv_table([
-            ("identity", _frac_str(got)),
-            ("expected", _frac_str(want)),
+            ("identity", frac_str(got)),
+            ("expected", frac_str(want)),
             ("match", str(got == want)),
         ]))
     return 0 if got == want else 1

@@ -24,20 +24,19 @@ from .abelian_groups import is_power_class, quotient_by_powers, unit_group_mod_i
 from .class_unit import ClassGroup, compute_class_group, compute_unit_group
 from .config import Ceilings
 from .errors import CeilingError, UnrealizableEllPartError
+from .exact_math import frac_str
 from .ideals import (
     FactoredIdeal,
     Ideal,
     PrimeIdeal,
     canonical_generator,
     factor_ideal,
+    primes_of_norm_up_to,
+    residue_degrees,
     split_prime,
 )
 from .kummer import wild_saturation_depth
 from .number_field import NumberField
-
-
-def _fa_key(fa: FactoredIdeal):
-    return tuple(sorted((q.sort_key(), e) for q, e in fa.exps.items()))
 
 
 def _support_of(x) -> list[PrimeIdeal]:
@@ -45,10 +44,6 @@ def _support_of(x) -> list[PrimeIdeal]:
         return []
     fa = x if isinstance(x, FactoredIdeal) else factor_ideal(x)
     return list(fa.support())
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +72,7 @@ def enumerate_R(K: NumberField, ell: int) -> list[FactoredIdeal]:
         FactoredIdeal(K, {q: e for q, e in combo if e})
         for combo in itertools.product(*per_prime)
     ]
-    out.sort(key=lambda fa: (int(fa.norm()), _fa_key(fa)))
+    out.sort(key=lambda fa: (int(fa.norm()), fa.sort_key()))
     return out
 
 
@@ -220,12 +215,12 @@ def density_report_json_dict(report: DensityReport) -> dict:
         "field": report.field_label,
         "ell": report.ell,
         "rows": [
-            {"Q_norm": str(n), "rho": _frac_str(r)} for _, n, r in report.rows
+            {"Q_norm": str(n), "rho": frac_str(r)} for _, n, r in report.rows
         ],
     }
     if report.identity is not None:
-        out["identity"] = _frac_str(report.identity)
-        out["identity_expected"] = _frac_str(report.identity_expected)
+        out["identity"] = frac_str(report.identity)
+        out["identity_expected"] = frac_str(report.identity_expected)
     return out
 
 
@@ -267,6 +262,12 @@ def zeta_constants(
     """Residue via 2^r1 (2pi)^r2 h R / (w sqrt|d|); zeta_K(2) and zeta_K(ell)
     by Euler products over rational primes up to prime_bound.
 
+    The Euler factors need only the residue degrees f of the primes above
+    each p: unramified p get them from a distinct-degree factorization of
+    the defining polynomial mod p (residue_degrees), which builds no prime
+    ideal; the finitely many ramified p still go through split_prime.
+    Factors multiply in order of p, then f, ascending.
+
     The products' relative truncation error is below degree/prime_bound
     (sum of N(q)^-2 over omitted primes); when a precision is requested
     and that bound exceeds it, the call fails stating what is achievable.
@@ -274,10 +275,7 @@ def zeta_constants(
     truncation error.
     """
     ceilings = ceilings or Ceilings()
-    cache = getattr(K, "_zeta_constants_cache", None)
-    if cache is None:
-        cache = {}
-        K._zeta_constants_cache = cache
+    cache = K._zeta_constants_cache
     got = cache.get((ell, prime_bound))
     if got is None:
         ug = compute_unit_group(K)
@@ -297,10 +295,10 @@ def zeta_constants(
                 z2 = mpmath.mpf(1)
                 zl = mpmath.mpf(1)
                 for p in sympy.primerange(2, prime_bound + 1):
-                    for q in split_prime(K, p):
-                        z2 /= 1 - mpmath.mpf(q.norm) ** -2
+                    for f in residue_degrees(K, p):
+                        z2 /= 1 - mpmath.mpf(p**f) ** -2
                         if ell != 2:
-                            zl /= 1 - mpmath.mpf(q.norm) ** -ell
+                            zl /= 1 - mpmath.mpf(p**f) ** -ell
                 if ell == 2:
                     zl = z2
             got = ZetaConstants(
@@ -328,11 +326,7 @@ def _prime_pool(
 ) -> list[PrimeIdeal]:
     if bound > ceilings.search_points:
         raise CeilingError(f"ideal census to norm {bound}", ceilings.search_points)
-    pool = []
-    for p in sympy.primerange(2, bound + 1):
-        for q in split_prime(K, p):
-            if q.norm <= bound and q not in exclude:
-                pool.append(q)
+    pool = [q for q in primes_of_norm_up_to(K, bound) if q not in exclude]
     pool.sort(key=PrimeIdeal.sort_key)
     return pool
 

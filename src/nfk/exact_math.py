@@ -27,6 +27,11 @@ from .errors import FieldConstructionError
 BigRational = Fraction
 
 
+def frac_str(x: Fraction) -> str:
+    """A rational as report text: "n" when integral, else "n/d"."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1

@@ -28,6 +28,7 @@ from .density import (
     identity_check,
     zeta_constants,
 )
+from .exact_math import frac_str
 from .ideals import FactoredIdeal
 from .kummer import iter_extensions, realizable_class_subgroup
 from .number_field import NumberField, build_field
@@ -267,8 +268,8 @@ def count_check_json_dict(check: CountCheck) -> dict:
         "product_constant": check.product_constant,
         "ratio_eq8": check.ratio_eq8,
         "ratio_product": check.ratio_product,
-        "identity": _frac_str(check.identity),
-        "identity_expected": _frac_str(check.identity_expected),
+        "identity": frac_str(check.identity),
+        "identity_expected": frac_str(check.identity_expected),
     }
 
 
@@ -277,16 +278,12 @@ def count_check_json_dict(check: CountCheck) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _experiment_json_dict(r: ExperimentReport) -> dict:
     classes = [
         {
             "class": c,
             "count": n,
-            "fraction": _frac_str(Fraction(n, r.total)) if r.total else "0",
+            "fraction": frac_str(Fraction(n, r.total)) if r.total else "0",
         }
         for c, n in r.class_tallies
     ]
@@ -296,7 +293,7 @@ def _experiment_json_dict(r: ExperimentReport) -> dict:
             {
                 "class": c,
                 "count": k,
-                "fraction": _frac_str(Fraction(k, n)) if n else "0",
+                "fraction": frac_str(Fraction(k, n)) if n else "0",
             }
             for l2, n2, c, k in r.cell_tallies
             if (l2, n2) == (lbl, nrm)
@@ -348,7 +345,7 @@ def report_serialize(report, fmt: str) -> bytes:
     if isinstance(report, DensityReport):
         if fmt == "json":
             return (json.dumps(density_report_json_dict(report), indent=2) + "\n").encode()
-        rows = [[norm, "", "", _frac_str(rho)] for _, norm, rho in report.rows]
+        rows = [[norm, "", "", frac_str(rho)] for _, norm, rho in report.rows]
         if fmt == "csv":
             return _csv_bytes(["Q_norm", "class", "count", "fraction"], rows)
         title = f"rho table for {report.field_label}, ell={report.ell}"
@@ -359,7 +356,7 @@ def report_serialize(report, fmt: str) -> bytes:
             return (json.dumps(_experiment_json_dict(report), indent=2) + "\n").encode()
         row_n = {(lbl, nrm): n for lbl, nrm, n in report.row_totals}
         rows = [
-            [nrm, c, k, _frac_str(Fraction(k, row_n[lbl, nrm])) if row_n[lbl, nrm] else "0"]
+            [nrm, c, k, frac_str(Fraction(k, row_n[lbl, nrm])) if row_n[lbl, nrm] else "0"]
             for lbl, nrm, c, k in report.cell_tallies
         ]
         if fmt == "csv":

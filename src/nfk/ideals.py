@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import mpmath
-from sympy import factorint
+from sympy import ZZ, factorint, primerange
+from sympy.polys.galoistools import gf_ddf_zassenhaus
 
 from .config import Ceilings
 from .errors import CeilingError, NotASquareError, NotPrincipalError, RankError
@@ -244,10 +245,7 @@ def split_prime(K: NumberField, p: int) -> list[PrimeIdeal]:
     Valid at every p because the field is monogenic.  Result is cached and
     canonically ordered (by the factor's coefficient tuple).
     """
-    cache = getattr(K, "_prime_cache", None)
-    if cache is None:
-        cache = {}
-        K._prime_cache = cache
+    cache = K._prime_cache
     got = cache.get(p)
     if got is not None:
         return got
@@ -268,6 +266,38 @@ def split_prime(K: NumberField, p: int) -> list[PrimeIdeal]:
         q.ambiguous = shape[(q.f, q.e)] > 1
     cache[p] = out
     return out
+
+
+def residue_degrees(K: NumberField, p: int) -> list[int]:
+    """Residue degrees of the primes above p, ascending (split_prime's order).
+
+    Ramified p (dividing disc, where f mod p has repeated factors) and p
+    already split go through split_prime.  Otherwise f mod p is squarefree,
+    so by Dedekind-Kummer the degrees of its irreducible factors are the
+    residue degrees: a distinct-degree factorization finds them without the
+    equal-degree split, and builds and caches no PrimeIdeal.
+    """
+    if K.degree == 1:
+        return [1]
+    if K.disc % p == 0 or p in K._prime_cache:
+        return [q.f for q in split_prime(K, p)]
+    out = []
+    for g, d in gf_ddf_zassenhaus([c % p for c in K.poly.descending()], p, ZZ):
+        out += [d] * ((len(g) - 1) // d)
+    return out
+
+
+def primes_of_norm_up_to(K: NumberField, bound) -> Iterator[PrimeIdeal]:
+    """Every prime of norm <= bound, by p ascending, then split_prime order.
+
+    A rational prime whose least residue degree already puts every prime
+    above it over the bound is never split.
+    """
+    for p in primerange(2, int(bound) + 1):
+        if p ** residue_degrees(K, p)[0] <= bound:
+            for q in split_prime(K, p):
+                if q.norm <= bound:
+                    yield q
 
 
 def valuation(prime: PrimeIdeal, a: Ideal) -> int:
@@ -377,6 +407,10 @@ class FactoredIdeal:
         for q, e in self.exps.items():
             out *= Fraction(q.norm) ** e
         return out
+
+    def sort_key(self) -> tuple:
+        """Total order by ((prime sort key, exponent), ...)."""
+        return tuple(sorted((q.sort_key(), e) for q, e in self.exps.items()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FactoredIdeal) and self.exps == other.exps

@@ -35,6 +35,7 @@ from .ideals import (
     decompose_parts,
     factor_ideal,
     ideal_from_element,
+    primes_of_norm_up_to,
     split_prime,
 )
 from .number_field import AlgebraicNumber, NumberField
@@ -70,13 +71,9 @@ class KummerDatum:
         return (
             self.unit_coset,
             self.power_root_class,
-            _fi_key(self.parts.ell_part),
-            _fi_key(self.parts.ell_free_ell_power_free()),
+            self.parts.ell_part.sort_key(),
+            self.parts.ell_free_ell_power_free().sort_key(),
         )
-
-
-def _fi_key(fi: FactoredIdeal) -> tuple:
-    return tuple(sorted((q.sort_key(), e) for q, e in fi.exps.items()))
 
 
 def _lf(fa: FactoredIdeal, ell: int) -> FactoredIdeal:
@@ -401,16 +398,8 @@ def _int_nth_root(n: int, k: int) -> int:
 
 
 def _ell_free_primes_up_to(K: NumberField, ell: int, bound: int) -> list[PrimeIdeal]:
-    from sympy import primerange
-
-    out: list[PrimeIdeal] = []
-    for p in primerange(2, bound + 1):
-        if p == ell:
-            continue
-        for q in split_prime(K, p):
-            if q.norm <= bound:
-                out.append(q)
-    out.sort(key=lambda q: q.sort_key())
+    out = [q for q in primes_of_norm_up_to(K, bound) if q.p != ell]
+    out.sort(key=PrimeIdeal.sort_key)
     return out
 
 
@@ -462,7 +451,7 @@ def iter_extensions(
         FactoredIdeal(K, {q: e for q, e in zip(ell_primes, exps) if e})
         for exps in itertools.product(range(ell), repeat=len(ell_primes))
     ]
-    z_choices.sort(key=_fi_key)
+    z_choices.sort(key=FactoredIdeal.sort_key)
     for Q in z_choices:
         lmin_norm = 1
         for q, e in Q.exps.items():

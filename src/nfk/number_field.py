@@ -218,6 +218,8 @@ class NumberField:
         self._norm_form: dict[tuple[int, ...], int] | None = None
         # float embedding rows and unit-balance scale per units tuple (ideals.py)
         self._generator_search_cache: dict[tuple, tuple] = {}
+        self._prime_cache: dict[int, list] = {}  # p -> split_prime(K, p) (ideals.py)
+        self._zeta_constants_cache: dict[tuple[int, int], object] = {}  # (ell, bound) (density.py)
         self.ell = 2  # Kummer degree attached by build_field
 
     # -- basis bookkeeping --------------------------------------------------

@@ -4,7 +4,9 @@ the residue/zeta constants, and the two empirical census checks."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+import sympy
 
 from nfk.config import Ceilings
 from nfk.density import (
@@ -21,6 +23,7 @@ from nfk.density import (
 )
 from nfk.errors import CeilingError, UnrealizableEllPartError
 from nfk.ideals import FactoredIdeal, ideal_from_element, split_prime
+from nfk.number_field import build_field
 
 
 def _norms(fas):
@@ -276,6 +279,35 @@ def test_zeta_precision_check_is_opt_in(field_q, field_qi):
 
 def test_zeta_constants_cached(field_qi):
     assert zeta_constants(field_qi) is zeta_constants(field_qi)
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [
+        pytest.param([1, 0, 1], 2, id="qi"),
+        pytest.param([-9, -1, 0, 1], 2, id="cubic9"),
+        pytest.param([-9, -1, 0, 1], 3, id="cubic9-ell3"),
+    ],
+)
+def test_euler_products_match_split_prime_oracle(coeffs, ell):
+    # a fresh field, so that the Euler products see an empty prime cache
+    K = build_field(coeffs, ell=2)
+    zc = zeta_constants(K, ell=ell, prime_bound=2000)
+    with mpmath.workprec(80):
+        z2 = mpmath.mpf(1)
+        zl = mpmath.mpf(1)
+        for p in sympy.primerange(2, 2001):
+            for q in split_prime(K, p):
+                z2 /= 1 - mpmath.mpf(q.norm) ** -2
+                zl /= 1 - mpmath.mpf(q.norm) ** -ell
+        assert zc.zeta_at_2 == float(z2)
+        assert zc.zeta_at_ell == float(zl)
+
+
+def test_zeta_constants_caches_no_prime_above_1000():
+    K = build_field([1, 0, 1], ell=2, label="Q(i)")
+    zeta_constants(K)
+    assert all(p <= 1000 for p in K._prime_cache)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from nfk.ideals import (
     ideal_gcd,
     ideal_mul,
     ideal_pow,
+    primes_of_norm_up_to,
     principal_test_generator,
+    residue_degrees,
     split_prime,
     sqrt_of_square,
     valuation,
@@ -103,6 +105,41 @@ def test_split_cubic_shapes(field_cubic9):
     assert any(q.e > 1 for q in split_prime(K, 59))
     for p in (2, 3, 5, 7, 11, 13):
         assert all(q.e == 1 for q in split_prime(K, p))
+
+
+# the six-field matrix: Q, Q(i), Q(sqrt(-5)), cubic-9, Q(zeta3), x^3 - 3x - 1
+_SPLITTING_FIELDS = [
+    pytest.param([0, 1], 2, id="q"),
+    pytest.param([1, 0, 1], 2, id="qi"),
+    pytest.param([5, 0, 1], 2, id="qm5"),
+    pytest.param([-9, -1, 0, 1], 2, id="cubic9"),
+    pytest.param([1, 1, 1], 3, id="zeta3"),
+    pytest.param([-1, -3, 0, 1], 2, id="cyclic_cubic"),
+]
+
+
+@pytest.mark.parametrize("coeffs, ell", _SPLITTING_FIELDS)
+def test_residue_degrees_match_split_prime(coeffs, ell):
+    # a fresh field, so that every unramified p takes the distinct-degree
+    # path; every ramified p of these fields is below 3000
+    K = build_field(coeffs, ell=ell)
+    for p in primerange(2, 3000):
+        got = residue_degrees(K, p)
+        if K.degree > 1 and K.disc % p:
+            assert p not in K._prime_cache  # nothing built, nothing cached
+        assert got == [q.f for q in split_prime(K, p)], p
+        assert residue_degrees(K, p) == got  # now through the cache
+
+
+@pytest.mark.parametrize("coeffs, ell", _SPLITTING_FIELDS)
+def test_prime_pool_pruning_keeps_contents_and_order(coeffs, ell):
+    K = build_field(coeffs, ell=ell)
+    oracle = build_field(coeffs, ell=ell)  # split at every p, pruning nothing
+    for bound in (1, 2, 97, 500, K.minkowski_bound()):
+        unpruned = [q for p in primerange(2, int(bound) + 1) for q in split_prime(oracle, p)]
+        want = [(q.p, q.gpoly.coeffs) for q in unpruned if q.norm <= bound]
+        got = [(q.p, q.gpoly.coeffs) for q in primes_of_norm_up_to(K, bound)]
+        assert got == want, bound
 
 
 def test_prime_power_valuations(field_qi):
