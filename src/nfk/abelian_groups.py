@@ -17,7 +17,7 @@ such products sweep the group uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from sympy import factorint
 
@@ -135,36 +135,6 @@ class FiniteAbelianGroup:
 
     def power_subgroup(self, m: int) -> frozenset:
         return frozenset(self.power(x, m) for x in self.elements)
-
-    def subgroup_closure(self, gens: Iterable) -> frozenset:
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    y = self.op(h, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
-    def coset_partition(self, sub: frozenset) -> tuple[list, dict]:
-        """Deterministic coset reps of a subgroup and an element -> rep index map."""
-        rep_of: dict = {}
-        reps: list = []
-        for x in self.elements:
-            if x in rep_of:
-                continue
-            coset = sorted(self.op(x, s) for s in sub)
-            rep = coset[0]
-            idx = len(reps)
-            reps.append(rep)
-            for y in coset:
-                rep_of[y] = idx
-        return reps, rep_of
 
 
 def abelian_group_from_divisors(divisors: Sequence[int]) -> FiniteAbelianGroup:

@@ -139,19 +139,16 @@ def _combine_columns(rows: list[list[int]], j: int, k: int, row: int) -> None:
         r[k] = cj * x + ck * y
 
 
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form.
+def _hnf_in_place(h: list[list[int]], extra: list[list[int]]) -> None:
+    """Column-style HNF of the rows h, in place.
 
-    Returns (h, u) with h = m @ u and u unimodular.  The nonzero columns of
-    h form an upper-triangular staircase occupying the rightmost columns:
-    pivots positive, entries to the right of each pivot reduced mod the
-    pivot.  Zero matrices are fine (h = 0, u = I).
+    Every column operation is applied to the rows of extra as well (hnf
+    passes the unimodular transform there, hnf_square nothing).
     """
-    h = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(m.ncols)] for i in range(m.ncols)]
-    work = h + u  # column ops applied to both at once
-    pivot_col = m.ncols - 1
-    for row in range(m.nrows - 1, -1, -1):
+    ncols = len(h[0]) if h else 0
+    work = h + extra  # column ops applied to both at once
+    pivot_col = ncols - 1
+    for row in range(len(h) - 1, -1, -1):
         if pivot_col < 0:
             break
         for j in range(pivot_col):
@@ -163,12 +160,25 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             for r in work:
                 r[pivot_col] = -r[pivot_col]
         piv = h[row][pivot_col]
-        for j in range(pivot_col + 1, m.ncols):
+        for j in range(pivot_col + 1, ncols):
             q = h[row][j] // piv
             if q:
                 for r in work:
                     r[j] -= q * r[pivot_col]
         pivot_col -= 1
+
+
+def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Column-style Hermite normal form.
+
+    Returns (h, u) with h = m @ u and u unimodular.  The nonzero columns of
+    h form an upper-triangular staircase occupying the rightmost columns:
+    pivots positive, entries to the right of each pivot reduced mod the
+    pivot.  Zero matrices are fine (h = 0, u = I).
+    """
+    h = [list(r) for r in m.rows]
+    u = [[1 if i == j else 0 for j in range(m.ncols)] for i in range(m.ncols)]
+    _hnf_in_place(h, u)
     return IntMatrix(h), IntMatrix(u)
 
 
@@ -176,12 +186,14 @@ def hnf_square(m: IntMatrix) -> IntMatrix:
     """HNF of a full-rank column lattice, as a square nonsingular matrix.
 
     m may have extra generating columns (ncols >= nrows); the result is the
-    rightmost nrows columns of the staircase.
+    rightmost nrows columns of the staircase, equal to that block of
+    hnf(m)[0].  No unimodular transform is built: for the product of two
+    degree-n ideals it would be n^2 x n^2 beside the n x n^2 lattice.
     """
-    h, _ = hnf(m)
+    h = [list(r) for r in m.rows]
+    _hnf_in_place(h, [])
     n = m.nrows
-    sq = [r[h.ncols - n:] for r in h.rows]
-    out = IntMatrix(sq)
+    out = IntMatrix([r[m.ncols - n:] for r in h])
     if any(out.rows[i][i] == 0 for i in range(n)):
         raise ValueError("column lattice does not have full rank")
     return out

@@ -14,7 +14,8 @@ enumeration, on an LLL-reduced basis of the ideal, of an ellipsoid that
 holds a unit multiple of every generator.  The canonical generator — the
 F-map used throughout the Kummer layer — is the match minimizing the
 largest embedding magnitude, ties broken by smallest coordinate key (|c|
-before sign, so 2 beats -2).
+before sign, so 2 beats -2).  In imaginary quadratic fields every match
+ties, and the coordinate key alone decides.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Ideal:
         return n
 
     def is_one(self) -> bool:
-        return self.hnf == IntMatrix.identity(self.field.degree)
+        return all(x == (i == j) for i, row in enumerate(self.hnf.rows) for j, x in enumerate(row))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ideal) and self.field is other.field and self.hnf == other.hnf
@@ -133,18 +134,21 @@ def ideal_from_generators(K: NumberField, gens: Sequence[AlgebraicNumber]) -> Id
 
 
 def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
-    """Product ideal: HNF of all pairwise basis products."""
+    """Product ideal: HNF of all pairwise basis products.
+
+    The n^2 products of HNF columns are taken as int tuples
+    (K.mul_int_coords), with no element objects; a product with the unit
+    ideal returns the other factor itself.
+    """
+    if a.is_one():
+        return b
+    if b.is_one():
+        return a
     K = a.field
-    n = K.degree
-    acols = list(a.hnf.columns())
-    belems = b.basis_elements()
-    cols = []
-    for ac in acols:
-        ae = K.element(ac)
-        for be in belems:
-            cols.append((ae * be).int_coords())
-    m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-    return Ideal(K, hnf_square(m))
+    mul = K.mul_int_coords
+    bcols = list(b.hnf.columns())
+    cols = [mul(ac, bc) for ac in a.hnf.columns() for bc in bcols]
+    return Ideal(K, hnf_square(IntMatrix(list(zip(*cols)))))
 
 
 def ideal_pow(a: Ideal, e: int) -> Ideal:
@@ -274,13 +278,18 @@ def residue_degrees(K: NumberField, p: int) -> list[int]:
     Ramified p (dividing disc, where f mod p has repeated factors) and p
     already split go through split_prime.  Otherwise f mod p is squarefree,
     so by Dedekind-Kummer the degrees of its irreducible factors are the
-    residue degrees: a distinct-degree factorization finds them without the
-    equal-degree split, and builds and caches no PrimeIdeal.
+    residue degrees, found without building or caching a PrimeIdeal: in a
+    quadratic field with p odd, f splits mod p iff disc is a square mod p
+    (Euler's criterion); otherwise a distinct-degree factorization finds
+    the degrees without the equal-degree split.
     """
     if K.degree == 1:
         return [1]
     if K.disc % p == 0 or p in K._prime_cache:
         return [q.f for q in split_prime(K, p)]
+    if K.degree == 2 and p != 2:
+        # Euler's criterion: an odd unramified p splits iff disc is a square mod p
+        return [1, 1] if pow(K.disc, (p - 1) // 2, p) == 1 else [2]
     out = []
     for g, d in gf_ddf_zassenhaus([c % p for c in K.poly.descending()], p, ZZ):
         out += [d] * ((len(g) - 1) // d)
@@ -836,7 +845,11 @@ def principal_test_generator(
 
     A fractional ideal num/den is principal iff its integral numerator is.
     The canonical choice minimizes max |sigma(x)| over the complete set of
-    norm matches, ties broken by the coordinate key (|c|, sign).
+    norm matches, ties broken by the coordinate key (|c|, sign).  In an
+    imaginary quadratic field every match has |sigma(x)|^2 = N(x) = N(a)
+    exactly, so the maximum always ties and the coordinate key alone
+    decides, with no float evaluated.  Other fields rank the matches by
+    their embeddings (_embedding_ranked).
     """
     den = 1
     if isinstance(a, FractionalIdeal):
@@ -853,22 +866,32 @@ def principal_test_generator(
     # every match lies in the lattice of a, so |N(x)| = N(a) already forces
     # (x) = a: the matches ARE the generators.
     matches = norm_matches(a, units, ceilings)
+    if not matches:
+        return None
+    if K.degree == 2 and K.r1 == 0:
+        best = min(matches, key=_coord_sort_key)
+    else:
+        best = _embedding_ranked(K, matches)
+    if den != 1:
+        return K.element([Fraction(c, den) for c in best])
+    return K.element(best)
+
+
+def _embedding_ranked(K: NumberField, matches: Sequence[Sequence[int]]) -> Sequence[int]:
+    """The match of least max |sigma|, from 64-bit mpmath embeddings.
+
+    Magnitudes within a relative 1e-12 count as tied, and ties go to the
+    smaller coordinate key.
+    """
     best = None
     best_key = None
     with mpmath.workprec(100):
         for coords in matches:
-            x = K.element(coords)
-            vals = K.embeddings(x, 64)
-            mx = max(abs(v) for v in vals)
-            key = (mx, _coord_sort_key(coords))
+            vals = K.embeddings(K.element(coords), 64)
+            key = (max(abs(v) for v in vals), _coord_sort_key(coords))
             if best_key is None or _emb_key_less(key, best_key):
                 best, best_key = coords, key
-    if best is None:
-        return None
-    gen = K.element(best)
-    if den != 1:
-        return K.element([Fraction(c, den) for c in gen.coords])
-    return gen
+    return best
 
 
 def _emb_key_less(k1, k2) -> bool:

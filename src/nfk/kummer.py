@@ -445,6 +445,7 @@ def iter_extensions(
         return
     ug, cg = _groups(K, ceilings)
     u_reps = unit_coset_reps(ug, ell)
+    u_cosets: list[tuple[int, ...]] = []  # unit_coset_coords of u_reps, set by the first cell
     group = cg.group
     ell_primes = sorted(split_prime(K, ell))
     z_choices = [
@@ -477,7 +478,7 @@ def iter_extensions(
                         continue
                     yield from _cell_records(
                         K, ell, X, order_by, dedup, ceilings,
-                        ug, cg, u_reps, rep, cls, Q, I,
+                        ug, cg, u_reps, u_cosets, rep, cls, Q, I,
                     )
 
 
@@ -509,16 +510,20 @@ def enumerate_extensions(
     return records
 
 
-def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, rep, cls, Q, I):
+def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets, rep, cls, Q, I):
     fa = rep**ell * Q * I
     if fa.is_unit_ideal():
         alpha = K.one
     else:
         alpha = canonical_generator(fa.to_ideal(), ug.fundamental, ceilings)
     parts = decompose_parts(fa, ell)
-    for u in u_reps:
+    if not u_cosets:
+        # the first cell, always the unit ideal (Q = (1), class 0, I = (1)),
+        # so the trivial coset is computed in the cell that skips it; the
+        # perfbench tracer counts trivial skips from that call
+        u_cosets += [unit_coset_coords(ug, u, ell) for u in u_reps]
+    for u, coset in zip(u_reps, u_cosets):
         gamma = alpha * u
-        coset = unit_coset_coords(ug, u, ell)
         if fa.is_unit_ideal() and all(c == 0 for c in coset):
             continue  # gamma is the trivial ell-th power
         datum = KummerDatum(

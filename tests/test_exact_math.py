@@ -129,6 +129,25 @@ def test_hnf_zero_matrix():
     assert abs(det_int(u)) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hnf_square_matches_hnf_block(n):
+    # hnf_square skips the unimodular transform; hnf keeps it and is the oracle
+    rng = random.Random(40 + n)
+    done = 0
+    while done < 60:
+        ncols = rng.randint(n, n * n)
+        m = IntMatrix([[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(n)])
+        h, u = hnf(m)
+        block = [r[ncols - n:] for r in h.rows]
+        if any(block[i][i] == 0 for i in range(n)):
+            with pytest.raises(ValueError):
+                hnf_square(m)
+            continue  # rank-deficient draw
+        assert m @ u == h
+        assert hnf_square(m).rows == block
+        done += 1
+
+
 def test_hnf_reduce_gives_box_representative():
     h = IntMatrix([[4, 2], [0, 2]])
     seen = set()

@@ -11,6 +11,7 @@ from nfk import ideals
 from nfk.class_unit import compute_unit_group
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, NotASquareError, NotPrincipalError, RankError
+from nfk.exact_math import IntMatrix, hnf_square
 from nfk.ideals import (
     FactoredIdeal,
     FractionalIdeal,
@@ -53,6 +54,29 @@ def test_principal_ideal_hnf_gaussian(field_qi):
     assert ideal_mul(a, a) == two
     assert ideal_pow(a, 2) == two
     assert ideal_pow(a, 6) == ideal_from_rational(K, 8)
+
+
+def _element_product(a, b):
+    """The product through AlgebraicNumber: HNF of all basis-element products."""
+    K = a.field
+    cols = [(x * y).int_coords() for x in a.basis_elements() for y in b.basis_elements()]
+    return Ideal(K, hnf_square(IntMatrix([[c[i] for c in cols] for i in range(K.degree)])))
+
+
+@pytest.mark.parametrize("name", ["q", "qi", "qm5", "cubic9", "zeta3"])
+def test_ideal_mul_matches_element_product(name, request):
+    K = request.getfixturevalue(f"field_{name}")
+    pool = [fa.to_ideal() for fa in _integral_ideals(K, 200)]
+    one = Ideal.one(K)
+    assert pool[0] == one
+    rng = random.Random(7)
+    pairs = [(one, one)] + [(one, a) for a in pool[1:6]] + [(a, one) for a in pool[1:6]]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(80)]
+    for a, b in pairs:
+        assert ideal_mul(a, b) == _element_product(a, b), (a, b)
+    a = pool[-1]
+    assert ideal_mul(one, a) is a and ideal_mul(a, one) is a and ideal_pow(a, 1) is a
+    assert a.is_one() is False and one.is_one() is True
 
 
 def test_ideal_contains_and_reduce(field_qi):
@@ -407,6 +431,22 @@ def test_lattice_search_matches_box_oracle(name, bound, request, monkeypatch):
         assert (fast and fast.coords) == (slow and slow.coords), fa
     # the cubic (h = 3) exercises non-principal ideals as well
     assert verdicts == ({True, False} if name == "cubic9" else {True})
+
+
+@pytest.mark.parametrize("name", ["qi", "qm5", "zeta3"])
+def test_imaginary_quadratic_choice_matches_embedding_ranking(name, request):
+    # every generator has the same |sigma|, so the coordinate key alone
+    # decides; the embedding ranking of the same matches is the oracle
+    K = request.getfixturevalue(f"field_{name}")
+    principal = 0
+    for fa in _integral_ideals(K, 300):
+        a = fa.to_ideal()
+        matches = ideals.norm_matches(a)
+        want = ideals._embedding_ranked(K, matches) if matches else None
+        got = principal_test_generator(a)
+        assert (got and got.coords) == (want and tuple(want)), fa
+        principal += got is not None
+    assert principal > 100
 
 
 def test_lattice_search_honours_point_ceiling(field_cubic9):

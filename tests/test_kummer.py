@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from nfk.class_unit import compute_class_group, compute_unit_group, unit_coset_reps
+from nfk import kummer
+from nfk.class_unit import (
+    compute_class_group,
+    compute_unit_group,
+    unit_coset_coords,
+    unit_coset_reps,
+)
 from nfk.errors import DegenerateExtensionError, MissingRootOfUnityError
 from nfk.ideals import FactoredIdeal, factor_ideal, ideal_from_element, split_prime
 from nfk.kummer import (
@@ -404,6 +410,23 @@ def test_unit_only_extensions(field_qi):
     unit_recs = [r for r in recs if r.datum.gamma_ideal().is_unit_ideal()]
     assert len(unit_recs) >= 1
     assert all(abs(r.datum.gamma.norm()) == 1 for r in unit_recs)
+
+
+@pytest.mark.parametrize("name", ["qi", "qm5"])
+def test_unit_cosets_computed_once_per_enumeration(name, request, monkeypatch):
+    K = request.getfixturevalue(f"field_{name}")
+    ug = compute_unit_group(K)
+    calls = []
+
+    def counting(ug_, u, ell):
+        calls.append(u)
+        return unit_coset_coords(ug_, u, ell)
+
+    monkeypatch.setattr(kummer, "unit_coset_coords", counting)
+    recs = list(iter_extensions(K, 2, 200))
+    assert len(calls) == len(unit_coset_reps(ug, 2))
+    for r in recs:  # every record still carries its own coset
+        assert r.datum.unit_coset == unit_coset_coords(ug, r.datum.unit_coordinate, 2)
 
 
 def test_int_nth_root_beyond_float_range():
