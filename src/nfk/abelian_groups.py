@@ -189,10 +189,7 @@ def unit_group_mod_ideal(
     norm = m.norm()
     if norm > ceilings.residue_ring:
         raise CeilingError(f"residue ring of size {norm}", ceilings.residue_ring)
-    cache = getattr(K, "_unit_group_cache", None)
-    if cache is None:
-        cache = {}
-        K._unit_group_cache = cache
+    cache = K._unit_group_cache
     got = cache.get(m.hnf)
     if got is not None:
         return got
@@ -260,10 +257,7 @@ def is_power_class(
     the set is cached per (modulus, ell) on the field.
     """
     K = gamma.field
-    cache = getattr(K, "_power_set_cache", None)
-    if cache is None:
-        cache = {}
-        K._power_set_cache = cache
+    cache = K._power_set_cache
     key = (prime_power.hnf, ell)
     got = cache.get(key)
     if got is None:

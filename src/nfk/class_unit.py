@@ -254,11 +254,15 @@ def compute_unit_group(
     ceilings: Ceilings | None = None,
     known_units: list[list[int]] | None = None,
 ) -> UnitGroup:
-    """Torsion + fundamental units + regulator.  Cached on the field."""
-    cached = getattr(K, "_unit_group", None)
-    if cached is not None:
-        return cached
-    ceilings = ceilings or Ceilings.from_env()
+    """Torsion + fundamental units + regulator.  Cached on the field.
+
+    ceilings default to Ceilings(), as in every other layer; only the CLI
+    reads NFK_CEILING.  known_units is read only when the group is first
+    computed; a cached group is returned as it is.
+    """
+    if K._unit_group is not None:
+        return K._unit_group
+    ceilings = ceilings or Ceilings()
     torsion = _torsion_units(K)
     w = len(torsion)
     if w % 2:
@@ -302,9 +306,8 @@ def compute_unit_group(
     reg = _regulator(K, fundamental)
     if rank and reg < mpmath.mpf("0.05"):
         raise ArithmeticError(f"degenerate regulator {reg}")
-    out = UnitGroup(field=K, zeta=zeta, w=w, fundamental=fundamental, regulator=reg)
-    K._unit_group = out
-    return out
+    K._unit_group = UnitGroup(field=K, zeta=zeta, w=w, fundamental=fundamental, regulator=reg)
+    return K._unit_group
 
 
 def _unit_search_pool(K: NumberField, rank: int, ceilings: Ceilings) -> list[AlgebraicNumber]:
@@ -550,18 +553,28 @@ def compute_class_group(
     K: NumberField,
     ceilings: Ceilings | None = None,
     known_h: int | None = None,
-    unit_group: UnitGroup | None = None,
 ) -> ClassGroup:
-    """Minkowski census class group.  Cached on the field."""
-    cached = getattr(K, "_class_group", None)
-    if cached is not None:
-        return cached
-    units = unit_group or compute_unit_group(K, ceilings)
+    """Minkowski census class group.  Cached on the field.
+
+    known_h, when given, is checked against the class number on every
+    call, cached or not.
+    """
+    if K._class_group is None:
+        K._class_group = _class_group_census(K, ceilings)
+    h = K._class_group.h
+    if known_h is not None and h != known_h:
+        raise ArithmeticError(f"census found h = {h}, expected {known_h}")
+    return K._class_group
+
+
+def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup:
+    units = compute_unit_group(K, ceilings)
     bound = K.minkowski_bound()
     reps: list[FactoredIdeal] = [FactoredIdeal.unit(K)]
 
     def is_principal(fa: FactoredIdeal) -> bool:
-        return principal_test_generator(fa.to_fractional(), units.fundamental) is not None
+        gen = principal_test_generator(fa.to_fractional(), units.fundamental, ceilings)
+        return gen is not None
 
     def find_class(fa: FactoredIdeal) -> int | None:
         for i, rep in enumerate(reps):
@@ -593,9 +606,6 @@ def compute_class_group(
                     changed = True
 
     h = len(reps)
-    if known_h is not None and h != known_h:
-        raise ArithmeticError(f"census found h = {h}, expected {known_h}")
-
     table: dict[tuple[int, int], int] = {}
     for i in range(h):
         for j in range(i, h):
@@ -607,6 +617,4 @@ def compute_class_group(
             table[(j, i)] = k
 
     group = FiniteAbelianGroup(list(range(h)), lambda a, b: table[(a, b)], 0)
-    out = ClassGroup(field=K, group=group, reps=reps, units=units, prime_class=prime_class)
-    K._class_group = out
-    return out
+    return ClassGroup(field=K, group=group, reps=reps, units=units, prime_class=prime_class)

@@ -17,6 +17,7 @@ from .density import density_report, identity_check
 from .errors import CeilingError, NfkError
 from .exact_math import frac_str
 from .harness import (
+    _table_bytes,
     count_check_json_dict,
     ideal_label,
     load_field_spec,
@@ -24,7 +25,7 @@ from .harness import (
     run_count_asymptotic_check,
     run_equidistribution_experiment,
 )
-from .kummer import enumerate_extensions, realizable_class_subgroup, record_json_dict
+from .kummer import enumerate_extensions, record_json_dict
 
 
 def _poly_str(coeffs) -> str:
@@ -147,24 +148,15 @@ def _cmd_enumerate(args, K, ell, ceilings) -> int:
             _emit(("\n".join(out) + "\n").encode())
         else:
             title = f"{len(records)} extensions of {K.label} with N(disc) <= {args.bound}"
-            from .harness import _table_bytes
-
             _emit(_table_bytes(header, rows, title))
     return 0
 
 
 def _cmd_steinitz(args, K, ell, ceilings) -> int:
-    cg = compute_class_group(K, ceilings)
-    realizable = sorted(realizable_class_subgroup(cg, ell))
-    counts = {c: 0 for c in realizable}
-    total = 0
-    for rec in enumerate_extensions(K, ell, args.bound, ceilings=ceilings):
-        counts[rec.steinitz] += 1
-        total += 1
-    rows = [
-        [c, counts[c], frac_str(Fraction(counts[c], total)) if total else "0"]
-        for c in realizable
-    ]
+    report = run_equidistribution_experiment(K, ell, args.bound, ceilings)
+    total = report.total
+    fracs = report.class_fractions()
+    rows = [[c, n, frac_str(fracs[c])] for c, n in report.class_tallies]
     if args.format == "json":
         data = {
             "field": K.label,
@@ -178,15 +170,13 @@ def _cmd_steinitz(args, K, ell, ceilings) -> int:
         out = ["class,count,fraction"] + [f"{c},{n},{f}" for c, n, f in rows]
         _emit(("\n".join(out) + "\n").encode())
     else:
-        from .harness import _table_bytes
-
         title = f"Steinitz classes over {K.label}, X={args.bound}: {total} extensions"
         _emit(_table_bytes(["class", "count", "fraction"], rows, title))
     return 0
 
 
 def _cmd_experiment(args, K, ell, ceilings) -> int:
-    report = run_equidistribution_experiment(K, ell, args.bound, ceilings, jobs=args.jobs)
+    report = run_equidistribution_experiment(K, ell, args.bound, ceilings)
     _emit(report_serialize(report, args.format))
     return 0
 
@@ -243,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--spec", required=True, metavar="FILE", help="field spec JSON")
         sp.add_argument("--ell", type=int, default=None, help="prime degree (default: spec file)")
         sp.add_argument("--format", choices=["json", "csv", "table"], default="table")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--ceiling", type=int, default=None, help="override all search ceilings")
         if needs_bound:
             sp.add_argument("--bound", type=int, required=True, metavar="N")

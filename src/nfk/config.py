@@ -1,9 +1,12 @@
 """Search ceilings.
 
 Every potentially unbounded loop in the package (residue-ring censuses,
-lattice point searches, tuple censuses) checks one of these limits and
-raises CeilingError instead of running away.  The environment variable
-NFK_CEILING, or --ceiling on the CLI, replaces all of them with one value.
+lattice point searches, tuple censuses, unit searches) checks one of these
+limits and raises CeilingError instead of running away.  Every layer takes
+the caller's Ceilings and passes it down; None means Ceilings(), the
+defaults below.  Only the CLI reads the environment: Ceilings.from_env
+replaces all limits with NFK_CEILING or --ceiling, except that unit_height
+never drops below its default.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import mpmath
 import sympy
 
 from .abelian_groups import is_power_class, quotient_by_powers, unit_group_mod_ideal
-from .class_unit import ClassGroup, compute_class_group, compute_unit_group
+from .class_unit import ClassGroup, compute_class_group
 from .config import Ceilings
 from .errors import CeilingError, UnrealizableEllPartError
 from .exact_math import frac_str
@@ -85,39 +85,6 @@ def _coerce_ell_part(K: NumberField, ell: int, ell_part) -> FactoredIdeal:
         if e not in allowed_wild_exponents(q, ell):
             raise UnrealizableEllPartError(f"exponent {e} at {q!r} is not in R")
     return fa
-
-
-@dataclass(frozen=True)
-class RamificationProfile:
-    """How a candidate ell-part splits the primes above ell.
-
-    At a valuation prime the exponent is maximal and gamma must have
-    valuation prime to ell; at a congruence prime gamma is a unit locally
-    and the exponent is set by power-congruence depth, tested modulo the
-    saturation power collected in congruence_modulus.
-    """
-
-    ell: int
-    valuation_primes: tuple[PrimeIdeal, ...]
-    congruence_primes: tuple[PrimeIdeal, ...]
-    congruence_modulus: FactoredIdeal
-
-
-def build_ramification_sets(K: NumberField, ell: int, ell_part) -> RamificationProfile:
-    fa = _coerce_ell_part(K, ell, ell_part)
-    vals, congs, mod = [], [], {}
-    for q in split_prime(K, ell):
-        if fa.exps.get(q, 0) == (ell - 1) + ell * q.e:
-            vals.append(q)
-        else:
-            congs.append(q)
-            mod[q] = wild_saturation_depth(q, ell)
-    return RamificationProfile(
-        ell=ell,
-        valuation_primes=tuple(vals),
-        congruence_primes=tuple(congs),
-        congruence_modulus=FactoredIdeal(K, mod),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +245,8 @@ def zeta_constants(
     cache = K._zeta_constants_cache
     got = cache.get((ell, prime_bound))
     if got is None:
-        ug = compute_unit_group(K)
-        cg = compute_class_group(K, ceilings, unit_group=ug)
+        cg = compute_class_group(K, ceilings)
+        ug = cg.units
         with mpmath.workprec(80):
             residue = (
                 mpmath.mpf(2**K.r1)
@@ -342,10 +309,7 @@ def _squarefree_class_tally(
     """Counts of ell-power-free ideals of norm <= X, coprime to coprime_to,
     by ideal class index.  The unit ideal counts toward the trivial class."""
     support = frozenset(_support_of(coprime_to))
-    cache = getattr(K, "_sqfree_tally_cache", None)
-    if cache is None:
-        cache = {}
-        K._sqfree_tally_cache = cache
+    cache = K._sqfree_tally_cache
     key = (ell, X, tuple(sorted(q.sort_key() for q in support)))
     got = cache.get(key)
     if got is not None:
@@ -399,8 +363,7 @@ def count_squarefree_ideals_in_class(
     class, coprime to the given ideal, against the predicted leading term
     Res/(zeta_K(ell) h) prod_q (1 - (N^(ell-1)-1)/(N^ell-1)) X."""
     ceilings = ceilings or Ceilings()
-    ug = compute_unit_group(K)
-    cg = compute_class_group(K, ceilings, unit_group=ug)
+    cg = compute_class_group(K, ceilings)
     tally = _squarefree_class_tally(K, cg, ell, coprime_to, X, ceilings)
     count = tally.get(class_index % cg.h, 0)
     z = zeta_constants(K, ell=ell, prime_bound=prime_bound, ceilings=ceilings)
@@ -454,8 +417,8 @@ def generator_equidistribution_test(
     divisibility data.
     """
     ceilings = ceilings or Ceilings()
-    ug = compute_unit_group(K)
-    cg = compute_class_group(K, ceilings, unit_group=ug)
+    cg = compute_class_group(K, ceilings)
+    ug = cg.units
     factor_fa = (
         ideal_factor
         if isinstance(ideal_factor, FactoredIdeal)

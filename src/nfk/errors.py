@@ -33,7 +33,7 @@ class NotPrincipalError(NfkError):
 
 
 class NotASquareError(NfkError):
-    """sqrt_of_square applied to a fractional ideal with an odd exponent."""
+    """FactoredIdeal.sqrt applied to a fractional ideal with an odd exponent."""
 
 
 class DegenerateExtensionError(NfkError):

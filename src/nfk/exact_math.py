@@ -8,8 +8,6 @@ Conventions fixed project-wide:
 * HNF is column-style (column operations only; H = M @ U with U unimodular),
   upper triangular on the rightmost columns, pivots positive, and every
   entry to the right of a pivot reduced into [0, pivot).
-* SNF is diag(d1,...,dr) with nonnegative d1 | d2 | ... | dr and
-  D = U @ M @ V, U, V unimodular.
 * Determinants use the Bareiss fraction-free elimination (exact division).
 """
 
@@ -64,9 +62,6 @@ class IntMatrix:
     def zero(nrows: int, ncols: int) -> "IntMatrix":
         return IntMatrix([[0] * ncols for _ in range(nrows)])
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([list(r) for r in self.rows])
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.rows[ij[0]][ij[1]]
 
@@ -93,9 +88,6 @@ class IntMatrix:
     def columns(self) -> Iterator[list[int]]:
         for j in range(self.ncols):
             yield self.column(j)
-
-    def mul_vector(self, v: Sequence[int]) -> list[int]:
-        return [sum(a * b for a, b in zip(row, v)) for row in self.rows]
 
     def diagonal(self) -> list[int]:
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
@@ -217,84 +209,6 @@ def hnf_reduce(h: IntMatrix, v: Sequence[int]) -> list[int]:
 def lattice_contains(h: IntMatrix, v: Sequence[int]) -> bool:
     """Does the column lattice of square HNF h contain v?"""
     return all(x == 0 for x in hnf_reduce(h, v))
-
-
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: (d, u, v) with d = u @ m @ v, u, v unimodular.
-
-    d is diagonal, entries nonnegative, d[i] | d[i+1].
-    """
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(i1: int, i2: int, q: int) -> None:  # row i1 -= q * row i2
-        a[i1] = [x - q * y for x, y in zip(a[i1], a[i2])]
-        u[i1] = [x - q * y for x, y in zip(u[i1], u[i2])]
-
-    def col_op(j1: int, j2: int, q: int) -> None:  # col j1 -= q * col j2
-        for r in a:
-            r[j1] -= q * r[j2]
-        for r in v:
-            r[j1] -= q * r[j2]
-
-    def swap_rows(i1: int, i2: int) -> None:
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def swap_cols(j1: int, j2: int) -> None:
-        for r in a:
-            r[j1], r[j2] = r[j2], r[j1]
-        for r in v:
-            r[j1], r[j2] = r[j2], r[j1]
-
-    t = 0
-    while t < min(nr, nc):
-        # find smallest nonzero |entry| in the trailing submatrix
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, nr):
-            if a[i][t] % a[t][t] != 0:
-                dirty = True
-            row_op(i, t, a[i][t] // a[t][t])
-        for j in range(t + 1, nc):
-            if a[t][j] % a[t][t] != 0:
-                dirty = True
-            col_op(j, t, a[t][j] // a[t][t])
-        if dirty or any(a[i][t] for i in range(t + 1, nr)) or any(a[t][j] for j in range(t + 1, nc)):
-            continue  # nonexact divisions left remainders; repeat the pivot
-        # divisibility fix-up: pivot must divide the whole trailing block
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # fold the offending row into the pivot row
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
-
-
-def snf_diagonal(m: IntMatrix) -> list[int]:
-    """Nonzero invariant factors of the column lattice of m (d1 | d2 | ...)."""
-    d, _, _ = snf(m)
-    return [x for x in d.diagonal() if x != 0]
 
 
 # ---------------------------------------------------------------------------

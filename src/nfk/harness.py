@@ -6,14 +6,13 @@ classes, both globally and per wild-part row, checking the partition
 identities exactly along the way.  run_count_asymptotic_check compares
 the raw count against the analytic leading term in two algebraically
 equal forms.  report_serialize turns reports into deterministic bytes:
-counts and fractions are exact strings, wall-clock metadata never enters
-the output, and the bytes do not depend on the worker count.
+counts and fractions are exact strings, and wall-clock metadata never
+enters the output.
 """
 
 import json
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from io import StringIO
@@ -32,8 +31,6 @@ from .exact_math import frac_str
 from .ideals import FactoredIdeal
 from .kummer import iter_extensions, realizable_class_subgroup
 from .number_field import NumberField, build_field
-
-_TALLY_CHUNK = 4096
 
 
 def load_field_spec(path) -> NumberField:
@@ -102,25 +99,18 @@ class ExperimentReport:
         return {c: Fraction(n, tot) if tot else Fraction(0) for c, n in row.items()}
 
 
-def _sum_counters(parts) -> Counter:
-    out: Counter = Counter()
-    for part in parts:
-        out.update(part)
-    return out
-
-
 def run_equidistribution_experiment(
     K: NumberField,
     ell: int,
     X: int,
     ceilings: Ceilings | None = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Tally Steinitz classes of all degree-ell extensions with N(disc) <= X.
 
-    The enumeration is a single deterministic stream; with jobs > 1 the
-    stream is cut into chunks whose tallies are merged by commutative
-    Counter addition, so the report is identical for every worker count.
+    One pass over the deterministic stream of iter_extensions (disc order,
+    orbit dedup) counts every (ell-part row, Steinitz class) cell; the
+    class and row marginals are then taken from those cells.  `nfk
+    steinitz` prints the class tallies of this report.
     """
     t0 = time.perf_counter()
     cg = compute_class_group(K, ceilings)
@@ -141,24 +131,7 @@ def run_equidistribution_experiment(
                 )
             yield row_key[rec.ell_part] + (rec.steinitz,)
 
-    def tally(chunk) -> Counter:
-        return Counter(chunk)
-
-    if jobs <= 1:
-        cells = tally(keys())
-    else:
-        futures = []
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunk: list = []
-            for key in keys():
-                chunk.append(key)
-                if len(chunk) >= _TALLY_CHUNK:
-                    futures.append(pool.submit(tally, chunk))
-                    chunk = []
-            if chunk:
-                futures.append(pool.submit(tally, chunk))
-            cells = _sum_counters(f.result() for f in futures)
-
+    cells = Counter(keys())
     by_class: Counter = Counter()
     by_row: Counter = Counter()
     for (label, norm, cls), n in cells.items():

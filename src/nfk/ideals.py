@@ -122,17 +122,6 @@ def ideal_from_rational(K: NumberField, m: int) -> Ideal:
     return Ideal(K, IntMatrix([[m if i == j else 0 for j in range(K.degree)] for i in range(K.degree)]))
 
 
-def ideal_from_generators(K: NumberField, gens: Sequence[AlgebraicNumber]) -> Ideal:
-    cols = []
-    for g in gens:
-        acc = g
-        for _ in range(K.degree):
-            cols.append(acc.int_coords())
-            acc = acc * K.theta
-    m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(K.degree)])
-    return Ideal(K, hnf_square(m))
-
-
 def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
     """Product ideal: HNF of all pairwise basis products.
 
@@ -162,14 +151,6 @@ def ideal_pow(a: Ideal, e: int) -> Ideal:
         base = ideal_mul(base, base) if e > 1 else base
         e >>= 1
     return out
-
-
-def ideal_gcd(a: Ideal, b: Ideal) -> Ideal:
-    """a + b (contains both; their gcd in the divisibility order)."""
-    n = a.field.degree
-    cols = [a.hnf.column(j) for j in range(n)] + [b.hnf.column(j) for j in range(n)]
-    m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-    return Ideal(a.field, hnf_square(m))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +433,6 @@ class FactoredIdeal:
             raise NotASquareError(f"odd exponent in {self!r}")
         return FactoredIdeal(self.field, {q: e // 2 for q, e in self.exps.items()})
 
-    def radical(self) -> "FactoredIdeal":
-        return FactoredIdeal(self.field, {q: 1 for q in self.exps})
-
     def to_ideal(self) -> Ideal:
         """Assemble the HNF ideal; requires integrality."""
         if not self.is_integral():
@@ -539,18 +517,6 @@ def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
         root=FactoredIdeal(K, root),
         power_parts={i: FactoredIdeal(K, parts[i]) for i in range(1, ell)},
     )
-
-
-def sqrt_of_square(a: FractionalIdeal | FactoredIdeal) -> FactoredIdeal:
-    """Exact square root of a fractional ideal that is a perfect square."""
-    if isinstance(a, FractionalIdeal):
-        fa = factor_ideal(a.num)
-        for p, e in factorint(a.den).items():
-            for q in split_prime(a.num.field, p):
-                fa = fa * FactoredIdeal(a.num.field, {q: -e * q.e})
-    else:
-        fa = a
-    return fa.sqrt()
 
 
 # ---------------------------------------------------------------------------

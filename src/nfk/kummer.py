@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .abelian_groups import is_power_class
-from .class_unit import (
-    ClassGroup,
-    UnitGroup,
-    compute_class_group,
-    compute_unit_group,
-    unit_coset_coords,
-    unit_coset_reps,
-)
+from .class_unit import ClassGroup, compute_class_group, unit_coset_coords, unit_coset_reps
 from .config import Ceilings
 from .errors import DegenerateExtensionError, MissingRootOfUnityError
 from .ideals import (
@@ -95,14 +88,6 @@ def _as_unit(K: NumberField, x: AlgebraicNumber) -> AlgebraicNumber:
     return u
 
 
-def _groups(
-    K: NumberField, ceilings: Ceilings | None
-) -> tuple[UnitGroup, ClassGroup]:
-    ug = compute_unit_group(K, ceilings)
-    cg = compute_class_group(K, ceilings, unit_group=ug)
-    return ug, cg
-
-
 def normalize_gamma(
     gamma: AlgebraicNumber, ell: int, ceilings: Ceilings | None = None
 ) -> KummerDatum:
@@ -123,7 +108,8 @@ def normalize_gamma(
         raise MissingRootOfUnityError(
             f"Kummer theory for ell={ell} needs the {ell}-th roots of unity"
         )
-    ug, cg = _groups(K, ceilings)
+    cg = compute_class_group(K, ceilings)
+    ug = cg.units
     fa = factor_ideal(ideal_from_element(gamma))
     root = _power_root(fa, ell)
     cls = cg.index_of(root)
@@ -333,7 +319,8 @@ def is_isomorphic(
     if d1.field is not d2.field or d1.ell != d2.ell:
         raise ValueError("data must share a field and a degree")
     K, ell = d1.field, d1.ell
-    ug, cg = _groups(K, ceilings)
+    cg = compute_class_group(K, ceilings)
+    ug = cg.units
     fa2 = d2.gamma_ideal()
     lf2 = _lf(fa2, ell)
     root2 = _power_root(fa2, ell)
@@ -372,10 +359,6 @@ class ExtensionRecord:
     ell_free_part: FactoredIdeal
     steinitz: int
     disc_norm: int
-
-    @property
-    def ell_free_norm(self) -> int:
-        return int(self.ell_free_part.norm())
 
     def sort_key(self) -> tuple:
         return (self.disc_norm, self.datum.key())
@@ -443,7 +426,8 @@ def iter_extensions(
         raise ValueError(f"unknown ordering {order_by!r}")
     if X < 1:
         return
-    ug, cg = _groups(K, ceilings)
+    cg = compute_class_group(K, ceilings)
+    ug = cg.units
     u_reps = unit_coset_reps(ug, ell)
     u_cosets: list[tuple[int, ...]] = []  # unit_coset_coords of u_reps, set by the first cell
     group = cg.group

@@ -61,9 +61,6 @@ class AlgebraicNumber:
     def is_one(self) -> bool:
         return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
     def is_integral(self) -> bool:
         return all(isinstance(c, int) or Fraction(c).denominator == 1 for c in self.coords)
 
@@ -220,6 +217,11 @@ class NumberField:
         self._generator_search_cache: dict[tuple, tuple] = {}
         self._prime_cache: dict[int, list] = {}  # p -> split_prime(K, p) (ideals.py)
         self._zeta_constants_cache: dict[tuple[int, int], object] = {}  # (ell, bound) (density.py)
+        self._unit_group = None  # compute_unit_group (class_unit.py)
+        self._class_group = None  # compute_class_group (class_unit.py)
+        self._unit_group_cache: dict = {}  # modulus HNF -> (O_K/m)^* (abelian_groups.py)
+        self._power_set_cache: dict = {}  # (modulus HNF, ell) -> ell-th powers (abelian_groups.py)
+        self._sqfree_tally_cache: dict = {}  # (ell, X, excluded primes) -> tally (density.py)
         self.ell = 2  # Kummer degree attached by build_field
 
     # -- basis bookkeeping --------------------------------------------------
@@ -360,14 +362,6 @@ class NumberField:
                     )
                 out.append(acc)
         return out
-
-    def abs_norm_from_embeddings(self, x: AlgebraicNumber, prec_bits: int = 64) -> mpmath.mpf:
-        vals = self.embeddings(x, prec_bits)
-        acc = mpmath.mpf(1)
-        for i, v in enumerate(vals):
-            av = abs(v)
-            acc *= av * av if i >= self.r1 else av
-        return acc
 
     def minkowski_bound(self) -> Fraction:
         """Exact rational upper estimate of the Minkowski bound."""

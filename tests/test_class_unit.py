@@ -10,7 +10,8 @@ from nfk.class_unit import (
     compute_unit_group,
     unit_coset_reps,
 )
-from nfk.errors import MissingRootOfUnityError
+from nfk.config import Ceilings
+from nfk.errors import CeilingError, MissingRootOfUnityError
 from nfk.ideals import (
     FactoredIdeal,
     ideal_from_element,
@@ -194,6 +195,17 @@ def test_known_h_mismatch():
     K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
     with pytest.raises(ArithmeticError):
         compute_class_group(K, known_h=3)
+    assert compute_class_group(K, known_h=2).h == 2
+    with pytest.raises(ArithmeticError):  # the cached group is checked too
+        compute_class_group(K, known_h=3)
+
+
+def test_class_census_honours_search_ceiling():
+    # a fresh cubic-9: its census runs lattice searches, which must see the
+    # caller's search_points
+    K = build_field([-9, -1, 0, 1], ell=2, label="cubic-9")
+    with pytest.raises(CeilingError):
+        compute_class_group(K, Ceilings(search_points=1))
 
 
 def test_power_subgroup_indices(field_qm5):

@@ -11,7 +11,6 @@ import sympy
 from nfk.config import Ceilings
 from nfk.density import (
     allowed_wild_exponents,
-    build_ramification_sets,
     count_squarefree_ideals_in_class,
     density_report,
     density_report_json_dict,
@@ -74,47 +73,11 @@ def test_exponent_outside_R_rejected(field_q):
     (q,) = split_prime(field_q, 2)
     with pytest.raises(UnrealizableEllPartError):
         rho(field_q, 2, FactoredIdeal(field_q, {q: 1}))
-    with pytest.raises(UnrealizableEllPartError):
-        build_ramification_sets(field_q, 2, FactoredIdeal(field_q, {q: 7}))
 
 
 def test_prime_outside_wild_set_rejected(field_q):
     with pytest.raises(UnrealizableEllPartError):
         rho(field_q, 2, ideal_from_element(field_q.from_int(3)))
-
-
-# ---------------------------------------------------------------------------
-# ramification profiles
-# ---------------------------------------------------------------------------
-
-
-def test_profile_valuation_case(field_cubic9):
-    (q,) = split_prime(field_cubic9, 2)
-    prof = build_ramification_sets(field_cubic9, 2, FactoredIdeal(field_cubic9, {q: 3}))
-    assert prof.valuation_primes == (q,)
-    assert prof.congruence_primes == ()
-    assert prof.congruence_modulus.is_unit_ideal()
-
-
-def test_profile_congruence_case(field_cubic9):
-    (q,) = split_prime(field_cubic9, 2)
-    prof = build_ramification_sets(field_cubic9, 2, FactoredIdeal(field_cubic9, {q: 2}))
-    assert prof.valuation_primes == ()
-    assert prof.congruence_primes == (q,)
-    assert prof.congruence_modulus == FactoredIdeal(field_cubic9, {q: 2})
-
-
-def test_profile_unramified_case(field_cubic9):
-    prof = build_ramification_sets(field_cubic9, 2, FactoredIdeal(field_cubic9, {}))
-    assert prof.valuation_primes == ()
-    assert len(prof.congruence_primes) == 1
-    assert int(prof.congruence_modulus.norm()) == 64
-
-
-def test_profile_saturation_depth_qi(field_qi):
-    # e = 2 so the congruence test runs modulo (1+i)^4, norm 16.
-    prof = build_ramification_sets(field_qi, 2, FactoredIdeal(field_qi, {}))
-    assert int(prof.congruence_modulus.norm()) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +307,25 @@ def test_census_respects_search_ceiling(field_q):
     tiny = Ceilings(search_points=50)
     with pytest.raises(CeilingError):
         count_squarefree_ideals_in_class(field_q, 0, None, 10**4, ceilings=tiny)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K, c: zeta_constants(K, prime_bound=100, ceilings=c),
+        lambda K, c: count_squarefree_ideals_in_class(K, 0, None, 100, ceilings=c),
+        lambda K, c: generator_equidistribution_test(
+            K, ideal_from_element(K.from_int(4)), FactoredIdeal.unit(K), 100, ceilings=c
+        ),
+    ],
+    ids=["zeta_constants", "squarefree_census", "generator_equidistribution"],
+)
+def test_unit_ceiling_reaches_unit_search(call):
+    # the fundamental unit 8 + 3 sqrt(7) lies beyond height 2; a fresh
+    # field, so that the unit search runs under the caller's ceilings
+    K = build_field([-7, 0, 1], ell=2, label="Q(sqrt(7))")
+    with pytest.raises(CeilingError):
+        call(K, Ceilings(unit_height=2))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from nfk.exact_math import (
     irreducibility_certificate,
     lattice_contains,
     polynomial_discriminant,
-    snf,
-    snf_diagonal,
     xgcd,
 )
 from nfk.errors import FieldConstructionError
@@ -158,45 +156,6 @@ def test_hnf_reduce_gives_box_representative():
             assert lattice_contains(h, [x - r[0], y - r[1]])
             seen.add(tuple(r))
     assert len(seen) == 8  # = det, every coset hit
-
-
-def test_snf_diag_example():
-    d, u, v = snf(IntMatrix([[2, 0], [0, 3]]))
-    assert d.diagonal() == [1, 6]
-    assert u @ IntMatrix([[2, 0], [0, 3]]) @ v == d
-
-
-def test_snf_zero_and_rank_deficient():
-    d, _, _ = snf(IntMatrix.zero(2, 2))
-    assert d.diagonal() == [0, 0]
-    d2, _, _ = snf(IntMatrix([[2, 4], [1, 2]]))
-    assert [x for x in d2.diagonal() if x] == [1]
-
-
-def test_snf_group_structure_example():
-    # relation matrix of Z/7 x (Z/2)^3 -> invariant factors 1,2,2,14
-    m = IntMatrix([[7, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-    assert snf_diagonal(m) == [1, 2, 2, 14]
-
-
-def test_snf_invariants_random():
-    random.seed(15)
-    for _ in range(60):
-        n = random.choice((2, 3))
-        m = IntMatrix([[random.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        d, u, v = snf(m)
-        assert u @ m @ v == d
-        assert abs(det_int(u)) == 1 and abs(det_int(v)) == 1
-        diag = d.diagonal()
-        for a, b in zip(diag, diag[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
-        assert abs(det_int(m)) == abs(det_int(d))
-        # off-diagonal clean
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    assert d.rows[i][j] == 0
 
 
 def test_polynomial_discriminants():

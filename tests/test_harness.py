@@ -115,10 +115,9 @@ def test_experiment_empty(field_qm5):
 def test_experiment_deterministic_across_runs_and_jobs(field_qm5):
     a = run_equidistribution_experiment(field_qm5, 2, 2000)
     b = run_equidistribution_experiment(field_qm5, 2, 2000)
-    c = run_equidistribution_experiment(field_qm5, 2, 2000, jobs=3)
-    assert a == b == c  # elapsed_seconds is excluded from comparison
+    assert a == b  # elapsed_seconds is excluded from comparison
     for fmt in ("json", "csv", "table"):
-        assert report_serialize(a, fmt) == report_serialize(b, fmt) == report_serialize(c, fmt)
+        assert report_serialize(a, fmt) == report_serialize(b, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +249,49 @@ def test_cli_steinitz_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "class,count,fraction"
     assert lines[1].startswith("0,101,") and lines[2].startswith("1,104,")
+
+
+@pytest.mark.parametrize(
+    ("spec", "ell", "bound"), [("qm5.json", 2, 2000), ("zeta3.json", 3, 10000)]
+)
+def test_cli_steinitz_matches_experiment(spec, ell, bound, capsys):
+    report = run_equidistribution_experiment(load_field_spec(SPECS / spec), ell, bound)
+    counts = dict(report.class_tallies)
+    out = {}
+    for fmt in ("json", "csv", "table"):
+        args = ["steinitz", "--spec", str(SPECS / spec), "--bound", str(bound), "--format", fmt]
+        assert cli_main(args) == 0
+        out[fmt] = capsys.readouterr().out
+    data = json.loads(out["json"])
+    assert data["total"] == report.total
+    assert {row["class"]: row["count"] for row in data["classes"]} == counts
+    csv_rows = [line.split(",") for line in out["csv"].splitlines()[1:]]
+    assert {int(c): int(n) for c, n, _ in csv_rows} == counts
+    title, _header, _rule, *table_rows = out["table"].splitlines()
+    assert title.endswith(f": {report.total} extensions")
+    assert {int(r.split()[0]): int(r.split()[1]) for r in table_rows} == counts
+
+
+_CLI_COMMANDS = (
+    "field", "classgroup", "units", "rho", "enumerate", "steinitz", "experiment",
+    "identity-check", "count-check",
+)
+
+
+@pytest.mark.parametrize("command", _CLI_COMMANDS)
+def test_cli_exit_codes(command, capsys):
+    bounded = command in ("enumerate", "steinitz", "experiment", "count-check")
+    bound = ["--bound", "50"] if bounded else []
+    qm5 = [command, "--spec", str(SPECS / "qm5.json"), *bound]
+    assert cli_main(qm5) == 0
+    assert cli_main([command, "--spec", "/no/such/file.json", *bound]) == 2
+    assert cli_main([*qm5, "--jobs", "2"]) == 2  # no such flag
+    # --ceiling never lowers unit_height below its default 4096, and every
+    # shipped spec finds its units below that height, so units has no exit 3
+    want = 0 if command == "units" else 3
+    cubic9 = [command, "--spec", str(SPECS / "cubic9.json"), *bound]
+    assert cli_main([*cubic9, "--ceiling", "1"]) == want
+    capsys.readouterr()
 
 
 def test_cli_usage_errors(capsys):
