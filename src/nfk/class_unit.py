@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Iterator
 
 import mpmath
 
-from .abelian_groups import FiniteAbelianGroup, GroupElement
+from .abelian_groups import FiniteAbelianGroup
 from .config import Ceilings
 from .errors import CeilingError, MissingRootOfUnityError, RankError
 from .ideals import (
@@ -34,7 +35,7 @@ from .ideals import (
 )
 from .number_field import AlgebraicNumber, NumberField
 
-from sympy import factorint, primerange
+from sympy import factorint, nextprime
 
 
 # ---------------------------------------------------------------------------
@@ -473,31 +474,32 @@ class ClassGroup:
     def h(self) -> int:
         return self.group.order
 
-    def _is_principal(self, fa: FactoredIdeal) -> bool:
+    def _is_principal(self, fa: FactoredIdeal, ceilings: Ceilings | None) -> bool:
         frac = fa.to_fractional()
-        return principal_test_generator(frac, self.units.fundamental) is not None
+        return principal_test_generator(frac, self.units.fundamental, ceilings) is not None
 
-    def index_of(self, a) -> int:
+    def index_of(self, a, ceilings: Ceilings | None = None) -> int:
         """Class index of an Ideal / FractionalIdeal / FactoredIdeal."""
         fa = _as_factored(a)
-        # compose from cached prime classes (exponents taken mod h: the
-        # class of q^e depends only on e mod the order of [q], which divides h)
+        # compose from prime classes (exponents taken mod h: the class of
+        # q^e depends only on e mod the order of [q], which divides h)
         acc = 0
         for q in fa.support():
-            idx = self.prime_class.get(q)
-            if idx is None:
-                idx = self.class_of_prime(q)
+            idx = self.class_of_prime(q, ceilings)
             acc = self.group.op(acc, self.group.power(idx, fa.exps[q] % self.h))
         return acc
 
-    def class_of_prime(self, q: PrimeIdeal) -> int:
+    def class_of_prime(self, q: PrimeIdeal, ceilings: Ceilings | None = None) -> int:
+        """Class index of a prime, by principal tests against the census
+        representatives under the caller's ceilings.  Only the class is
+        cached: it is a fact about the field, not about a search budget."""
         got = self.prime_class.get(q)
         if got is not None:
             return got
         fa = FactoredIdeal(self.field, {q: 1})
         idx = None
         for i, rep in enumerate(self.reps):
-            if self._is_principal(fa * rep.inverse()):
+            if self._is_principal(fa * rep.inverse(), ceilings):
                 idx = i
                 break
         if idx is None:
@@ -505,12 +507,56 @@ class ClassGroup:
         self.prime_class[q] = idx
         return idx
 
-    def log(self, a) -> GroupElement:
-        """The class as an exponent vector over the group's generators."""
-        return self.group.log(self.index_of(a))
+    def ell_free_ideals(
+        self,
+        pool: list[PrimeIdeal],
+        bound: int,
+        ell: int,
+        ceilings: Ceilings | None = None,
+        radical: bool = False,
+    ) -> Iterator[tuple[tuple[tuple[PrimeIdeal, int], ...], int]]:
+        """Every ell-power-free ideal over the pool within the bound, with its class.
 
-    def ell_free_representative(self, index: int, ell: int) -> FactoredIdeal:
-        """First prime (smallest p, then smallest norm) in the class, coprime to ell."""
+        Yields (support, class index); support holds (q, a) pairs with
+        1 <= a <= ell-1, primes ordered by sort key (norm first).  The walk
+        is depth first, one prime and then one exponent at a time, from the
+        unit ideal ((), 0), and carries the class through the group
+        operation.  Exponent a at q charges N(q)^a against the bound, which
+        bounds the ideal norm; with radical=True it charges N(q) for every
+        a, which bounds the norm of the radical.
+        """
+        pool = sorted((q for q in pool if q.norm <= bound), key=PrimeIdeal.sort_key)
+        norms = [q.norm for q in pool]
+        cls_of = [self.class_of_prime(q, ceilings) for q in pool]
+        op = self.group.op
+
+        def walk(j0: int, support: tuple, cls: int, rem: int):
+            yield support, cls
+            for j in range(j0, len(pool)):
+                n = norms[j]
+                if n > rem:
+                    break
+                acc, left = cls, rem // n
+                for a in range(1, ell):
+                    acc = op(acc, cls_of[j])
+                    yield from walk(j + 1, support + ((pool[j], a),), acc, left)
+                    if not radical:
+                        if n > left:
+                            break
+                        left //= n
+
+        return walk(0, (), 0, bound)
+
+    def ell_free_representative(
+        self, index: int, ell: int, ceilings: Ceilings | None = None
+    ) -> FactoredIdeal:
+        """First prime (smallest p, then smallest norm) in the class, coprime to ell.
+
+        Rational primes p up to ceilings.search_points are searched; a class
+        with no such prime raises CeilingError.
+        """
+        if not 0 <= index < self.h:
+            raise ValueError(f"class index {index} outside 0..{self.h - 1}")
         key = (index, ell)
         got = self._ell_free_reps.get(key)
         if got is not None:
@@ -519,15 +565,20 @@ class ClassGroup:
             out = FactoredIdeal.unit(self.field)
             self._ell_free_reps[key] = out
             return out
-        for p in primerange(2, 1000):
+        ceilings = ceilings or Ceilings()
+        p = 1
+        while (p := nextprime(p)) <= ceilings.search_points:
             if p == ell:
                 continue
             for q in sorted(split_prime(self.field, p)):
-                if self.class_of_prime(q) == index:
+                if self.class_of_prime(q, ceilings) == index:
                     out = FactoredIdeal(self.field, {q: 1})
                     self._ell_free_reps[key] = out
                     return out
-        raise ArithmeticError(f"no ell-free prime found for class {index}")
+        raise CeilingError(
+            f"no prime coprime to {ell} in class {index} over p <= {ceilings.search_points}",
+            ceilings.search_points,
+        )
 
     def power_subgroup_indices(self, m: int) -> list[int]:
         """Sorted indices of the subgroup {c^m}."""

@@ -14,6 +14,7 @@ power congruence lifts to the completion, so depth B means exponent 0.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -293,9 +294,7 @@ def _prime_pool(
 ) -> list[PrimeIdeal]:
     if bound > ceilings.search_points:
         raise CeilingError(f"ideal census to norm {bound}", ceilings.search_points)
-    pool = [q for q in primes_of_norm_up_to(K, bound) if q not in exclude]
-    pool.sort(key=PrimeIdeal.sort_key)
-    return pool
+    return [q for q in primes_of_norm_up_to(K, bound) if q not in exclude]
 
 
 def _squarefree_class_tally(
@@ -315,28 +314,7 @@ def _squarefree_class_tally(
     if got is not None:
         return got
     pool = _prime_pool(K, X, support, ceilings)
-    cls_of = [cg.class_of_prime(q) for q in pool]
-    norms = [q.norm for q in pool]
-    group = cg.group
-    op = group.op
-    counts: dict[int, int] = {}
-
-    def walk(j0: int, cls: int, budget: int) -> None:
-        counts[cls] = counts.get(cls, 0) + 1
-        for j in range(j0, len(pool)):
-            n = norms[j]
-            if n > budget:
-                break
-            acc = cls
-            rem = budget
-            for _ in range(1, ell):
-                if n > rem:
-                    break
-                rem //= n
-                acc = op(acc, cls_of[j])
-                walk(j + 1, acc, rem)
-
-    walk(0, 0, X)
+    counts = Counter(cls for _, cls in cg.ell_free_ideals(pool, X, ell, ceilings))
     cache[key] = counts
     return counts
 
@@ -436,42 +414,18 @@ def generator_equidistribution_test(
     pool = _prime_pool(K, budget, exclude, ceilings)
     group = cg.group
     # I must land in the inverse class of ideal_factor for A to be principal
-    need = group.power(cg.index_of(factor_fa), group.exponent - 1)
-    cls_of = [cg.class_of_prime(q) for q in pool]
-    norms = [q.norm for q in pool]
+    need = group.power(cg.index_of(factor_fa, ceilings), group.exponent - 1)
     tally: dict[tuple[int, ...], int] = {}
     total = 0
-
-    def emit(exps: dict[PrimeIdeal, int]) -> None:
-        nonlocal total
-        a = (factor_fa * FactoredIdeal(K, exps)).to_ideal()
-        gamma = canonical_generator(a, ug.fundamental, ceilings)
-        tally_key = pq.project(rug.image(gamma))
-        tally[tally_key] = tally.get(tally_key, 0) + 1
-        total += 1
-
-    path: dict[PrimeIdeal, int] = {}
-
-    def walk(j0: int, cls: int, rem: int) -> None:
-        if cls == need:
-            emit(path)
-        for j in range(j0, len(pool)):
-            n = norms[j]
-            if n > rem:
-                break
-            acc = cls
-            r2 = rem
-            for a in range(1, ell):
-                if n > r2:
-                    break
-                r2 //= n
-                acc = group.op(acc, cls_of[j])
-                path[pool[j]] = a
-                walk(j + 1, acc, r2)
-            path.pop(pool[j], None)
-
     if budget >= 1:
-        walk(0, 0, budget)
+        for support, cls in cg.ell_free_ideals(pool, budget, ell, ceilings):
+            if cls != need:
+                continue
+            a = (factor_fa * FactoredIdeal(K, dict(support))).to_ideal()
+            gamma = canonical_generator(a, ug.fundamental, ceilings)
+            tally_key = pq.project(rug.image(gamma))
+            tally[tally_key] = tally.get(tally_key, 0) + 1
+            total += 1
     cells = tuple(sorted(tally.items()))
     dev = max(abs(n / total - 1 / h_order) for _, n in cells) if total else 0.0
     return EquidistributionReport(

@@ -8,6 +8,9 @@ an explicit fractional ideal.  The enumeration walks the parameter
 tuples (unit coset, ideal class, ell-part, ell-free part) and filters
 by discriminant norm; each extension arises from exactly ell-1 tuples,
 and the survivor is the lexicographically least tuple of its orbit.
+The stream runs over the ell-part rows Q in sort-key order, and within a
+row in the order of ClassGroup.ell_free_ideals; when h > 1 the cells of
+different classes interleave.  The first cell is always the unit ideal.
 """
 
 from __future__ import annotations
@@ -112,8 +115,8 @@ def normalize_gamma(
     ug = cg.units
     fa = factor_ideal(ideal_from_element(gamma))
     root = _power_root(fa, ell)
-    cls = cg.index_of(root)
-    rep = cg.ell_free_representative(cls, ell)
+    cls = cg.index_of(root, ceilings)
+    rep = cg.ell_free_representative(cls, ell, ceilings)
     quo = root * rep.inverse()
     if quo.is_unit_ideal():
         gprime = gamma
@@ -295,7 +298,7 @@ def steinitz_class(
     st = st2.sqrt()
     if st * st * den_pow != ell_part:
         raise ArithmeticError("Steinitz square does not reassemble the ell-part")
-    return cg.index_of(st)
+    return cg.index_of(st, ceilings)
 
 
 def realizable_class_subgroup(cg: ClassGroup, ell: int) -> list[int]:
@@ -324,14 +327,14 @@ def is_isomorphic(
     fa2 = d2.gamma_ideal()
     lf2 = _lf(fa2, ell)
     root2 = _power_root(fa2, ell)
-    cls2 = cg.index_of(root2)
+    cls2 = cg.index_of(root2, ceilings)
     fa1 = d1.gamma_ideal()
     for m in range(1, ell):
         fam = fa1**m
         if _lf(fam, ell) != lf2:
             continue
         rootm = _power_root(fam, ell)
-        if cg.index_of(rootm) != cls2:
+        if cg.index_of(rootm, ceilings) != cls2:
             continue
         quo = root2 * rootm.inverse()
         if quo.is_unit_ideal():
@@ -380,30 +383,6 @@ def _int_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def _ell_free_primes_up_to(K: NumberField, ell: int, bound: int) -> list[PrimeIdeal]:
-    out = [q for q in primes_of_norm_up_to(K, bound) if q.p != ell]
-    out.sort(key=PrimeIdeal.sort_key)
-    return out
-
-
-def _squarefree_supports(
-    pool: list[PrimeIdeal], bound: int
-) -> Iterator[tuple[tuple[PrimeIdeal, ...], int]]:
-    """All subsets (as tuples, pool order) with norm product <= bound."""
-    by_norm = sorted(pool, key=lambda q: (q.norm,) + q.sort_key())
-
-    def rec(i: int, cur: tuple, nrm: int):
-        yield cur, nrm
-        for j in range(i, len(by_norm)):
-            q = by_norm[j]
-            nn = nrm * q.norm
-            if nn > bound:
-                break
-            yield from rec(j + 1, cur + (q,), nn)
-
-    yield from rec(0, (), 1)
-
-
 def iter_extensions(
     K: NumberField,
     ell: int,
@@ -419,8 +398,11 @@ def iter_extensions(
     use).  With dedup=True (default) each isomorphism class appears once,
     represented by the least parameter tuple of its orbit; dedup=False
     exposes the raw (ell-1)-fold redundancy.  The stream is deterministic
-    (parameter cells are walked in a fixed order) but not norm-sorted;
-    memory stays flat no matter how large X is.
+    but not norm-sorted: ell-part rows Q in sort-key order, then the
+    ell-free parts I in the order of ClassGroup.ell_free_ideals, each I
+    sent to its cell classes in ascending order, so for h > 1 the classes
+    interleave; the first cell is the unit ideal (Q = I = (1), class 0).
+    Memory stays flat no matter how large X is.
     """
     if order_by not in ("disc", "ell_free"):
         raise ValueError(f"unknown ordering {order_by!r}")
@@ -431,6 +413,11 @@ def iter_extensions(
     u_reps = unit_coset_reps(ug, ell)
     u_cosets: list[tuple[int, ...]] = []  # unit_coset_coords of u_reps, set by the first cell
     group = cg.group
+    reps = [cg.ell_free_representative(cls, ell, ceilings) for cls in range(cg.h)]
+    # the classes cls with cls^ell = t, ascending, for each class t
+    ell_roots: dict[int, list[int]] = {}
+    for cls in range(cg.h):
+        ell_roots.setdefault(group.power(cls, ell), []).append(cls)
     ell_primes = sorted(split_prime(K, ell))
     z_choices = [
         FactoredIdeal(K, {q: e for q, e in zip(ell_primes, exps) if e})
@@ -449,21 +436,23 @@ def iter_extensions(
             s_bound = _int_nth_root(X, ell - 1)
         if s_bound < 1:
             continue
-        pool = _ell_free_primes_up_to(K, ell, s_bound)
-        q_class = cg.index_of(Q)
-        for cls in range(cg.h):
-            rep = cg.ell_free_representative(cls, ell)
-            base = group.op(group.power(cls, ell), q_class)
-            need = group.power(base, group.exponent - 1)
-            for support, _nrm in _squarefree_supports(pool, s_bound):
-                for assign in itertools.product(range(1, ell), repeat=len(support)):
-                    I = FactoredIdeal(K, dict(zip(support, assign)))
-                    if cg.index_of(I) != need:
-                        continue
-                    yield from _cell_records(
-                        K, ell, X, order_by, dedup, ceilings,
-                        ug, cg, u_reps, u_cosets, rep, cls, Q, I,
-                    )
+        pool = [q for q in primes_of_norm_up_to(K, s_bound) if q.p != ell]
+        q_class = cg.index_of(Q, ceilings)
+        # rep^ell Q I must be principal: I of class c lands in the cells
+        # cls with cls^ell = (c [Q])^-1
+        cells_of = [
+            ell_roots.get(group.power(group.op(c, q_class), group.exponent - 1), [])
+            for c in range(cg.h)
+        ]
+        for support, c in cg.ell_free_ideals(pool, s_bound, ell, ceilings, radical=True):
+            if not cells_of[c]:
+                continue
+            I = FactoredIdeal(K, dict(support))
+            for cls in cells_of[c]:
+                yield from _cell_records(
+                    K, ell, X, order_by, dedup, ceilings,
+                    ug, cg, u_reps, u_cosets, reps[cls], cls, Q, I,
+                )
 
 
 def enumerate_extensions(

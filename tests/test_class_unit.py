@@ -1,5 +1,7 @@
 """Unit groups (torsion, fundamental, regulator) and Minkowski-census class groups."""
 
+import itertools
+import math
 import random
 
 import mpmath
@@ -16,6 +18,7 @@ from nfk.ideals import (
     FactoredIdeal,
     ideal_from_element,
     ideal_from_rational,
+    primes_of_norm_up_to,
     split_prime,
 )
 from nfk.number_field import build_field
@@ -189,6 +192,72 @@ def test_ell_free_representative(field_qm5):
     assert q.p == 3  # the prime over 2 is in the class but not coprime to 2
     assert cg.index_of(rep) == 1
     assert cg.ell_free_representative(0, 2).is_unit_ideal()
+
+
+def test_ell_free_representative_honours_search_ceiling():
+    # a fresh Q(sqrt(-5)): the class-1 representative lies over p = 3, past
+    # a search of the rational primes up to 2 (and 2 itself is not coprime)
+    K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
+    cg = compute_class_group(K)
+    with pytest.raises(CeilingError):
+        cg.ell_free_representative(1, 2, Ceilings(search_points=2))
+    (q,) = cg.ell_free_representative(1, 2, Ceilings(search_points=3)).support()
+    assert q.p == 3
+    with pytest.raises(ValueError):
+        cg.ell_free_representative(2, 2)
+
+
+def test_class_of_prime_honours_search_ceiling():
+    # a fresh cubic-9: a prime outside the census needs a lattice search,
+    # which must see the caller's search_points; census primes are cached
+    K = build_field([-9, -1, 0, 1], ell=2, label="cubic-9")
+    cg = compute_class_group(K)
+    tiny = Ceilings(search_points=1)
+    q59 = min(q for q in primes_of_norm_up_to(K, 59) if q.norm == 59)
+    assert q59 not in cg.prime_class
+    with pytest.raises(CeilingError):
+        cg.class_of_prime(q59, tiny)
+    with pytest.raises(CeilingError):
+        cg.index_of(FactoredIdeal(K, {q59: 1}), tiny)
+    for q, cls in list(cg.prime_class.items()):
+        assert cg.class_of_prime(q, tiny) == cls
+    assert cg.class_of_prime(q59) in (0, 1)  # the failed search cached nothing
+
+
+def _brute_ell_free_ideals(cg, pool, bound, ell, radical):
+    """Every subset of the pool with every exponent choice, filtered by its
+    charge, each class taken from index_of."""
+    K = cg.field
+    out = []
+    for r in range(len(pool) + 1):
+        for subset in itertools.combinations(pool, r):
+            if math.prod(q.norm for q in subset) > bound:
+                continue
+            for exps in itertools.product(range(1, ell), repeat=r):
+                charge = math.prod(
+                    q.norm if radical else q.norm**a for q, a in zip(subset, exps)
+                )
+                if charge <= bound:
+                    support = tuple(zip(subset, exps))
+                    out.append((support, cg.index_of(FactoredIdeal(K, dict(support)))))
+    return out
+
+
+@pytest.mark.parametrize("radical", [False, True], ids=["norm", "radical"])
+@pytest.mark.parametrize("ell", [2, 3])
+@pytest.mark.parametrize("name, bound", [("qm5", 40), ("cubic9", 30)])
+def test_ell_free_ideals_match_brute_force(name, bound, ell, radical, request):
+    K = request.getfixturevalue(f"field_{name}")
+    cg = compute_class_group(K)
+    assert cg.h == 2
+    pool = list(primes_of_norm_up_to(K, bound))  # by p, not by norm
+    walked = list(cg.ell_free_ideals(pool, bound, ell, radical=radical))
+    assert walked[0] == ((), 0)
+    by_norm = sorted(pool, key=lambda q: q.sort_key())
+    brute = _brute_ell_free_ideals(cg, by_norm, bound, ell, radical)
+    assert sorted(walked, key=repr) == sorted(brute, key=repr)
+    assert len(set(s for s, _ in walked)) == len(walked)
+    assert {c for _, c in walked} == {0, 1}
 
 
 def test_known_h_mismatch():

@@ -303,6 +303,20 @@ def test_census_qm5_split_by_class(field_qm5):
     assert abs(principal.count / other.count - 1) < 0.05
 
 
+def test_census_cube_free_q(field_q):
+    # ell = 3: the cube-free integers, counted here by trial division
+    def cube_free(n):
+        k = 2
+        while k**3 <= n:
+            if n % k**3 == 0:
+                return False
+            k += 1
+        return True
+
+    census = count_squarefree_ideals_in_class(field_q, 0, None, 20000, ell=3)
+    assert census.count == sum(1 for n in range(1, 20001) if cube_free(n)) == 16639
+
+
 def test_census_respects_search_ceiling(field_q):
     tiny = Ceilings(search_points=50)
     with pytest.raises(CeilingError):

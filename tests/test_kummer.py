@@ -1,6 +1,8 @@
 """Kummer extension invariants: normalization, discriminants, Steinitz classes,
 isomorphism testing, and the parameter-cell enumeration with its census oracles."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -410,6 +412,38 @@ def test_unit_only_extensions(field_qi):
     unit_recs = [r for r in recs if r.datum.gamma_ideal().is_unit_ideal()]
     assert len(unit_recs) >= 1
     assert all(abs(r.datum.gamma.norm()) == 1 for r in unit_recs)
+
+
+# sha256 of the sorted record_json_dict lines: the raw stream order of
+# iter_extensions is free to change, the sorted records are not
+@pytest.mark.parametrize(
+    "name, ell, X, options, count, digest",
+    [
+        ("q", 2, 1000, {}, 607,
+         "f4f59df6ff9b35893e89bfbcbbd56ce5381b3fb02b3afed332192f7b76a01946"),
+        ("qi", 2, 1000, {}, 262,
+         "7b86fbeb7891b18cbbeddb6833219b8c14495885c473a59a2275f7cb9face6ed"),
+        ("qm5", 2, 1000, {}, 377,
+         "f5a1ade1c4b4a18ee4a8548c7739739c8603a3c5679f3bc1c043523e84785078"),
+        ("cubic9", 2, 400, {}, 141,
+         "d9317b8ddd2b6ccce2a6f1a82b3c1ec5e5d0a1480121602e55db05a056932251"),
+        ("zeta3", 3, 200000, {}, 112,
+         "80030c4873296a9c36df299d4d919551faeae1e46fec9c2df54c5fce49749c24"),
+        ("qm5", 2, 100, {"order_by": "ell_free"}, 179,
+         "21e6f0e8bcaba45672592e41a5bf14d8672534dfa35d6bb8771408327e6dd267"),
+        ("zeta3", 3, 20000, {"dedup": False}, 66,
+         "0c2a0ef31e3917225b9937ba2c956c5e18a9fdeb56e62003d5da45bc7c0ef728"),
+    ],
+    ids=["q", "qi", "qm5", "cubic9", "zeta3", "qm5-ell_free", "zeta3-raw"],
+)
+def test_enumeration_records_pinned(name, ell, X, options, count, digest, request):
+    K = request.getfixturevalue(f"field_{name}")
+    cg = compute_class_group(K)
+    lines = sorted(
+        json.dumps(record_json_dict(r, cg)) for r in enumerate_extensions(K, ell, X, **options)
+    )
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["qi", "qm5"])
