@@ -24,10 +24,9 @@ from .config import Ceilings
 from .errors import CeilingError, MissingRootOfUnityError, RankError
 from .ideals import (
     FactoredIdeal,
-    FractionalIdeal,
-    Ideal,
     PrimeIdeal,
-    factor_ideal,
+    _coord_sort_key,
+    as_factored,
     ideal_from_element,
     principal_test_generator,
     primes_of_norm_up_to,
@@ -35,7 +34,7 @@ from .ideals import (
 )
 from .number_field import AlgebraicNumber, NumberField
 
-from sympy import factorint, nextprime
+from sympy import nextprime
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +242,7 @@ def _normalize_unit(K: NumberField, torsion: list[AlgebraicNumber], g: Algebraic
     with mpmath.workprec(120):
         if mpmath.log(abs(K.embeddings(g, 100)[ref])) < 0:
             g = g**-1
-
-    def key(x):
-        return tuple((abs(c), 0 if c >= 0 else 1) for c in reversed(x.int_coords()))
-
-    return min((g * t for t in torsion), key=key)
+    return min((g * t for t in torsion), key=lambda x: _coord_sort_key(x.int_coords()))
 
 
 def compute_unit_group(
@@ -474,13 +469,9 @@ class ClassGroup:
     def h(self) -> int:
         return self.group.order
 
-    def _is_principal(self, fa: FactoredIdeal, ceilings: Ceilings | None) -> bool:
-        frac = fa.to_fractional()
-        return principal_test_generator(frac, self.units.fundamental, ceilings) is not None
-
     def index_of(self, a, ceilings: Ceilings | None = None) -> int:
-        """Class index of an Ideal / FractionalIdeal / FactoredIdeal."""
-        fa = _as_factored(a)
+        """Class index of an Ideal or FactoredIdeal."""
+        fa = as_factored(a)
         # compose from prime classes (exponents taken mod h: the class of
         # q^e depends only on e mod the order of [q], which divides h)
         acc = 0
@@ -496,12 +487,7 @@ class ClassGroup:
         got = self.prime_class.get(q)
         if got is not None:
             return got
-        fa = FactoredIdeal(self.field, {q: 1})
-        idx = None
-        for i, rep in enumerate(self.reps):
-            if self._is_principal(fa * rep.inverse(), ceilings):
-                idx = i
-                break
+        idx = _find_class(FactoredIdeal(self.field, {q: 1}), self.reps, self.units, ceilings)
         if idx is None:
             raise ArithmeticError(f"prime {q!r} matches no class; census incomplete")
         self.prime_class[q] = idx
@@ -585,19 +571,14 @@ class ClassGroup:
         return sorted(self.group.power_subgroup(m))
 
 
-def _as_factored(a) -> FactoredIdeal:
-    if isinstance(a, FactoredIdeal):
-        return a
-    if isinstance(a, Ideal):
-        return factor_ideal(a)
-    if isinstance(a, FractionalIdeal):
-        fa = factor_ideal(a.num)
-        if a.den != 1:
-            for p, e in factorint(a.den).items():
-                for q in split_prime(a.num.field, p):
-                    fa = fa * FactoredIdeal(a.num.field, {q: -e * q.e})
-        return fa
-    raise TypeError(f"cannot take the class of {a!r}")
+def _find_class(
+    fa: FactoredIdeal, reps: list[FactoredIdeal], units: UnitGroup, ceilings: Ceilings | None
+) -> int | None:
+    """Index of the first representative r with fa * r^-1 principal, else None."""
+    for i, rep in enumerate(reps):
+        if principal_test_generator(fa * rep.inverse(), units.fundamental, ceilings) is not None:
+            return i
+    return None
 
 
 def compute_class_group(
@@ -622,21 +603,10 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
     units = compute_unit_group(K, ceilings)
     bound = K.minkowski_bound()
     reps: list[FactoredIdeal] = [FactoredIdeal.unit(K)]
-
-    def is_principal(fa: FactoredIdeal) -> bool:
-        gen = principal_test_generator(fa.to_fractional(), units.fundamental, ceilings)
-        return gen is not None
-
-    def find_class(fa: FactoredIdeal) -> int | None:
-        for i, rep in enumerate(reps):
-            if is_principal(fa * rep.inverse()):
-                return i
-        return None
-
     prime_class: dict[PrimeIdeal, int] = {}
     for q in sorted(primes_of_norm_up_to(K, bound)):
         fa = FactoredIdeal(K, {q: 1})
-        idx = find_class(fa)
+        idx = _find_class(fa, reps, units, ceilings)
         if idx is None:
             reps.append(fa)
             idx = len(reps) - 1
@@ -652,7 +622,7 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
         for i in range(1, h):
             for j in range(i, h):
                 prod = reps[i] * reps[j]
-                if find_class(prod) is None:
+                if _find_class(prod, reps, units, ceilings) is None:
                     reps.append(prod)
                     changed = True
 
@@ -661,7 +631,7 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
     for i in range(h):
         for j in range(i, h):
             prod = reps[i] * reps[j]
-            k = find_class(prod)
+            k = _find_class(prod, reps, units, ceilings)
             if k is None:
                 raise ArithmeticError("class table not closed")
             table[(i, j)] = k

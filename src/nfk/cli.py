@@ -1,9 +1,10 @@
 """The nfk command line.
 
 Every subcommand reads a field from a JSON spec file and prints to
-stdout.  Exit codes: 0 on success, 2 for usage problems (argparse
-errors, bad spec files, an --ell the field cannot support), 3 when a
-computation hits a search ceiling (NFK_CEILING / --ceiling raise them).
+stdout.  Exit codes: 0 on success, 1 when identity-check finds a
+mismatch, 2 for usage problems (argparse errors, bad spec files, an --ell
+the field cannot support), 3 when a computation hits a search ceiling
+(NFK_CEILING / --ceiling raise them).
 """
 
 import argparse

@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath
 import sympy
 
-from .abelian_groups import is_power_class, quotient_by_powers, unit_group_mod_ideal
+from .abelian_groups import quotient_by_powers, unit_group_mod_ideal
 from .class_unit import ClassGroup, compute_class_group
 from .config import Ceilings
 from .errors import CeilingError, UnrealizableEllPartError
@@ -30,21 +30,21 @@ from .ideals import (
     FactoredIdeal,
     Ideal,
     PrimeIdeal,
+    as_factored,
     canonical_generator,
     factor_ideal,
     primes_of_norm_up_to,
     residue_degrees,
     split_prime,
 )
-from .kummer import wild_saturation_depth
+from .kummer import _congruence_depth, wild_saturation_depth
 from .number_field import NumberField
 
 
 def _support_of(x) -> list[PrimeIdeal]:
     if x is None:
         return []
-    fa = x if isinstance(x, FactoredIdeal) else factor_ideal(x)
-    return list(fa.support())
+    return as_factored(x).support()
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def enumerate_R(K: NumberField, ell: int) -> list[FactoredIdeal]:
 
 
 def _coerce_ell_part(K: NumberField, ell: int, ell_part) -> FactoredIdeal:
-    fa = ell_part if isinstance(ell_part, FactoredIdeal) else factor_ideal(ell_part)
+    fa = as_factored(ell_part)
     wild = split_prime(K, ell)
     for q, e in fa.exps.items():
         if q not in wild:
@@ -104,13 +104,9 @@ def _depth_unit_counts(
     """
     b = wild_saturation_depth(q, ell)
     rug = unit_group_mod_ideal(K, q.power(b), ceilings)
-    counts: dict[int, int] = {}
-    for key in rug.group.elements:
-        x = K.element(list(key))
-        for m in range(b, 0, -1):
-            if is_power_class(x, q.power(m), ell, ceilings):
-                counts[m] = counts.get(m, 0) + 1
-                break
+    counts = Counter(
+        _congruence_depth(K.element(list(key)), q, ell, ceilings) for key in rug.group.elements
+    )
     if sum(counts.values()) != rug.order:
         raise ArithmeticError("depth census lost residues")
     return counts, rug.order
@@ -397,11 +393,7 @@ def generator_equidistribution_test(
     ceilings = ceilings or Ceilings()
     cg = compute_class_group(K, ceilings)
     ug = cg.units
-    factor_fa = (
-        ideal_factor
-        if isinstance(ideal_factor, FactoredIdeal)
-        else factor_ideal(ideal_factor)
-    )
+    factor_fa = as_factored(ideal_factor)
     mod_support = frozenset(factor_ideal(modulus).support())
     if any(q in mod_support for q in factor_fa.support()):
         raise ValueError("ideal_factor must be coprime to the modulus")
@@ -421,7 +413,7 @@ def generator_equidistribution_test(
         for support, cls in cg.ell_free_ideals(pool, budget, ell, ceilings):
             if cls != need:
                 continue
-            a = (factor_fa * FactoredIdeal(K, dict(support))).to_ideal()
+            a = factor_fa * FactoredIdeal(K, dict(support))
             gamma = canonical_generator(a, ug.fundamental, ceilings)
             tally_key = pq.project(rug.image(gamma))
             tally[tally_key] = tally.get(tally_key, 0) + 1

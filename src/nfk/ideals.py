@@ -2,10 +2,10 @@
 
 Integral ideals are column lattices in power-basis coordinates, stored as
 the square upper-triangular HNF fixed in exact_math.  Fractional ideals
-are (integral numerator, positive integer denominator), reduced.  Where a
-full factorization is already known, FactoredIdeal keeps {prime: exponent}
-(negative exponents allowed) and does group-like arithmetic without any
-lattice inversions.
+are FactoredIdeal, {prime: exponent} with negative exponents allowed,
+which does group-like arithmetic without any lattice inversions; a
+generator search sees one as num/den (FactoredIdeal.num_den), an integral
+numerator over the least positive integer denominator.
 
 Generator searches (principality tests) enumerate lattice elements of the
 correct norm exactly: closed-form in degree 1, a positive-definite binary
@@ -96,10 +96,6 @@ class Ideal:
     def basis_elements(self) -> list[AlgebraicNumber]:
         return [self.field.element(col) for col in self.hnf.columns()]
 
-    def content(self) -> int:
-        """Largest rational integer d with self contained in d*O_K (gcd of HNF entries)."""
-        return math.gcd(*[x for row in self.hnf.rows for x in row])
-
 
 def ideal_from_element(a: AlgebraicNumber) -> Ideal:
     """Principal ideal a*O_K (a integral, nonzero)."""
@@ -142,7 +138,7 @@ def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
 
 def ideal_pow(a: Ideal, e: int) -> Ideal:
     if e < 0:
-        raise ValueError("use FactoredIdeal/FractionalIdeal for negative powers")
+        raise ValueError("use FactoredIdeal for negative powers")
     out = Ideal.one(a.field)
     base = a
     while e:
@@ -322,52 +318,14 @@ def factor_ideal(a: Ideal) -> "FactoredIdeal":
     return FactoredIdeal(K, exps)
 
 
+def as_factored(a: FactoredIdeal | Ideal) -> FactoredIdeal:
+    """a itself when already factored, else factor_ideal(a)."""
+    return a if isinstance(a, FactoredIdeal) else factor_ideal(a)
+
+
 # ---------------------------------------------------------------------------
-# fractional and factored ideals
+# factored ideals
 # ---------------------------------------------------------------------------
-
-
-class FractionalIdeal:
-    """num / den with num an integral Ideal and den a positive integer, reduced."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Ideal, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        den = abs(den)
-        g = math.gcd(den, num.content())
-        if g > 1:
-            num = Ideal(num.field, IntMatrix([[x // g for x in row] for row in num.hnf.rows]))
-            den //= g
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self) -> NumberField:
-        return self.num.field
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def norm(self) -> Fraction:
-        return Fraction(self.num.norm(), self.den ** self.field.degree)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FractionalIdeal)
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"FractionalIdeal({self.num!r} / {self.den})"
-
-    def __mul__(self, other: "FractionalIdeal") -> "FractionalIdeal":
-        return FractionalIdeal(ideal_mul(self.num, other.num), self.den * other.den)
 
 
 class FactoredIdeal:
@@ -436,30 +394,28 @@ class FactoredIdeal:
     def to_ideal(self) -> Ideal:
         """Assemble the HNF ideal; requires integrality."""
         if not self.is_integral():
-            raise ValueError("not integral; use to_fractional")
+            raise ValueError("not integral; use num_den")
         out = Ideal.one(self.field)
         for q in self.support():
             out = ideal_mul(out, ideal_pow(q.ideal, self.exps[q]))
         return out
 
-    def to_fractional(self) -> FractionalIdeal:
-        """Assemble num/den using p*q^{-1} = (product of the other primes over p)."""
-        num = Ideal.one(self.field)
-        den = 1
-        for q in self.support():
-            e = self.exps[q]
-            if e > 0:
-                num = ideal_mul(num, ideal_pow(q.ideal, e))
-            else:
-                k = -e
-                cofactor = Ideal.one(self.field)
-                for r in split_prime(self.field, q.p):
-                    exp = r.e - 1 if r == q else r.e
-                    if exp:
-                        cofactor = ideal_mul(cofactor, ideal_pow(r.ideal, exp))
-                num = ideal_mul(num, ideal_pow(cofactor, k))
-                den *= q.p**k
-        return FractionalIdeal(num, den)
+    def num_den(self) -> tuple[Ideal, int]:
+        """(num, den) with self = num/den, num integral and den the least
+        positive integer making it so.
+
+        Each rational prime p under a negative exponent is cleared by the
+        least power (p)^j, where (p) = prod over r | p of r^e(r); with j
+        least, num shares no rational content with den.
+        """
+        K = self.field
+        num, den = self, 1
+        for p in {q.p for q, e in self.exps.items() if e < 0}:
+            over = split_prime(K, p)
+            j = max(-(self.exps.get(r, 0) // r.e) for r in over)
+            num = num * FactoredIdeal(K, {r: j * r.e for r in over})
+            den *= p**j
+        return num.to_ideal(), den
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +452,7 @@ class PartsDecomposition:
 
 
 def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
-    fa = a if isinstance(a, FactoredIdeal) else factor_ideal(a)
+    fa = as_factored(a)
     K = fa.field
     ell_primes = {q for q in split_prime(K, ell)}
     ell_part: dict[PrimeIdeal, int] = {}
@@ -530,12 +486,13 @@ def _coord_sort_key(coords: Sequence[int]) -> tuple:
     return tuple((abs(c), 0 if c >= 0 else 1) for c in reversed(coords))
 
 
-def _imag_quadratic_norm_matches(a: Ideal, target: int) -> list[list[int]]:
+def _imag_quadratic_norm_matches(a: Ideal, target: int, ceilings: Ceilings) -> list[list[int]]:
     """All x in the ideal lattice with N(x) = target (imaginary quadratic K).
 
-    Solves the positive-definite binary form of the HNF basis exactly.
+    Solves the positive-definite binary form of the HNF basis exactly, one
+    quadratic in s per t with |t| <= tmax; the 2 tmax + 1 values of t count
+    against ceilings.search_points.
     """
-    K = a.field
     v1, v2 = a.basis_elements()
     A = int(v1.norm())
     C = int(v2.norm())
@@ -543,6 +500,10 @@ def _imag_quadratic_norm_matches(a: Ideal, target: int) -> list[list[int]]:
     D = B * B - 4 * A * C  # < 0
     out = []
     tmax = math.isqrt((4 * A * target) // (-D))
+    if 2 * tmax + 1 > ceilings.search_points:
+        raise CeilingError(
+            f"generator search over {2 * tmax + 1} values of t", ceilings.search_points
+        )
     for t in range(-tmax, tmax + 1):
         disc_t = D * t * t + 4 * A * target
         if disc_t < 0:
@@ -579,8 +540,6 @@ def _box_norm_matches(
     n = K.degree
     rank = K.r1 + K.r2 - 1
     if len(units) < rank:
-        from .errors import RankError
-
         raise RankError(f"box search needs {rank} fundamental units, got {len(units)}")
     rts = K.roots(200)
     with mpmath.workprec(120):
@@ -798,49 +757,44 @@ def norm_matches(
     if K.degree == 1:
         return [[target], [-target]]
     if K.degree == 2 and K.r1 == 0:
-        return _imag_quadratic_norm_matches(a, target)
+        return _imag_quadratic_norm_matches(a, target, ceilings)
     return _lattice_norm_matches(a, target, units, ceilings)
 
 
 def principal_test_generator(
-    a: Ideal | FractionalIdeal,
+    a: Ideal | FactoredIdeal,
     units: Sequence[AlgebraicNumber] = (),
     ceilings: Ceilings | None = None,
 ) -> AlgebraicNumber | None:
     """Canonical generator if principal, else None.
 
-    A fractional ideal num/den is principal iff its integral numerator is.
-    The canonical choice minimizes max |sigma(x)| over the complete set of
-    norm matches, ties broken by the coordinate key (|c|, sign).  In an
-    imaginary quadratic field every match has |sigma(x)|^2 = N(x) = N(a)
-    exactly, so the maximum always ties and the coordinate key alone
-    decides, with no float evaluated.  Other fields rank the matches by
-    their embeddings (_embedding_ranked).
+    A factored ideal num/den (FactoredIdeal.num_den) is principal iff its
+    integral numerator is; the numerator's generator divided by den is
+    returned.  The canonical choice minimizes max |sigma(x)| over the
+    complete set of norm matches, ties broken by the coordinate key (|c|,
+    sign).  In an imaginary quadratic field every match has
+    |sigma(x)|^2 = N(x) = N(num) exactly, so the maximum always ties and the
+    coordinate key alone decides, with no float evaluated.  Other fields
+    rank the matches by their embeddings (_embedding_ranked).
     """
-    den = 1
-    if isinstance(a, FractionalIdeal):
-        den = a.den
-        a = a.num
-    K = a.field
-    if a.is_one():
-        gen = K.one
-        return gen if den == 1 else K.element([Fraction(c, den) for c in gen.coords])
-    if K.degree == 1:
+    num, den = a.num_den() if isinstance(a, FactoredIdeal) else (a, 1)
+    K = num.field
+    if num.is_one():
+        best = K.one.coords
+    elif K.degree == 1:
         # the generators of (n) are +-n; the coordinate tie-break picks +n
-        n = a.norm()
-        return K.from_int(n) if den == 1 else K.element([Fraction(n, den)])
-    # every match lies in the lattice of a, so |N(x)| = N(a) already forces
-    # (x) = a: the matches ARE the generators.
-    matches = norm_matches(a, units, ceilings)
-    if not matches:
-        return None
-    if K.degree == 2 and K.r1 == 0:
-        best = min(matches, key=_coord_sort_key)
+        best = [num.norm()]
     else:
-        best = _embedding_ranked(K, matches)
-    if den != 1:
-        return K.element([Fraction(c, den) for c in best])
-    return K.element(best)
+        # every match lies in the lattice of num, so |N(x)| = N(num) already
+        # forces (x) = num: the matches ARE the generators.
+        matches = norm_matches(num, units, ceilings)
+        if not matches:
+            return None
+        if K.degree == 2 and K.r1 == 0:
+            best = min(matches, key=_coord_sort_key)
+        else:
+            best = _embedding_ranked(K, matches)
+    return K.element(best if den == 1 else [Fraction(c, den) for c in best])
 
 
 def _embedding_ranked(K: NumberField, matches: Sequence[Sequence[int]]) -> Sequence[int]:
@@ -872,7 +826,7 @@ def _emb_key_less(k1, k2) -> bool:
 
 
 def canonical_generator(
-    a: Ideal | FractionalIdeal,
+    a: Ideal | FactoredIdeal,
     units: Sequence[AlgebraicNumber] = (),
     ceilings: Ceilings | None = None,
 ) -> AlgebraicNumber:

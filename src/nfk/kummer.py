@@ -121,7 +121,7 @@ def normalize_gamma(
     if quo.is_unit_ideal():
         gprime = gamma
     else:
-        k = canonical_generator(quo.to_fractional(), ug.fundamental, ceilings)
+        k = canonical_generator(quo, ug.fundamental, ceilings)
         gprime = gamma / k**ell
         if not gprime.is_integral():
             raise ArithmeticError("normalization left the ring of integers")
@@ -133,7 +133,7 @@ def normalize_gamma(
     if fa2.is_unit_ideal():
         alpha = K.one
     else:
-        alpha = canonical_generator(fa2.to_ideal(), ug.fundamental, ceilings)
+        alpha = canonical_generator(fa2, ug.fundamental, ceilings)
     u = _as_unit(K, gprime / alpha)
     coset = unit_coset_coords(ug, u, ell)
     if fa2.is_unit_ideal() and all(c == 0 for c in coset):
@@ -340,7 +340,7 @@ def is_isomorphic(
         if quo.is_unit_ideal():
             c0 = K.one
         else:
-            c0 = canonical_generator(quo.to_fractional(), ug.fundamental, ceilings)
+            c0 = canonical_generator(quo, ug.fundamental, ceilings)
         v = _as_unit(K, d2.gamma / (d1.gamma**m * c0**ell))
         if all(c == 0 for c in unit_coset_coords(ug, v, ell)):
             return True
@@ -488,7 +488,7 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
     if fa.is_unit_ideal():
         alpha = K.one
     else:
-        alpha = canonical_generator(fa.to_ideal(), ug.fundamental, ceilings)
+        alpha = canonical_generator(fa, ug.fundamental, ceilings)
     parts = decompose_parts(fa, ell)
     if not u_cosets:
         # the first cell, always the unit ideal (Q = (1), class 0, I = (1)),

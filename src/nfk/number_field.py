@@ -81,24 +81,7 @@ class AlgebraicNumber:
     def __mul__(self, other) -> "AlgebraicNumber":
         if isinstance(other, (int, Fraction)):
             return AlgebraicNumber(self.field, [a * other for a in self.coords])
-        K = self.field
-        n = K.degree
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b != 0:
-                    conv[i + j] += a * b
-        out = list(conv[:n])
-        for k in range(n, 2 * n - 1):
-            ck = conv[k]
-            if ck != 0:
-                red = K.theta_power(k)
-                for i in range(n):
-                    if red[i]:
-                        out[i] += ck * red[i]
-        return AlgebraicNumber(K, out)
+        return AlgebraicNumber(self.field, self.field.mul_int_coords(self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -280,11 +263,13 @@ class NumberField:
             total += t
         return total
 
-    def mul_int_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Product of two integral elements given as coordinate tuples (ints only).
+    def mul_int_coords(self, a: Sequence, b: Sequence) -> tuple:
+        """Product of two elements given as coordinate tuples.
 
-        Fast path for residue arithmetic and enumeration loops: plain
-        convolution folded through the theta-power table, no element objects.
+        Plain convolution folded through the theta-power table, with no
+        element objects.  Int coordinates give an int tuple (residue
+        arithmetic, ideal products); AlgebraicNumber.__mul__ passes its
+        coordinates, Fractions included, through the same fold.
         """
         n = self.degree
         conv = [0] * (2 * n - 1)

@@ -224,6 +224,19 @@ def test_class_of_prime_honours_search_ceiling():
     assert cg.class_of_prime(q59) in (0, 1)  # the failed search cached nothing
 
 
+def test_imaginary_quadratic_class_of_prime_honours_search_ceiling():
+    # a fresh Q(sqrt(-5)): the binary-form solve for a prime of norm 10007
+    # scans 89 values of t, past a ceiling of one point
+    K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
+    cg = compute_class_group(K)
+    q = min(split_prime(K, 10007))
+    assert q.norm == 10007 and q not in cg.prime_class
+    with pytest.raises(CeilingError):
+        cg.class_of_prime(q, Ceilings(search_points=1))
+    assert q not in cg.prime_class  # the failed search cached nothing
+    assert cg.class_of_prime(q) in (0, 1)
+
+
 def _brute_ell_free_ideals(cg, pool, bound, ell, radical):
     """Every subset of the pool with every exponent choice, filtered by its
     charge, each class taken from index_of."""

@@ -1,5 +1,6 @@
 """Ideal arithmetic: HNF lattices, prime splitting, factored ideals, generators."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,13 +9,12 @@ import pytest
 from sympy import primerange
 
 from nfk import ideals
-from nfk.class_unit import _as_factored, compute_unit_group
+from nfk.class_unit import compute_unit_group
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, NotASquareError, NotPrincipalError, RankError
 from nfk.exact_math import IntMatrix, hnf_square
 from nfk.ideals import (
     FactoredIdeal,
-    FractionalIdeal,
     Ideal,
     canonical_generator,
     decompose_parts,
@@ -208,22 +208,25 @@ def test_factor_ideal_roundtrip_random(field_qi, field_qm5, field_cubic9):
 
 def test_fractional_reduction_and_norm(field_qi):
     K = field_qi
-    f = FractionalIdeal(ideal_from_rational(K, 4), 6)
-    assert f.den == 3 and f.num == ideal_from_rational(K, 2)
+    f = factor_ideal(ideal_from_rational(K, 4)) / factor_ideal(ideal_from_rational(K, 6))
+    assert f.num_den() == (ideal_from_rational(K, 2), 3)
     assert f.norm() == Fraction(4, 9)
 
 
 def test_fractional_inverse_of_prime(field_qi, field_qm5):
     q2 = split_prime(field_qi, 2)[0]
-    inv = FactoredIdeal(field_qi, {q2: -1}).to_fractional()
+    inv = FactoredIdeal(field_qi, {q2: -1})
     assert inv.norm() == Fraction(1, 2)
-    prod = inv * FractionalIdeal(q2.ideal)
-    assert prod == FractionalIdeal(Ideal.one(field_qi))
+    # ramified: 2 q2^-1 = q2
+    assert inv.num_den() == (q2.ideal, 2)
+    # q2^-2 = (2)^-1: clearing by (2)^2 would leave content 2, so den is 2
+    assert (inv**2).num_den() == (Ideal.one(field_qi), 2)
     # split prime: the inverse numerator is the conjugate prime
     q3a, q3b = split_prime(field_qm5, 3)
-    inv3 = FactoredIdeal(field_qm5, {q3a: -1}).to_fractional()
-    assert inv3.den == 3 and inv3.num == q3b.ideal
-    assert (inv3 * FractionalIdeal(q3a.ideal)) == FractionalIdeal(Ideal.one(field_qm5))
+    assert FactoredIdeal(field_qm5, {q3a: -1}).num_den() == (q3b.ideal, 3)
+    # both primes over 3 inverted: (3)^-1, content cancelled to the unit ideal
+    both = FactoredIdeal(field_qm5, {q3a: -1, q3b: -1})
+    assert both.num_den() == (Ideal.one(field_qm5), 3)
 
 
 def test_factored_arithmetic(field_qm5):
@@ -243,7 +246,8 @@ def test_sqrt_of_square(field_qi):
     q5a, q5b = split_prime(K, 5)
     g = FactoredIdeal(K, {q2: 3, q5a: -1, q5b: 2})
     assert (g**2).sqrt() == g
-    assert _as_factored((g**2).to_fractional()).sqrt() == g
+    num, den = (g**2).num_den()
+    assert (factor_ideal(num) / factor_ideal(ideal_from_rational(K, den))).sqrt() == g
     with pytest.raises(NotASquareError):
         FactoredIdeal(K, {q2: 3}).sqrt()
 
@@ -467,10 +471,66 @@ def test_generator_roundtrip_random(field_qi, field_qm5):
 def test_fractional_principal_generator(field_qi):
     K = field_qi
     q2 = split_prime(K, 2)[0]
-    half = FactoredIdeal(K, {q2: -1}).to_fractional()
+    half = FactoredIdeal(K, {q2: -1})
     g = principal_test_generator(half)
     assert g is not None
     assert g.norm() == Fraction(1, 2)
     assert [c for c in g.coords] == [Fraction(1, 2), Fraction(-1, 2)] or [
         c for c in g.coords
     ] == [Fraction(1, 2), Fraction(1, 2)]
+
+
+def _num_den_oracle(fa):
+    """The num/den assembly FactoredIdeal.num_den replaced: q^-k cleared by
+    (p q^-1)^k over p^k, then the content num shares with den cancelled."""
+    K = fa.field
+    num, den = Ideal.one(K), 1
+    for q in fa.support():
+        e = fa.exps[q]
+        if e > 0:
+            num = ideal_mul(num, ideal_pow(q.ideal, e))
+            continue
+        cofactor = Ideal.one(K)
+        for r in split_prime(K, q.p):
+            exp = r.e - 1 if r == q else r.e
+            if exp:
+                cofactor = ideal_mul(cofactor, ideal_pow(r.ideal, exp))
+        num = ideal_mul(num, ideal_pow(cofactor, -e))
+        den *= q.p ** -e
+    g = math.gcd(den, *[x for row in num.hnf.rows for x in row])
+    return Ideal(K, IntMatrix([[x // g for x in row] for row in num.hnf.rows])), den // g
+
+
+@pytest.mark.parametrize("name", ["q", "qi", "qm5", "cubic9", "zeta3"])
+def test_num_den_matches_fractional_assembly(name, request):
+    # seeded fractional ideals with negative exponents, among them two primes
+    # over one p, so that both sides cancel content; the generator search on
+    # the factored ideal must agree with the search on the oracle's numerator
+    K = request.getfixturevalue(f"field_{name}")
+    units = compute_unit_group(K).fundamental
+    pool = sorted(primes_of_norm_up_to(K, 20))
+    shared = [q for q in pool if len(split_prime(K, q.p)) > 1]
+    rng = random.Random(17)
+    cases = []
+    while len(cases) < 24:
+        picks = rng.sample(pool, rng.randint(1, 3))
+        if len(cases) % 3 == 0 and shared:
+            q = rng.choice(shared)
+            picks = sorted({*picks, *split_prime(K, q.p)})
+        fa = FactoredIdeal(K, {q: rng.choice([-2, -1, 1, 2]) for q in picks})
+        if not fa.is_integral():
+            cases.append(fa)
+    cancelled = verdicts = 0
+    for fa in cases:
+        num, den = _num_den_oracle(fa)
+        assert fa.num_den() == (num, den), fa
+        cancelled += den < math.prod(q.p ** -e for q, e in fa.exps.items() if e < 0)
+        gen = principal_test_generator(num, units)
+        want = gen and K.element([Fraction(c, den) for c in gen.coords])
+        got = principal_test_generator(fa, units)
+        assert got == want, fa
+        verdicts += got is not None
+    if shared:
+        assert cancelled
+    assert verdicts
+
