@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Iterator
 
 import mpmath
 
 from .abelian_groups import FiniteAbelianGroup
 from .config import Ceilings
-from .errors import CeilingError, MissingRootOfUnityError, RankError
+from .errors import CeilingError, MissingRootOfUnityError, NotPrincipalError, RankError
 from .ideals import (
     FactoredIdeal,
     PrimeIdeal,
     _coord_sort_key,
     as_factored,
+    canonical_generator,
     ideal_from_element,
     principal_test_generator,
     primes_of_norm_up_to,
@@ -458,12 +460,26 @@ def unit_coset_reps(ug: UnitGroup, ell: int) -> list[AlgebraicNumber]:
 
 @dataclass
 class ClassGroup:
+    """The census class group, with the generators its class searches found.
+
+    products[(i, j)] = (k, g) with reps[i] reps[j] = (g) reps[k], the times
+    table that group.op reads; prime_class[q] = c and prime_gen[q] = g with
+    q = (g) reps[c].  Each g is an int coordinate tuple over one positive
+    int denominator.  In unit rank 0 generator() multiplies them into the
+    canonical generator of an ideal with no search.
+    """
+
     field: NumberField
     group: FiniteAbelianGroup  # over class indices 0..h-1
     reps: list[FactoredIdeal]  # reps[0] = unit ideal
     units: UnitGroup
+    products: dict
     prime_class: dict = dc_field(default_factory=dict)
+    prime_gen: dict = dc_field(default_factory=dict)
     _ell_free_reps: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        self._torsion = [t.coords for t in self.units.torsion_elements()]
 
     @property
     def h(self) -> int:
@@ -487,11 +503,48 @@ class ClassGroup:
         got = self.prime_class.get(q)
         if got is not None:
             return got
-        idx = _find_class(FactoredIdeal(self.field, {q: 1}), self.reps, self.units, ceilings)
-        if idx is None:
+        found = _find_class(FactoredIdeal(self.field, {q: 1}), self.reps, self.units, ceilings)
+        if found is None:
             raise ArithmeticError(f"prime {q!r} matches no class; census incomplete")
-        self.prime_class[q] = idx
-        return idx
+        self.prime_class[q], self.prime_gen[q] = found
+        return found[0]
+
+    def generator(self, fa: FactoredIdeal, ceilings: Ceilings | None = None) -> AlgebraicNumber:
+        """The canonical generator of fa, as canonical_generator chooses it.
+
+        In unit rank >= 1 this is canonical_generator.  In unit rank 0 (Q
+        and the imaginary quadratic fields) the generators of fa are the w
+        torsion multiples of any one of them, and canonical_generator takes
+        the least coordinate key among them (a key that positive scaling
+        keeps).  So fa is cleared to num/den (FactoredIdeal.cleared), one
+        generator of num is carried prime by prime through the stored
+        generators and the times table, and the torsion multiple of least
+        key is divided by den.  A prime not yet looked up goes through
+        class_of_prime under the caller's ceilings.  Raises
+        NotPrincipalError when the class does not end at 0.
+        """
+        if self.units.rank:
+            return canonical_generator(fa, self.units.fundamental, ceilings)
+        K = self.field
+        mul = K.mul_int_coords
+        num, den = fa.cleared()
+        coords = one = K.one.coords
+        scale, cls = 1, 0
+        for q, e in num.exps.items():
+            if q not in self.prime_gen:
+                self.class_of_prime(q, ceilings)
+            cq, (gq, dq) = self.prime_class[q], self.prime_gen[q]
+            for _ in range(e):
+                cls, (gp, dp) = self.products[cls, cq]
+                coords = mul(coords, gq) if gp == one else mul(mul(coords, gq), gp)
+                scale *= dq * dp
+        if cls:
+            raise NotPrincipalError(f"{fa!r} is not principal")
+        if any(c % scale for c in coords):
+            raise ArithmeticError(f"composed generator of {fa!r} is not integral")
+        coords = tuple(c // scale for c in coords)
+        best = min((mul(coords, t) for t in self._torsion), key=_coord_sort_key)
+        return K.element(best if den == 1 else [Fraction(c, den) for c in best])
 
     def ell_free_ideals(
         self,
@@ -573,11 +626,15 @@ class ClassGroup:
 
 def _find_class(
     fa: FactoredIdeal, reps: list[FactoredIdeal], units: UnitGroup, ceilings: Ceilings | None
-) -> int | None:
-    """Index of the first representative r with fa * r^-1 principal, else None."""
+) -> tuple[int, tuple[tuple[int, ...], int]] | None:
+    """(i, g) for the first representative r = reps[i] with fa * r^-1
+    principal, g its generator from principal_test_generator as (int
+    coordinates, denominator); None when there is no such r."""
     for i, rep in enumerate(reps):
-        if principal_test_generator(fa * rep.inverse(), units.fundamental, ceilings) is not None:
-            return i
+        gen = principal_test_generator(fa * rep.inverse(), units.fundamental, ceilings)
+        if gen is not None:
+            den = math.lcm(*(Fraction(c).denominator for c in gen.coords))
+            return i, (tuple(int(c * den) for c in gen.coords), den)
     return None
 
 
@@ -602,15 +659,17 @@ def compute_class_group(
 def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup:
     units = compute_unit_group(K, ceilings)
     bound = K.minkowski_bound()
+    one = (K.one.coords, 1)
     reps: list[FactoredIdeal] = [FactoredIdeal.unit(K)]
     prime_class: dict[PrimeIdeal, int] = {}
+    prime_gen: dict[PrimeIdeal, tuple] = {}
     for q in sorted(primes_of_norm_up_to(K, bound)):
         fa = FactoredIdeal(K, {q: 1})
-        idx = _find_class(fa, reps, units, ceilings)
-        if idx is None:
+        found = _find_class(fa, reps, units, ceilings)
+        if found is None:
             reps.append(fa)
-            idx = len(reps) - 1
-        prime_class[q] = idx
+            found = len(reps) - 1, one
+        prime_class[q], prime_gen[q] = found
 
     # close the class list under multiplication
     changed = True
@@ -627,15 +686,16 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
                     changed = True
 
     h = len(reps)
-    table: dict[tuple[int, int], int] = {}
+    products: dict[tuple[int, int], tuple] = {}
     for i in range(h):
         for j in range(i, h):
-            prod = reps[i] * reps[j]
-            k = _find_class(prod, reps, units, ceilings)
-            if k is None:
+            found = _find_class(reps[i] * reps[j], reps, units, ceilings)
+            if found is None:
                 raise ArithmeticError("class table not closed")
-            table[(i, j)] = k
-            table[(j, i)] = k
+            products[i, j] = products[j, i] = found
 
-    group = FiniteAbelianGroup(list(range(h)), lambda a, b: table[(a, b)], 0)
-    return ClassGroup(field=K, group=group, reps=reps, units=units, prime_class=prime_class)
+    group = FiniteAbelianGroup(list(range(h)), lambda a, b: products[a, b][0], 0)
+    return ClassGroup(
+        field=K, group=group, reps=reps, units=units, products=products,
+        prime_class=prime_class, prime_gen=prime_gen,
+    )

@@ -31,7 +31,6 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     as_factored,
-    canonical_generator,
     factor_ideal,
     primes_of_norm_up_to,
     residue_degrees,
@@ -392,7 +391,6 @@ def generator_equidistribution_test(
     """
     ceilings = ceilings or Ceilings()
     cg = compute_class_group(K, ceilings)
-    ug = cg.units
     factor_fa = as_factored(ideal_factor)
     mod_support = frozenset(factor_ideal(modulus).support())
     if any(q in mod_support for q in factor_fa.support()):
@@ -414,7 +412,7 @@ def generator_equidistribution_test(
             if cls != need:
                 continue
             a = factor_fa * FactoredIdeal(K, dict(support))
-            gamma = canonical_generator(a, ug.fundamental, ceilings)
+            gamma = cg.generator(a, ceilings)
             tally_key = pq.project(rug.image(gamma))
             tally[tally_key] = tally.get(tally_key, 0) + 1
             total += 1

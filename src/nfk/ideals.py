@@ -4,8 +4,9 @@ Integral ideals are column lattices in power-basis coordinates, stored as
 the square upper-triangular HNF fixed in exact_math.  Fractional ideals
 are FactoredIdeal, {prime: exponent} with negative exponents allowed,
 which does group-like arithmetic without any lattice inversions; a
-generator search sees one as num/den (FactoredIdeal.num_den), an integral
-numerator over the least positive integer denominator.
+generator search sees one as num/den (FactoredIdeal.num_den, the HNF form
+of FactoredIdeal.cleared), an integral numerator over the least positive
+integer denominator.
 
 Generator searches (principality tests) enumerate lattice elements of the
 correct norm exactly: closed-form in degree 1, a positive-definite binary
@@ -15,7 +16,10 @@ holds a unit multiple of every generator.  The canonical generator — the
 F-map used throughout the Kummer layer — is the match minimizing the
 largest embedding magnitude, ties broken by smallest coordinate key (|c|
 before sign, so 2 beats -2).  In imaginary quadratic fields every match
-ties, and the coordinate key alone decides.
+ties, and the coordinate key alone decides.  Where the unit group is
+finite, ClassGroup.generator (class_unit) picks the same element from
+products of the generators its class searches stored, with no search;
+the search here stays its oracle.
 """
 
 from __future__ import annotations
@@ -400,9 +404,9 @@ class FactoredIdeal:
             out = ideal_mul(out, ideal_pow(q.ideal, self.exps[q]))
         return out
 
-    def num_den(self) -> tuple[Ideal, int]:
-        """(num, den) with self = num/den, num integral and den the least
-        positive integer making it so.
+    def cleared(self) -> tuple["FactoredIdeal", int]:
+        """(num, den) with self = num/den, num integral and factored, and den
+        the least positive integer making it so.
 
         Each rational prime p under a negative exponent is cleared by the
         least power (p)^j, where (p) = prod over r | p of r^e(r); with j
@@ -415,6 +419,11 @@ class FactoredIdeal:
             j = max(-(self.exps.get(r, 0) // r.e) for r in over)
             num = num * FactoredIdeal(K, {r: j * r.e for r in over})
             den *= p**j
+        return num, den
+
+    def num_den(self) -> tuple[Ideal, int]:
+        """cleared() with the numerator assembled as an HNF ideal."""
+        num, den = self.cleared()
         return num.to_ideal(), den
 
 

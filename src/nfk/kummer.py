@@ -16,6 +16,7 @@ different classes interleave.  The first cell is always the unit ideal.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,7 +28,6 @@ from .ideals import (
     FactoredIdeal,
     PartsDecomposition,
     PrimeIdeal,
-    canonical_generator,
     decompose_parts,
     factor_ideal,
     ideal_from_element,
@@ -121,7 +121,7 @@ def normalize_gamma(
     if quo.is_unit_ideal():
         gprime = gamma
     else:
-        k = canonical_generator(quo, ug.fundamental, ceilings)
+        k = cg.generator(quo, ceilings)
         gprime = gamma / k**ell
         if not gprime.is_integral():
             raise ArithmeticError("normalization left the ring of integers")
@@ -133,7 +133,7 @@ def normalize_gamma(
     if fa2.is_unit_ideal():
         alpha = K.one
     else:
-        alpha = canonical_generator(fa2, ug.fundamental, ceilings)
+        alpha = cg.generator(fa2, ceilings)
     u = _as_unit(K, gprime / alpha)
     coset = unit_coset_coords(ug, u, ell)
     if fa2.is_unit_ideal() and all(c == 0 for c in coset):
@@ -340,7 +340,7 @@ def is_isomorphic(
         if quo.is_unit_ideal():
             c0 = K.one
         else:
-            c0 = canonical_generator(quo, ug.fundamental, ceilings)
+            c0 = cg.generator(quo, ceilings)
         v = _as_unit(K, d2.gamma / (d1.gamma**m * c0**ell))
         if all(c == 0 for c in unit_coset_coords(ug, v, ell)):
             return True
@@ -365,6 +365,11 @@ class ExtensionRecord:
 
     def sort_key(self) -> tuple:
         return (self.disc_norm, self.datum.key())
+
+
+def _int_norm(fa: FactoredIdeal) -> int:
+    """N(fa) as an int product, for fa integral."""
+    return math.prod(q.norm**e for q, e in fa.exps.items())
 
 
 def _int_nth_root(n: int, k: int) -> int:
@@ -488,7 +493,7 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
     if fa.is_unit_ideal():
         alpha = K.one
     else:
-        alpha = canonical_generator(fa, ug.fundamental, ceilings)
+        alpha = cg.generator(fa, ceilings)
     parts = decompose_parts(fa, ell)
     if not u_cosets:
         # the first cell, always the unit ideal (Q = (1), class 0, I = (1)),
@@ -509,12 +514,9 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
             unit_coset=coset,
         )
         delta, lpart, fpart = _discriminant_split(datum, ceilings)
-        if order_by == "disc":
-            if int(delta.norm()) > X:
-                continue
-        else:
-            if int(fpart.norm()) > X:
-                continue
+        disc_norm = _int_norm(delta)
+        if (disc_norm if order_by == "disc" else _int_norm(fpart)) > X:
+            continue
         if dedup and ell > 2:
             key = datum.key()
             smaller = False
@@ -532,7 +534,7 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
             ell_part=lpart,
             ell_free_part=fpart,
             steinitz=st,
-            disc_norm=int(delta.norm()),
+            disc_norm=disc_norm,
         )
 
 

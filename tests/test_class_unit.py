@@ -13,12 +13,14 @@ from nfk.class_unit import (
     unit_coset_reps,
 )
 from nfk.config import Ceilings
-from nfk.errors import CeilingError, MissingRootOfUnityError
+from nfk.errors import CeilingError, MissingRootOfUnityError, NotPrincipalError
 from nfk.ideals import (
     FactoredIdeal,
+    canonical_generator,
     ideal_from_element,
     ideal_from_rational,
     primes_of_norm_up_to,
+    principal_test_generator,
     split_prime,
 )
 from nfk.number_field import build_field
@@ -294,3 +296,96 @@ def test_power_subgroup_indices(field_qm5):
     cg = compute_class_group(field_qm5)
     assert cg.power_subgroup_indices(2) == [0]
     assert cg.power_subgroup_indices(1) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# composed generators
+# ---------------------------------------------------------------------------
+
+
+def _integral_ideals_up_to(K, bound):
+    """Every integral FactoredIdeal of norm <= bound."""
+    pool = sorted(primes_of_norm_up_to(K, bound))
+    out = []
+
+    def walk(j, exps, norm):
+        out.append(FactoredIdeal(K, exps))
+        for k in range(j, len(pool)):
+            q = pool[k]
+            if norm * q.norm > bound:
+                break
+            e, n = 1, norm * q.norm
+            while n <= bound:
+                walk(k + 1, {**exps, q: e}, n)
+                e, n = e + 1, n * q.norm
+
+    walk(0, {}, 1)
+    return out
+
+
+def _generator_or_none(cg, fa):
+    try:
+        return cg.generator(fa)
+    except NotPrincipalError:
+        return None
+
+
+@pytest.mark.parametrize("name", ["q", "qi", "qm5", "zeta3"])
+def test_composed_generator_matches_search(name, request):
+    # unit rank 0: the product of stored generators, least torsion multiple,
+    # must be the element the generator search picks, on every integral
+    # ideal of norm <= 400 and on seeded fractional ideals, some of them
+    # holding every prime over one split p; non-principal ideals of
+    # Q(sqrt(-5)) give None on both sides
+    K = request.getfixturevalue(f"field_{name}")
+    cg = compute_class_group(K)
+    units = cg.units.fundamental
+    cases = _integral_ideals_up_to(K, 400)
+    pool = sorted(primes_of_norm_up_to(K, 50))
+    shared = [q for q in pool if len(split_prime(K, q.p)) > 1]
+    rng = random.Random(29)
+    fractional = 0
+    while fractional < 40:
+        picks = rng.sample(pool, rng.randint(1, 3))
+        if fractional % 4 == 0 and shared:
+            picks = sorted({*picks, *split_prime(K, rng.choice(shared).p)})
+        fa = FactoredIdeal(K, {q: rng.choice([-2, -1, 1, 2]) for q in picks})
+        if not fa.is_integral():
+            cases.append(fa)
+            fractional += 1
+    verdicts = set()
+    for fa in cases:
+        want = principal_test_generator(fa, units)
+        assert _generator_or_none(cg, fa) == want, fa
+        verdicts.add(want is None)
+    assert verdicts == ({False, True} if cg.h > 1 else {False})
+
+
+def test_generator_is_canonical_generator_in_positive_rank(field_cubic9):
+    cg = compute_class_group(field_cubic9)
+    units = cg.units.fundamental
+    principal = 0
+    for fa in _integral_ideals_up_to(field_cubic9, 60):
+        want = principal_test_generator(fa, units)
+        if want is not None:
+            principal += 1
+            assert cg.generator(fa) == canonical_generator(fa, units) == want, fa
+        else:
+            with pytest.raises(NotPrincipalError):
+                cg.generator(fa)
+    assert principal
+
+
+def test_composed_generator_honours_search_ceiling():
+    # a fresh Q(sqrt(-5)): composing (10007) = q q' looks up the class and
+    # generator of q with a binary-form solve past a ceiling of one point
+    K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
+    cg = compute_class_group(K)
+    q, q_bar = split_prime(K, 10007)
+    fa = FactoredIdeal(K, {q: 1, q_bar: 1})
+    with pytest.raises(CeilingError):
+        cg.generator(fa, Ceilings(search_points=1))
+    for prime in (q, q_bar):  # the failed search cached nothing
+        assert prime not in cg.prime_class and prime not in cg.prime_gen
+    assert cg.generator(fa) == K.from_int(10007)
+    assert q in cg.prime_gen and q_bar in cg.prime_gen

@@ -1,6 +1,7 @@
 """Experiment drivers, report serialization, and the nfk command line."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import nfk
 from nfk.cli import cli_main
 from nfk.density import density_report, density_report_json_dict
 from nfk.harness import (
@@ -324,11 +326,16 @@ def test_cli_ceiling_env(monkeypatch, capsys):
 
 
 def test_cli_module_entry_point():
+    # the subprocess imports the same nfk tree as this test, whatever
+    # PYTHONPATH the suite was started with
+    src = str(Path(nfk.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "nfk", "identity-check", "--spec", str(SPECS / "qi.json")],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "1/2" in proc.stdout

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from nfk import kummer
+from nfk import ideals, kummer
 from nfk.class_unit import (
     compute_class_group,
     compute_unit_group,
@@ -461,6 +461,38 @@ def test_unit_cosets_computed_once_per_enumeration(name, request, monkeypatch):
     assert len(calls) == len(unit_coset_reps(ug, 2))
     for r in recs:  # every record still carries its own coset
         assert r.datum.unit_coset == unit_coset_coords(ug, r.datum.unit_coordinate, 2)
+
+
+@pytest.mark.parametrize(
+    "name, ell, X, searches",
+    [("qi", 2, 1000, False), ("qm5", 2, 1000, False), ("zeta3", 3, 20000, False),
+     ("cubic9", 2, 100, True)],
+)
+def test_cells_run_no_generator_search_in_unit_rank_zero(name, ell, X, searches, request,
+                                                         monkeypatch):
+    # once the pool's class lookups are warm, a field with finitely many
+    # units composes every cell generator from stored ones: no norm-match
+    # search and no HNF assembly; unit rank >= 1 still searches
+    K = request.getfixturevalue(f"field_{name}")
+    warm = enumerate_extensions(K, ell, X)
+    calls = {"norm_matches": 0, "to_ideal": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ideals, "norm_matches", counting("norm_matches", ideals.norm_matches))
+    monkeypatch.setattr(FactoredIdeal, "to_ideal", counting("to_ideal", FactoredIdeal.to_ideal))
+    again = enumerate_extensions(K, ell, X)
+    assert [r.sort_key() for r in again] == [r.sort_key() for r in warm]
+    assert [r.datum.gamma for r in again] == [r.datum.gamma for r in warm]
+    if searches:
+        assert calls["norm_matches"] and calls["to_ideal"]
+    else:
+        assert calls == {"norm_matches": 0, "to_ideal": 0}
 
 
 def test_int_nth_root_beyond_float_range():
