@@ -3,8 +3,9 @@
 Class group: census every prime of norm up to the Minkowski bound, sort
 the primes into equivalence classes with principality tests, close the
 class list under multiplication, and hand the times table to the abelian
-engine.  Unit group: roots of unity from a tiny embedding box; fundamental
-units from a height-increasing sweep that also mines ratios of elements
+engine.  Unit group: the roots of unity are the field's own
+(NumberField.torsion, the one roots-of-unity search); fundamental units
+come from a height-increasing sweep that also mines ratios of elements
 generating equal ideals, followed by exact Euclidean reduction in log
 space.  The reduction is exact on the units found; that the result is a
 *fundamental* system is certified downstream by the analytic class number
@@ -83,43 +84,6 @@ def _log_vector(K: NumberField, u: AlgebraicNumber, prec: int = 120) -> list:
             weight = 1 if i < K.r1 else 2
             out.append(weight * mpmath.log(abs(v)))
         return out
-
-
-def _torsion_units(K: NumberField) -> list[AlgebraicNumber]:
-    """All roots of unity: integer points with every embedding on the unit circle."""
-    n = K.degree
-    rts = K.roots(200)
-    with mpmath.workprec(120):
-        rows = []
-        for i, rho in enumerate(rts):
-            vals = [rho**k for k in range(n)]
-            if i < K.r1:
-                rows.append([mpmath.mpf(v) for v in vals])
-            else:
-                rows.append([mpmath.mpc(v).real for v in vals])
-                rows.append([mpmath.mpc(v).imag for v in vals])
-        inv = mpmath.inverse(mpmath.matrix(rows))
-        bound = []
-        for j in range(n):
-            s = sum(abs(inv[j, k]) for k in range(n)) * mpmath.mpf("1.001")
-            bound.append(int(mpmath.floor(s)) + 1)
-    out = []
-    idx = [-b for b in bound]
-    while True:
-        if any(idx):
-            x = K.element(list(idx))
-            if abs(x.norm()) == 1 and K.element_order(x, cap=4 * n * n) is not None:
-                out.append(x)
-        i = 0
-        while i < n:
-            idx[i] += 1
-            if idx[i] <= bound[i]:
-                break
-            idx[i] = -bound[i]
-            i += 1
-        if i == n:
-            break
-    return out
 
 
 def _all_points(n: int, h: int):
@@ -247,54 +211,28 @@ def _normalize_unit(K: NumberField, torsion: list[AlgebraicNumber], g: Algebraic
     return min((g * t for t in torsion), key=lambda x: _coord_sort_key(x.int_coords()))
 
 
-def compute_unit_group(
-    K: NumberField,
-    ceilings: Ceilings | None = None,
-    known_units: list[list[int]] | None = None,
-) -> UnitGroup:
+def compute_unit_group(K: NumberField, ceilings: Ceilings | None = None) -> UnitGroup:
     """Torsion + fundamental units + regulator.  Cached on the field.
 
     ceilings default to Ceilings(), as in every other layer; only the CLI
-    reads NFK_CEILING.  known_units is read only when the group is first
-    computed; a cached group is returned as it is.
+    reads NFK_CEILING.
     """
     if K._unit_group is not None:
         return K._unit_group
     ceilings = ceilings or Ceilings()
-    torsion = _torsion_units(K)
-    w = len(torsion)
-    if w % 2:
-        raise ArithmeticError(f"odd torsion count {w}")
-    zeta = max(
-        torsion,
-        key=lambda x: (K.element_order(x, cap=4 * K.degree * K.degree), x.int_coords()),
-    )
+    zeta, w = K.torsion()
     rank = K.r1 + K.r2 - 1
     if rank > 2:
         raise RankError(f"unit rank {rank} unsupported (max 2)")
 
     fundamental: list[AlgebraicNumber] = []
-    if rank > 0 and known_units is not None:
-        for coords in known_units:
-            u = K.element(list(coords))
-            if abs(u.norm()) != 1:
-                raise ValueError(f"supplied unit {coords} has |norm| != 1")
-            if K.element_order(u, cap=64) is not None:
-                raise ValueError(f"supplied unit {coords} is a root of unity")
-            fundamental.append(u)
-        if len(fundamental) != rank:
-            raise ValueError(f"need {rank} independent units, got {len(fundamental)}")
-        if rank == 2:
-            v1 = _log_vector(K, fundamental[0])
-            v2 = _log_vector(K, fundamental[1])
-            if abs(v1[0] * v2[1] - v1[1] * v2[0]) < mpmath.mpf("1e-8"):
-                raise ValueError("supplied units are multiplicatively dependent")
-    elif rank > 0:
+    if rank > 0:
         pool = _unit_search_pool(K, rank, ceilings)
         if rank == 1:
             fundamental = [_euclid_reduce_rank_one(K, pool)]
         else:
             fundamental = _gauss_reduce_rank_two(K, pool)
+        torsion = [zeta**k for k in range(w)]
         fundamental = [_normalize_unit(K, torsion, u) for u in fundamental]
 
     for u in fundamental:
@@ -638,21 +576,10 @@ def _find_class(
     return None
 
 
-def compute_class_group(
-    K: NumberField,
-    ceilings: Ceilings | None = None,
-    known_h: int | None = None,
-) -> ClassGroup:
-    """Minkowski census class group.  Cached on the field.
-
-    known_h, when given, is checked against the class number on every
-    call, cached or not.
-    """
+def compute_class_group(K: NumberField, ceilings: Ceilings | None = None) -> ClassGroup:
+    """Minkowski census class group.  Cached on the field."""
     if K._class_group is None:
         K._class_group = _class_group_census(K, ceilings)
-    h = K._class_group.h
-    if known_h is not None and h != known_h:
-        raise ArithmeticError(f"census found h = {h}, expected {known_h}")
     return K._class_group
 
 

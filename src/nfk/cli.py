@@ -3,8 +3,8 @@
 Every subcommand reads a field from a JSON spec file and prints to
 stdout.  Exit codes: 0 on success, 1 when identity-check finds a
 mismatch, 2 for usage problems (argparse errors, bad spec files, an --ell
-the field cannot support), 3 when a computation hits a search ceiling
-(NFK_CEILING / --ceiling raise them).
+that is not prime or that the field cannot support), 3 when a
+computation hits a search ceiling (NFK_CEILING / --ceiling raise them).
 """
 
 import argparse
@@ -253,7 +253,7 @@ def cli_main(argv=None) -> int:
         ceilings = Ceilings.from_env(args.ceiling)
         K = load_field_spec(args.spec)
         ell = args.ell if args.ell is not None else K.ell
-        if ell != 2 and K.contains_zeta(ell) is None:
+        if K.contains_zeta(ell) is None:
             print(
                 f"error: {K.label} has no primitive {ell}-th root of unity",
                 file=sys.stderr,

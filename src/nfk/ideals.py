@@ -161,7 +161,7 @@ def ideal_pow(a: Ideal, e: int) -> Ideal:
 class PrimeIdeal:
     """Prime over p in two-element representation (p, g(theta))."""
 
-    __slots__ = ("field", "p", "gpoly", "e", "f", "ideal", "index", "ambiguous", "_powers")
+    __slots__ = ("field", "p", "gpoly", "e", "f", "ideal", "index", "ambiguous", "_powers", "_hash")
 
     def __init__(self, field: NumberField, p: int, gpoly: IntPolynomial, e: int, index: int):
         self.field = field
@@ -171,6 +171,7 @@ class PrimeIdeal:
         self.f = gpoly.degree
         self.index = index  # position among the primes over p (canonical order)
         self.ambiguous = False  # set when another prime over p shares (f, e)
+        self._hash = hash((p, gpoly.coeffs))  # primes key the hot dicts
         # evaluate g at theta with full power reduction: for an inert prime
         # g is the defining polynomial itself and g(theta) = 0, leaving (p)
         n_deg = field.degree
@@ -215,7 +216,7 @@ class PrimeIdeal:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.gpoly.coeffs))
+        return self._hash
 
     def __lt__(self, other: "PrimeIdeal") -> bool:
         return self.sort_key() < other.sort_key()

@@ -263,11 +263,12 @@ def verify_trace_determinant(K: NumberField, gamma: AlgebraicNumber, ell: int) -
     return _element_det(K, rows) == _trace_delta(K, gamma, ell)
 
 
-def trace_form_discriminant(d: KummerDatum, verify: bool = True) -> AlgebraicNumber:
+def trace_form_discriminant(d: KummerDatum) -> AlgebraicNumber:
     """Discriminant of the relative trace form: +ell^ell gamma^(ell-1) for
-    ell = 2 and -ell^ell gamma^(ell-1) for odd ell."""
+    ell = 2 and -ell^ell gamma^(ell-1) for odd ell, checked against the
+    determinant of the trace matrix."""
     delta = _trace_delta(d.field, d.gamma, d.ell)
-    if verify and not verify_trace_determinant(d.field, d.gamma, d.ell):
+    if not verify_trace_determinant(d.field, d.gamma, d.ell):
         raise ArithmeticError("trace matrix determinant disagrees with the formula")
     return delta
 

@@ -5,13 +5,17 @@ criterion at every prime whose square divides disc(f) and rejects the
 polynomial otherwise.  All element arithmetic is exact (ints/Fractions
 over the power basis 1, theta, ..., theta^(n-1)); floats appear only in
 the embedding routines, which carry explicit working precision.
+
+The roots of unity are found once per field, by NumberField.torsion: an
+exact search of the box that the embeddings bound.  zeta_ell lies in K
+exactly when ell divides their number w, which is all contains_zeta and
+the unit group (class_unit) read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import mpmath
@@ -194,7 +198,7 @@ class NumberField:
             self, [0, 1] + [0] * (self.degree - 2) if self.degree > 1 else [0]
         )
         self._roots_cache: tuple[int, list] | None = None
-        self._zeta_cache: dict[int, AlgebraicNumber | None] = {}
+        self._torsion: tuple[AlgebraicNumber, int] | None = None  # torsion()
         self._norm_form: dict[tuple[int, ...], int] | None = None
         # float embedding rows and unit-balance scale per units tuple (ideals.py)
         self._generator_search_cache: dict[tuple, tuple] = {}
@@ -360,60 +364,64 @@ class NumberField:
 
     # -- roots of unity -------------------------------------------------------
 
-    def contains_zeta(self, ell: int) -> AlgebraicNumber | None:
-        """A fixed primitive ell-th root of unity in K, or None.
+    def torsion(self) -> tuple[AlgebraicNumber, int]:
+        """(zeta, w): a generator of the roots of unity in K and their number.
 
-        The decision is exact: candidate coordinates come from a numeric
-        solve, but acceptance requires the cyclotomic polynomial to vanish
-        identically in exact arithmetic, and every embedding pattern is tried
-        before answering None.
+        A root of unity has every embedding on the unit circle, so its
+        coordinates lie in the box bounded by the row sums of the inverse
+        embedding matrix; every nonzero point there of norm +-1 and finite
+        order is one.  zeta is the root of largest order, ties broken by
+        largest int_coords.  Cached on the field.
         """
-        if ell in self._zeta_cache:
-            return self._zeta_cache[ell]
-        if ell == 1:
-            self._zeta_cache[ell] = self.one
-            return self.one
-        if ell == 2:
-            z = self.from_int(-1)
-            self._zeta_cache[ell] = z
-            return z
-        result: AlgebraicNumber | None = None
-        if self.r1 == 0 and (ell - 1) <= self.degree:
-            result = self._find_zeta_complex(ell)
-        self._zeta_cache[ell] = result
-        return result
-
-    def _find_zeta_complex(self, ell: int) -> AlgebraicNumber | None:
+        if self._torsion is not None:
+            return self._torsion
         n = self.degree
-        cyclo = _cyclotomic(ell)
-        with mpmath.workprec(300):
-            rts = self.roots(300)
-            targets = [mpmath.exp(2j * mpmath.pi * k / ell) for k in range(1, ell)]
-            import itertools
+        cap = 4 * n * n
+        rts = self.roots(200)
+        with mpmath.workprec(120):
+            rows = []
+            for i, rho in enumerate(rts):
+                vals = [rho**k for k in range(n)]
+                if i < self.r1:
+                    rows.append([mpmath.mpf(v) for v in vals])
+                else:
+                    rows.append([mpmath.mpc(v).real for v in vals])
+                    rows.append([mpmath.mpc(v).imag for v in vals])
+            inv = mpmath.inverse(mpmath.matrix(rows))
+            bound = []
+            for j in range(n):
+                s = sum(abs(inv[j, k]) for k in range(n)) * mpmath.mpf("1.001")
+                bound.append(int(mpmath.floor(s)) + 1)
+        found = []
+        idx = [-b for b in bound]
+        while True:
+            if any(idx):
+                x = self.element(list(idx))
+                order = self.element_order(x, cap) if abs(x.norm()) == 1 else None
+                if order is not None:
+                    found.append((order, list(idx), x))
+            i = 0
+            while i < n:
+                idx[i] += 1
+                if idx[i] <= bound[i]:
+                    break
+                idx[i] = -bound[i]
+                i += 1
+            if i == n:
+                break
+        w = len(found)
+        if w % 2:
+            raise ArithmeticError(f"odd torsion count {w}")
+        self._torsion = (max(found, key=lambda t: t[:2])[2], w)
+        return self._torsion
 
-            for assign in itertools.product(range(ell - 1), repeat=self.r2):
-                # complex-linear system: one equation per complex place
-                rows = []
-                rhs = []
-                for j, rho in enumerate(rts):
-                    row = [rho**i for i in range(n)]
-                    rows.append([v.real for v in row])
-                    rows.append([v.imag for v in row])
-                    t = targets[assign[j]]
-                    rhs.append(t.real)
-                    rhs.append(t.imag)
-                try:
-                    sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
-                except ZeroDivisionError:
-                    continue
-                coords = [int(mpmath.nint(sol[i])) for i in range(n)]
-                if any(abs(sol[i] - coords[i]) > 0.25 for i in range(n)):
-                    continue
-                z = self.element(coords)
-                if _poly_eval_int(cyclo, z).is_zero():
-                    # canonical choice: smallest assignment index that verifies
-                    return z
-        return None
+    def contains_zeta(self, ell: int) -> AlgebraicNumber | None:
+        """zeta^(w/ell), a primitive ell-th root of unity in K, or None when
+        ell does not divide w.  Raises ValueError for a non-prime ell."""
+        if not isprime(ell):
+            raise ValueError("ell must be prime")
+        zeta, w = self.torsion()
+        return zeta ** (w // ell) if w % ell == 0 else None
 
     def element_order(self, x: AlgebraicNumber, cap: int = 64) -> int | None:
         """Multiplicative order of x if <= cap, else None."""
@@ -423,21 +431,6 @@ class NumberField:
                 return k
             acc = acc * x
         return None
-
-
-def _poly_eval_int(coeffs_ascending: list[int], z: AlgebraicNumber) -> AlgebraicNumber:
-    acc = z.field.zero
-    for c in reversed(coeffs_ascending):
-        acc = acc * z + z.field.from_int(c)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(ell: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the ell-th cyclotomic polynomial, ell prime."""
-    if not isprime(ell):
-        raise ValueError("ell must be prime")
-    return tuple([1] * ell)
 
 
 def dedekind_q_maximal(f: IntPolynomial, q: int) -> bool:

@@ -301,6 +301,8 @@ def test_cli_usage_errors(capsys):
     assert cli_main(["rho"]) == 2  # missing --spec
     assert cli_main(["experiment", "--spec", str(SPECS / "qm5.json")]) == 2  # no --bound
     assert cli_main(["rho", "--spec", "/no/such/file.json"]) == 2
+    for ell in ("1", "4"):  # --ell must be prime
+        assert cli_main(["rho", "--spec", str(SPECS / "qi.json"), "--ell", ell]) == 2
     capsys.readouterr()
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from nfk.class_unit import compute_unit_group
 from nfk.errors import FieldConstructionError, MissingRootOfUnityError
 from nfk.exact_math import IntPolynomial
 from nfk.number_field import build_field, dedekind_q_maximal
@@ -131,6 +132,14 @@ def test_minkowski_bounds():
     assert Fraction("13.219") < bc < Fraction("13.221")
 
 
+def _cyclotomic_value(ell, z):
+    """Phi_ell(z) = 1 + z + ... + z^(ell-1) for prime ell, exactly."""
+    acc = z.field.zero
+    for _ in range(ell):
+        acc = acc * z + z.field.one
+    return acc
+
+
 def test_zeta_membership():
     Kz = build_field([1, 1, 1], 3)
     assert Kz.contains_zeta(3) is not None
@@ -140,6 +149,25 @@ def test_zeta_membership():
     K = build_field(CUBIC, 2)
     assert K.contains_zeta(3) is None  # has a real embedding
     assert K.contains_zeta(5) is None
+    # w and zeta against known values; Phi_ell(z) = 0 is the exact oracle
+    for coeffs, spec_ell, w_known in (
+        ([1, 1, 1, 1, 1], 5, 10),  # Q(zeta5)
+        ([-2, 0, 1], 2, 2),  # Q(sqrt 2)
+        ([-1, -3, 0, 1], 2, 2),  # cyclic cubic x^3 - 3x - 1, unit rank 2
+    ):
+        K = build_field(coeffs, spec_ell)
+        zeta, w = K.torsion()
+        assert w == w_known
+        assert K.element_order(zeta, cap=w) == w
+        units = compute_unit_group(K)
+        assert (units.zeta, units.w) == (zeta, w)  # the unit group reads the field's pair
+        for ell in (2, 3, 5, 7):
+            z = K.contains_zeta(ell)
+            assert (z is not None) == (w % ell == 0)
+            if z is not None:
+                assert _cyclotomic_value(ell, z).is_zero()
+        with pytest.raises(ValueError):
+            K.contains_zeta(4)
 
 
 def test_power_traces_against_embeddings():
