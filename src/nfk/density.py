@@ -257,7 +257,7 @@ def zeta_constants(
                 tail = K.degree / prime_bound
                 z2 = mpmath.mpf(1)
                 zl = mpmath.mpf(1)
-                for p in sympy.primerange(2, prime_bound + 1):
+                for p in sympy.sieve.primerange(2, prime_bound + 1):
                     for f in residue_degrees(K, p):
                         z2 /= 1 - mpmath.mpf(p**f) ** -2
                         if ell != 2:

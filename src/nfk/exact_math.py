@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from sympy import ZZ
+from sympy import ZZ, sieve
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from .errors import FieldConstructionError
@@ -363,9 +363,7 @@ def irreducibility_certificate(f: IntPolynomial, prime_bound: int = 1000) -> int
     if f.degree <= 3:
         return 0
     disc = polynomial_discriminant(f)
-    from sympy import primerange
-
-    for p in primerange(2, prime_bound):
+    for p in sieve.primerange(2, prime_bound):
         if disc % p == 0:
             continue
         if gf_irreducible_p([c % p for c in f.descending()], p, ZZ):

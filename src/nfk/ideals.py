@@ -30,12 +30,20 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import mpmath
-from sympy import ZZ, factorint, primerange
+from sympy import ZZ, factorint, sieve
+from sympy.ntheory import sqrt_mod
 from sympy.polys.galoistools import gf_ddf_zassenhaus
 
 from .config import Ceilings
 from .errors import CeilingError, NotASquareError, NotPrincipalError, RankError
-from .exact_math import IntMatrix, IntPolynomial, hnf_reduce, hnf_square, lattice_contains
+from .exact_math import (
+    IntMatrix,
+    IntPolynomial,
+    factor_mod_p,
+    hnf_reduce,
+    hnf_square,
+    lattice_contains,
+)
 from .number_field import AlgebraicNumber, NumberField
 
 
@@ -161,7 +169,9 @@ def ideal_pow(a: Ideal, e: int) -> Ideal:
 class PrimeIdeal:
     """Prime over p in two-element representation (p, g(theta))."""
 
-    __slots__ = ("field", "p", "gpoly", "e", "f", "ideal", "index", "ambiguous", "_powers", "_hash")
+    __slots__ = (
+        "field", "p", "gpoly", "e", "f", "ideal", "index", "ambiguous", "_powers", "_depths", "_hash"
+    )
 
     def __init__(self, field: NumberField, p: int, gpoly: IntPolynomial, e: int, index: int):
         self.field = field
@@ -191,6 +201,7 @@ class PrimeIdeal:
         m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
         self.ideal = Ideal(field, hnf_square(m))
         self._powers = [Ideal.one(field), self.ideal]
+        self._depths: dict[tuple[int, ...], int] = {}  # residue -> congruence depth (kummer.py)
 
     @property
     def norm(self) -> int:
@@ -229,7 +240,13 @@ def split_prime(K: NumberField, p: int) -> list[PrimeIdeal]:
     """Primes above p via factorization of the defining polynomial mod p.
 
     Valid at every p because the field is monogenic.  Result is cached and
-    canonically ordered (by the factor's coefficient tuple).
+    canonically ordered by (degree, ascending coefficient tuple) of the
+    factor, the order of factor_mod_p.  In a quadratic field x^2 + bx + c
+    with p odd and unramified, Euler's criterion on the discriminant
+    decides instead: if it is a square mod p the factors are x - r for the
+    two roots r = (-b +- s)/2 mod p, s a square root mod p (Tonelli-Shanks),
+    and otherwise the polynomial stays irreducible.  Every other p goes
+    through factor_mod_p.
     """
     cache = K._prime_cache
     got = cache.get(p)
@@ -239,9 +256,16 @@ def split_prime(K: NumberField, p: int) -> list[PrimeIdeal]:
         out = [PrimeIdeal(K, p, IntPolynomial([0, 1]), 1, 0)]
         cache[p] = out
         return out
-    from .exact_math import factor_mod_p
-
-    factors = factor_mod_p(K.poly, p)
+    if K.degree == 2 and p != 2 and K.disc % p:
+        if pow(K.disc, (p - 1) // 2, p) == 1:
+            b = K.poly.coeffs[1]  # K.disc = b^2 - 4c
+            s, half = sqrt_mod(K.disc, p), (p + 1) // 2
+            consts = sorted(-r * half % p for r in (-b + s, -b - s))
+            factors = [(IntPolynomial([a, 1]), 1) for a in consts]
+        else:
+            factors = [(IntPolynomial([c % p for c in K.poly.coeffs]), 1)]
+    else:
+        factors = factor_mod_p(K.poly, p)
     out = []
     for idx, (g, e) in enumerate(factors):
         out.append(PrimeIdeal(K, p, g, e, idx))
@@ -284,7 +308,7 @@ def primes_of_norm_up_to(K: NumberField, bound) -> Iterator[PrimeIdeal]:
     A rational prime whose least residue degree already puts every prime
     above it over the bound is never split.
     """
-    for p in primerange(2, int(bound) + 1):
+    for p in sieve.primerange(2, int(bound) + 1):
         if p ** residue_degrees(K, p)[0] <= bound:
             for q in split_prime(K, p):
                 if q.norm <= bound:

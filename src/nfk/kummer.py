@@ -175,14 +175,25 @@ def wild_saturation_depth(q: PrimeIdeal, ell: int) -> int:
 def _congruence_depth(
     gamma: AlgebraicNumber, q: PrimeIdeal, ell: int, ceilings: Ceilings | None
 ) -> int:
-    """Largest 0 < m <= ell*nu_q(1-zeta_ell) with gamma an ell-th power mod q^m.
+    """Largest 0 < m <= B = ell*nu_q(1-zeta_ell) with gamma an ell-th power mod q^m.
 
-    gamma must be coprime to q.  Power classes are monotone in m, so the
-    first success walking down is the maximum.  m = 1 always succeeds:
-    the residue field has order prime to ell, so x -> x^ell is onto.
+    gamma must be integral and coprime to q.  Power classes are monotone in
+    m, so the first success walking down is the maximum.  m = 1 always
+    succeeds: the residue field has order prime to ell, so x -> x^ell is
+    onto.  The depth depends only on gamma mod q^B, and since O_K = Z[theta]
+    the ideal p^k O_K (p = q.p, k = ceil(B/e)) lies in q^B, so the
+    coordinates mod p^k are a sound key: the depth found is memoized under
+    them on q (PrimeIdeal._depths).  A walk that raises stores nothing.
     """
-    for m in range(wild_saturation_depth(q, ell), 0, -1):
+    bound = wild_saturation_depth(q, ell)
+    mod = q.p ** -(-bound // q.e)
+    key = tuple(c % mod for c in gamma.int_coords())
+    got = q._depths.get(key)
+    if got is not None:
+        return got
+    for m in range(bound, 0, -1):
         if is_power_class(gamma, q.power(m), ell, ceilings):
+            q._depths[key] = m
             return m
     raise ArithmeticError(f"no congruence depth at {q!r}; residue logic broken")
 

@@ -12,10 +12,11 @@ from nfk import ideals
 from nfk.class_unit import compute_unit_group
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, NotASquareError, NotPrincipalError, RankError
-from nfk.exact_math import IntMatrix, hnf_square
+from nfk.exact_math import IntMatrix, factor_mod_p, hnf_square
 from nfk.ideals import (
     FactoredIdeal,
     Ideal,
+    PrimeIdeal,
     canonical_generator,
     decompose_parts,
     factor_ideal,
@@ -162,6 +163,40 @@ def test_prime_pool_pruning_keeps_contents_and_order(coeffs, ell):
         want = [(q.p, q.gpoly.coeffs) for q in unpruned if q.norm <= bound]
         got = [(q.p, q.gpoly.coeffs) for q in primes_of_norm_up_to(K, bound)]
         assert got == want, bound
+
+
+_QUADRATIC_SPLITTING_FIELDS = [
+    pytest.param([1, 0, 1], 2, id="qi"),
+    pytest.param([5, 0, 1], 2, id="qm5"),
+    pytest.param([1, 1, 1], 3, id="zeta3"),
+    pytest.param([-2, 0, 1], 2, id="qs2"),
+    pytest.param([6, 1, 1], 2, id="qm23"),  # h = 3
+    pytest.param([7, 3, 1], 2, id="x2_3x_7"),
+]
+
+
+@pytest.mark.parametrize("coeffs, ell", _QUADRATIC_SPLITTING_FIELDS)
+def test_quadratic_split_matches_zassenhaus(coeffs, ell, monkeypatch):
+    # split_prime settles odd unramified p in degree 2 by Euler's criterion
+    # and a square root mod p; factor_mod_p (Zassenhaus) is the oracle
+    calls = []
+
+    def counted(f, p):
+        calls.append(p)
+        return factor_mod_p(f, p)
+
+    def shape(q):
+        return (q.gpoly, q.e, q.index, q.ambiguous, q.label(), q.ideal.hnf)
+
+    monkeypatch.setattr(ideals, "factor_mod_p", counted)
+    K = build_field(coeffs, ell=ell)
+    for p in primerange(3, 5000):
+        want = [PrimeIdeal(K, p, g, e, idx) for idx, (g, e) in enumerate(factor_mod_p(K.poly, p))]
+        for q in want:
+            q.ambiguous = len(want) == 2  # two primes over p share (f, e) = (1, 1)
+        calls.clear()
+        assert [shape(q) for q in split_prime(K, p)] == [shape(q) for q in want], p
+        assert calls == ([p] if K.disc % p == 0 else []), p
 
 
 def test_prime_power_valuations(field_qi):

@@ -2,19 +2,22 @@
 isomorphism testing, and the parameter-cell enumeration with its census oracles."""
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from nfk import ideals, kummer
+from nfk.abelian_groups import is_power_class
 from nfk.class_unit import (
     compute_class_group,
     compute_unit_group,
     unit_coset_coords,
     unit_coset_reps,
 )
-from nfk.errors import DegenerateExtensionError, MissingRootOfUnityError
+from nfk.config import Ceilings
+from nfk.errors import CeilingError, DegenerateExtensionError, MissingRootOfUnityError
 from nfk.ideals import FactoredIdeal, factor_ideal, ideal_from_element, split_prime
 from nfk.kummer import (
     ExtensionRecord,
@@ -31,6 +34,7 @@ from nfk.kummer import (
     trace_form_discriminant,
     verify_trace_determinant,
 )
+from nfk.number_field import build_field
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,68 @@ def test_discriminants_over_zeta3(field_zeta3):
     delta, lpart, fpart = relative_discriminant(d)
     assert int(lpart.norm()) == 1
     assert int(delta.norm()) == 10000  # ((2)(5))^2, norms 4^2 * 25^2
+
+
+_DEPTH_FIELDS = [
+    pytest.param([0, 1], 2, id="q"),
+    pytest.param([1, 0, 1], 2, id="qi"),
+    pytest.param([5, 0, 1], 2, id="qm5"),
+    pytest.param([-9, -1, 0, 1], 2, id="cubic9"),
+    pytest.param([1, 1, 1], 3, id="zeta3"),
+]
+
+
+def _walked_depth(gamma, q, ell):
+    # the unmemoized walk: the first m <= B, from the top, with gamma an
+    # ell-th power mod q^m
+    for m in range(kummer.wild_saturation_depth(q, ell), 0, -1):
+        if is_power_class(gamma, q.power(m), ell):
+            return m
+
+
+@pytest.mark.parametrize("coeffs, ell", _DEPTH_FIELDS)
+def test_congruence_depth_memo_matches_walk(coeffs, ell, monkeypatch):
+    # the memo keys gamma by its coordinates mod p^k, k = ceil(B/e); a lift
+    # r + p^k v must hit the entry of r, with no power-class test, and
+    # still agree with the walk
+    tests = []
+
+    def counted(*args):
+        tests.append(args)
+        return is_power_class(*args)
+
+    monkeypatch.setattr(kummer, "is_power_class", counted)
+    K = build_field(coeffs, ell=ell)
+    rng = random.Random(ell * 1000 + len(coeffs))
+    for q in split_prime(K, ell):
+        mod = q.p ** -(-kummer.wild_saturation_depth(q, ell) // q.e)
+        # every unit residue: at most 9^2 = 81 here
+        residues = [
+            r
+            for r in itertools.product(range(mod), repeat=K.degree)
+            if any(q.ideal.reduce(list(r)))
+        ]
+        for r in residues:
+            gamma = K.element(list(r))
+            lift = K.element([c + mod * rng.randint(-3, 3) for c in r])
+            tests.clear()
+            cold = kummer._congruence_depth(gamma, q, ell, None)
+            assert tests and cold == _walked_depth(gamma, q, ell), (q, r)
+            tests.clear()
+            assert kummer._congruence_depth(lift, q, ell, None) == cold, (q, r)
+            assert not tests, (q, r)
+            assert _walked_depth(lift, q, ell) == cold, (q, r)
+        assert len(q._depths) == len(residues)
+
+
+def test_congruence_depth_miss_under_ceiling_stores_nothing():
+    K = build_field([1, 0, 1], ell=2)
+    (q,) = split_prime(K, 2)
+    with pytest.raises(CeilingError):
+        kummer._congruence_depth(K.one, q, 2, Ceilings(residue_ring=1))
+    assert q._depths == {}
+    assert kummer._congruence_depth(K.one, q, 2, None) == kummer.wild_saturation_depth(q, 2)
+    assert q._depths == {(1, 0): kummer.wild_saturation_depth(q, 2)}
 
 
 # ---------------------------------------------------------------------------
