@@ -5,11 +5,12 @@ the primes into equivalence classes with principality tests, close the
 class list under multiplication, and hand the times table to the abelian
 engine.  Unit group: the roots of unity are the field's own
 (NumberField.torsion, the one roots-of-unity search); fundamental units
-come from a height-increasing sweep that also mines ratios of elements
-generating equal ideals, followed by exact Euclidean reduction in log
-space.  The reduction is exact on the units found; that the result is a
-*fundamental* system is certified downstream by the analytic class number
-formula cross-check, as advertised.
+come from the short vectors (NumberField.short_vectors) of balls of
+growing T2 radius, units themselves and ratios of elements generating
+equal ideals, followed by exact Euclidean reduction in log space.  The
+reduction is exact on the units found; that the result is a *fundamental*
+system is certified downstream by the analytic class number formula
+cross-check, as advertised.
 """
 
 from __future__ import annotations
@@ -86,20 +87,9 @@ def _log_vector(K: NumberField, u: AlgebraicNumber, prec: int = 120) -> list:
         return out
 
 
-def _all_points(n: int, h: int):
-    if n == 0:
-        yield []
-        return
-    for first in range(-h, h + 1):
-        for rest in _all_points(n - 1, h):
-            yield [first] + rest
-
-
-def _shell_points(n: int, h: int):
-    """All vectors with max|coord| = h (complete shell, no duplicates)."""
-    for v in _all_points(n, h):
-        if max(abs(c) for c in v) == h:
-            yield v
+def _det2(v1, v2):
+    """Determinant of the first two coordinates of two log vectors."""
+    return v1[0] * v2[1] - v1[1] * v2[0]
 
 
 def _euclid_reduce_rank_one(K: NumberField, pool: list[AlgebraicNumber]) -> AlgebraicNumber:
@@ -110,8 +100,6 @@ def _euclid_reduce_rank_one(K: NumberField, pool: list[AlgebraicNumber]) -> Alge
 
     g = None
     for v in pool:
-        if K.element_order(v, cap=64) is not None:
-            continue
         if g is None:
             g = v
             continue
@@ -135,22 +123,17 @@ def _euclid_reduce_rank_one(K: NumberField, pool: list[AlgebraicNumber]) -> Alge
 def _gauss_reduce_rank_two(
     K: NumberField, pool: list[AlgebraicNumber]
 ) -> list[AlgebraicNumber]:
-    """Reduce a pool of units (log rank 2) to a short basis; exact unit arithmetic."""
+    """Reduce a pool of units of infinite order (log rank 2) to a short basis;
+    exact unit arithmetic."""
 
     def lv(u):
-        v = _log_vector(K, u)
-        return (v[0], v[1])
+        return _log_vector(K, u)[:2]
 
-    def det2(u1, u2):
-        a, b = lv(u1), lv(u2)
-        return a[0] * b[1] - a[1] * b[0]
-
-    nontors = [v for v in pool if K.element_order(v, cap=64) is None]
     basis = None
-    for i in range(len(nontors)):
-        for j in range(i + 1, len(nontors)):
-            if abs(det2(nontors[i], nontors[j])) > mpmath.mpf("1e-8"):
-                basis = [nontors[i], nontors[j]]
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            if abs(_det2(lv(pool[i]), lv(pool[j]))) > mpmath.mpf("1e-8"):
+                basis = [pool[i], pool[j]]
                 break
         if basis:
             break
@@ -172,10 +155,10 @@ def _gauss_reduce_rank_two(
         raise ArithmeticError("Gauss reduction did not converge")
 
     basis = pair_reduce(*basis)
-    for v in nontors:
+    for v in pool:
         for _ in range(64):
             v1, v2 = lv(basis[0]), lv(basis[1])
-            d = v1[0] * v2[1] - v1[1] * v2[0]
+            d = _det2(v1, v2)
             w = lv(v)
             a = int(mpmath.nint((w[0] * v2[1] - w[1] * v2[0]) / d))
             b = int(mpmath.nint((v1[0] * w[1] - v1[1] * w[0]) / d))
@@ -187,7 +170,7 @@ def _gauss_reduce_rank_two(
             best = None
             for i in range(3):
                 for j in range(i + 1, 3):
-                    dd = abs(det2(cands[i], cands[j]))
+                    dd = abs(_det2(lv(cands[i]), lv(cands[j])))
                     if dd > mpmath.mpf("1e-8") and (best is None or dd < best[0]):
                         best = (dd, [cands[i], cands[j]])
             basis = pair_reduce(*best[1])
@@ -247,34 +230,43 @@ def compute_unit_group(K: NumberField, ceilings: Ceilings | None = None) -> Unit
 
 
 def _unit_search_pool(K: NumberField, rank: int, ceilings: Ceilings) -> list[AlgebraicNumber]:
-    """Height-increasing sweep collecting units directly and via equal-ideal ratios."""
+    """Units of infinite order from balls of growing T2 radius.
+
+    NumberField.short_vectors enumerates each ball on the power basis,
+    from T2 <= n, each ball with twice the volume of the last, up to
+    T2 <= n unit_height^2.  A point already inside the previous ball is
+    skipped, so each point is handled once: a point of norm +-1 is a unit,
+    and a point of norm up to 4^n that generates the same ideal as an
+    earlier one gives their ratio.  The search stops after the first ball
+    whose units have log rank `rank`.
+    """
     n = K.degree
+    power_basis = [K.theta_power(k) for k in range(n)]
+    w = K.torsion()[1]
     buckets: dict = {}
     pool: list[AlgebraicNumber] = []
 
-    def log_rank(units) -> int:
-        nontors = [u for u in units if K.element_order(u, cap=64) is None]
-        if not nontors:
-            return 0
-        if rank == 1:
-            return 1
-        for i in range(len(nontors)):
-            for j in range(i + 1, len(nontors)):
-                v1 = _log_vector(K, nontors[i])
-                v2 = _log_vector(K, nontors[j])
-                if abs(v1[0] * v2[1] - v1[1] * v2[0]) > mpmath.mpf("1e-8"):
-                    return 2
-        return 1
+    def keep(u: AlgebraicNumber) -> None:
+        if not (u**w).is_one():
+            pool.append(u)
+
+    def log_rank() -> int:
+        logs = [_log_vector(K, u) for u in pool] if rank == 2 else []
+        pairs = ((v1, v2) for i, v1 in enumerate(logs) for v2 in logs[i + 1:])
+        return 2 if any(abs(_det2(*p)) > mpmath.mpf("1e-8") for p in pairs) else min(len(pool), 1)
 
     ratio_norm_bound = 4**n
-    for h in range(1, ceilings.unit_height + 1):
-        for coords in _shell_points(n, h):
+    cap = n * ceilings.unit_height**2
+    inner, radius = 0.0, float(n)
+    while True:
+        for coords in K.short_vectors(power_basis, radius):
+            if K.t2(coords) <= inner:
+                continue
+            anx = abs(K.norm_int(coords))
             x = K.element(coords)
-            nx = x.norm()
-            anx = abs(nx)
             if anx == 1:
-                pool.append(x)
-            elif 1 < anx <= ratio_norm_bound:
+                keep(x)
+            elif anx <= ratio_norm_bound:
                 key = ideal_from_element(x).hnf
                 prev = buckets.get(key)
                 if prev is None:
@@ -282,15 +274,13 @@ def _unit_search_pool(K: NumberField, rank: int, ceilings: Ceilings) -> list[Alg
                 else:
                     ratio = x / prev
                     if ratio.is_integral() and abs(ratio.norm()) == 1:
-                        if K.element_order(ratio, cap=64) is None:
-                            pool.append(ratio)
-        if log_rank(pool) >= rank:
+                        keep(ratio)
+        if log_rank() >= rank:
             return pool
-    raise CeilingError(
-        f"unit search exhausted height {ceilings.unit_height} at rank "
-        f"{log_rank(pool)} < {rank}",
-        ceilings.unit_height,
-    )
+        if radius >= cap:
+            h = ceilings.unit_height
+            raise CeilingError(f"unit search exhausted height {h} at rank {log_rank()} < {rank}", h)
+        inner, radius = radius, min(radius * 4 ** (1 / n), cap)
 
 
 def _regulator(K: NumberField, fundamental: list[AlgebraicNumber]):

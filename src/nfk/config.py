@@ -17,7 +17,7 @@ from dataclasses import dataclass
 DEFAULT_RESIDUE_RING = 10**6     # max N(m) for (O_K/m)^* censuses
 DEFAULT_SEARCH_POINTS = 10**7    # max lattice points per generator search
 DEFAULT_TUPLE_CENSUS = 10**7     # max tuples in product-distribution tallies
-DEFAULT_UNIT_HEIGHT = 4096       # max coordinate height in unit searches
+DEFAULT_UNIT_HEIGHT = 4096       # max rms |sigma| in unit searches: T2 <= n * height^2
 
 
 @dataclass(frozen=True)

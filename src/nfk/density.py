@@ -145,7 +145,11 @@ class DensityReport:
     identity_expected: Fraction | None
 
     def rho_by_norm(self) -> dict[int, Fraction]:
-        return {n: r for _, n, r in self.rows}
+        """Total rho over the rows of each norm N(Q)."""
+        out: dict[int, Fraction] = {}
+        for _, n, r in self.rows:
+            out[n] = out.get(n, 0) + r
+        return out
 
 
 def density_report(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from sympy import ZZ, sieve
+from sympy import ZZ, Poly, Symbol, sieve
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from .errors import FieldConstructionError
@@ -345,12 +345,13 @@ def has_rational_root(f: IntPolynomial) -> bool:
 
 
 def irreducibility_certificate(f: IntPolynomial, prime_bound: int = 1000) -> int:
-    """Certify f monic irreducible over Q; return the certifying prime (0 if none needed).
+    """Certify f monic irreducible over Q; return the certifying prime (0 if none).
 
     Degree <= 3 is settled by rational-root exclusion alone.  Higher degrees
-    additionally need irreducibility mod some prime p not dividing disc(f)
-    with p < prime_bound; if no such certificate exists the polynomial is
-    rejected (raises), per the desk-scale build contract.
+    try irreducibility mod a prime p not dividing disc(f) with p <
+    prime_bound first.  When no prime certifies f, sympy's exact
+    factorization over Z decides: an irreducible quartic with Galois group
+    V4, such as x^4 - x^2 + 1, is reducible mod every prime.
     """
     if not f.is_monic():
         raise FieldConstructionError("defining polynomial must be monic")
@@ -368,9 +369,9 @@ def irreducibility_certificate(f: IntPolynomial, prime_bound: int = 1000) -> int
             continue
         if gf_irreducible_p([c % p for c in f.descending()], p, ZZ):
             return p
-    raise FieldConstructionError(
-        f"no irreducibility certificate for {f!r} below prime bound {prime_bound}"
-    )
+    if Poly(f.descending(), Symbol("x")).is_irreducible:
+        return 0
+    raise FieldConstructionError(f"{f!r} is reducible over Q")
 
 
 def factor_mod_p(f: IntPolynomial, p: int) -> list[tuple[IntPolynomial, int]]:

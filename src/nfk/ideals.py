@@ -10,9 +10,10 @@ integer denominator.
 
 Generator searches (principality tests) enumerate lattice elements of the
 correct norm exactly: closed-form in degree 1, a positive-definite binary
-form solve for imaginary quadratics, and otherwise a Fincke-Pohst
-enumeration, on an LLL-reduced basis of the ideal, of an ellipsoid that
-holds a unit multiple of every generator.  The canonical generator — the
+form solve for imaginary quadratics, and otherwise the field's
+short-vector enumeration (NumberField.short_vectors, Fincke-Pohst on an
+LLL-reduced basis of the ideal) of an ellipsoid that holds a unit
+multiple of every generator.  The canonical generator — the
 F-map used throughout the Kummer layer — is the match minimizing the
 largest embedding magnitude, ties broken by smallest coordinate key (|c|
 before sign, so 2 beats -2).  In imaginary quadratic fields every match
@@ -555,161 +556,20 @@ def _imag_quadratic_norm_matches(a: Ideal, target: int, ceilings: Ceilings) -> l
     return out
 
 
-def _box_norm_matches(
-    a: Ideal,
-    target: int,
-    units: Sequence[AlgebraicNumber],
-    ceilings: Ceilings,
-) -> list[list[int]]:
-    """All x in the ideal with |N(x)| = target, found by a bounded coordinate box.
-
-    Test oracle only: norm_matches uses _lattice_norm_matches, which covers
-    the same generators with far fewer points.  The box covers a fundamental
-    domain of the unit action on the norm-target surface: any generator can
-    be unit-shifted until each |log sigma_i| stays within half the total
-    log-spread of the fundamental units, so a complete scan of that box
-    decides principality.
-    """
-    K = a.field
-    n = K.degree
-    rank = K.r1 + K.r2 - 1
-    if len(units) < rank:
-        raise RankError(f"box search needs {rank} fundamental units, got {len(units)}")
-    rts = K.roots(200)
-    with mpmath.workprec(120):
-        spread = [mpmath.mpf(0)] * (K.r1 + K.r2)
-        for u in units:
-            vals = K.embeddings(u, 80)
-            for i, v in enumerate(vals):
-                spread[i] += abs(mpmath.log(abs(v))) / 2
-        nth = mpmath.mpf(target) ** (mpmath.mpf(1) / n)
-        # one uniform bound M: the unit-balanced generator has every
-        # |sigma_i| <= N^(1/n) exp(spread_i) <= M, so the max-|sigma|
-        # minimizers all satisfy max |sigma| <= M and the box is complete
-        # for them (per-coordinate bounds would not guarantee that).
-        emb_bound = nth * mpmath.exp(max(spread)) * mpmath.mpf("1.0001") + mpmath.mpf("1e-9")
-        # real n x n embedding matrix of the ideal basis (complex rows split)
-        rows = []
-        for i, rho in enumerate(rts):
-            vals = [
-                sum(mpmath.mpf(c) * rho**k for k, c in enumerate(col)) for col in a.hnf.columns()
-            ]
-            if i < K.r1:
-                rows.append([mpmath.mpf(v) for v in vals])
-            else:
-                rows.append([mpmath.mpc(v).real for v in vals])
-                rows.append([mpmath.mpc(v).imag for v in vals])
-        inv = mpmath.inverse(mpmath.matrix(rows))
-        tbound = []
-        for j in range(n):
-            s = sum(abs(inv[j, k]) * emb_bound for k in range(n))
-            tbound.append(int(mpmath.floor(s)) + 1)
-    points = 1
-    for tb in tbound:
-        points *= 2 * tb + 1
-    if points > ceilings.search_points:
-        raise CeilingError(f"generator search box of {points} points", ceilings.search_points)
-    cols = [a.hnf.column(j) for j in range(n)]
-    out = []
-    idx = [-tb for tb in tbound]
-    norm_int = K.norm_int
-    while True:
-        coords = [sum(idx[j] * cols[j][i] for j in range(n)) for i in range(n)]
-        if any(coords):
-            if abs(norm_int(coords)) == target:
-                out.append(coords)
-        i = 0
-        while i < n:
-            idx[i] += 1
-            if idx[i] <= tbound[i]:
-                break
-            idx[i] = -tbound[i]
-            i += 1
-        if i == n:
-            return out
-
-
-def _search_constants(K: NumberField, units: Sequence[AlgebraicNumber]) -> tuple[list, mpmath.mpf]:
-    """(rows, scale) for _lattice_norm_matches, cached on the field per units tuple.
-
-    rows is the real n x n embedding matrix of the power basis as floats:
-    one row per real place, and sqrt(2) Re, sqrt(2) Im rows per complex
-    place, so that |rows . x|^2 = sum over all n embeddings of |sigma(x)|^2.
-    scale is e^(max spread) * 1.0001, the unit-balance factor of the box
-    bound in _box_norm_matches.
-    """
+def _search_constants(K: NumberField, units: Sequence[AlgebraicNumber]) -> mpmath.mpf:
+    """The unit-balance scale e^(max spread) * 1.0001 of _lattice_norm_matches,
+    cached on the field per units tuple."""
     key = tuple(u.coords for u in units)
-    got = K._generator_search_cache.get(key)
-    if got is not None:
-        return got
-    rts = K.roots(200)
-    with mpmath.workprec(120):
-        spread = [mpmath.mpf(0)] * (K.r1 + K.r2)
-        for u in units:
-            for i, v in enumerate(K.embeddings(u, 80)):
-                spread[i] += abs(mpmath.log(abs(v))) / 2
-        scale = mpmath.exp(max(spread)) * mpmath.mpf("1.0001")
-        sqrt2 = mpmath.sqrt(2)
-        rows = []
-        for i, rho in enumerate(rts):
-            powers = [rho**k for k in range(K.degree)]
-            if i < K.r1:
-                rows.append([float(mpmath.re(p)) for p in powers])
-            else:
-                rows.append([float(sqrt2 * mpmath.re(p)) for p in powers])
-                rows.append([float(sqrt2 * mpmath.im(p)) for p in powers])
-    got = (rows, scale)
-    K._generator_search_cache[key] = got
-    return got
-
-
-def _gram_schmidt(vecs: list[list[float]]) -> tuple[list[list[float]], list[float]]:
-    """mu coefficients and squared lengths of the Gram-Schmidt vectors."""
-    n = len(vecs)
-    mu = [[0.0] * n for _ in range(n)]
-    stars: list[list[float]] = []
-    sq: list[float] = []
-    for i, v in enumerate(vecs):
-        w = list(v)
-        for j in range(i):
-            mu[i][j] = sum(x * y for x, y in zip(v, stars[j])) / sq[j]
-            w = [x - mu[i][j] * y for x, y in zip(w, stars[j])]
-        stars.append(w)
-        sq.append(sum(x * x for x in w))
-    return mu, sq
-
-
-def _lll_reduce(cols: list[list[int]], embed) -> tuple[list[list[int]], list[list[int]]]:
-    """LLL reduction (delta = 0.99) of integer columns under a real embedding.
-
-    Returns (reduced, transform) with reduced[j] = sum_i transform[j][i] * cols[i]
-    exactly; transform is unimodular.  The floats only steer the reduction:
-    every vector is re-embedded from its exact integer coordinates.
-    """
-    n = len(cols)
-    basis = [list(c) for c in cols]
-    transform = [[int(i == j) for i in range(n)] for j in range(n)]
-    vecs = [embed(c) for c in basis]
-    mu, sq = _gram_schmidt(vecs)
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                transform[k] = [x - q * y for x, y in zip(transform[k], transform[j])]
-                vecs[k] = embed(basis[k])
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if sq[k] >= (0.99 - mu[k][k - 1] ** 2) * sq[k - 1]:
-            k += 1
-        else:
-            for lst in (basis, transform, vecs):
-                lst[k - 1], lst[k] = lst[k], lst[k - 1]
-            mu, sq = _gram_schmidt(vecs)
-            k = max(k - 1, 1)
-    return basis, transform
+    scale = K._generator_search_cache.get(key)
+    if scale is None:
+        with mpmath.workprec(120):
+            spread = [mpmath.mpf(0)] * (K.r1 + K.r2)
+            for u in units:
+                for i, v in enumerate(K.embeddings(u, 80)):
+                    spread[i] += abs(mpmath.log(abs(v))) / 2
+            scale = mpmath.exp(max(spread)) * mpmath.mpf("1.0001")
+        K._generator_search_cache[key] = scale
+    return scale
 
 
 def _lattice_norm_matches(
@@ -718,65 +578,33 @@ def _lattice_norm_matches(
     units: Sequence[AlgebraicNumber],
     ceilings: Ceilings,
 ) -> list[list[int]]:
-    """All x in the ideal with |N(x)| = target and sum |sigma(x)|^2 <= n M^2.
+    """All x in the ideal with |N(x)| = target and T2(x) <= n M^2.
 
-    M = N^(1/n) e^(max spread) * 1.0001 is the box bound of _box_norm_matches:
-    every generator has a unit multiple with max |sigma| <= M, and the
-    ellipsoid sum over the n embeddings of |sigma(x)|^2 <= n M^2 contains
-    that region.  So the matches decide principality and include every
-    max-|sigma| minimizer.  Fincke-Pohst enumerates the ellipsoid on an
-    LLL-reduced basis of the ideal; the floats only place it, with the
-    radius widened by a relative 1e-6, and exact norm_int accepts each
-    point.  Every enumerated point counts against ceilings.search_points.
-    Matches come in the order of the box scan (HNF coordinates, the last
-    varying slowest), independent of the reduced basis.
+    M = N^(1/n) e^(max spread) * 1.0001, with the spread summed over the
+    fundamental units' log embeddings: every generator has a unit multiple
+    with max |sigma| <= M, and the ellipsoid T2(x) = sum over the n
+    embeddings of |sigma(x)|^2 <= n M^2 contains that region.  So the
+    matches decide principality and include every max-|sigma| minimizer.
+    NumberField.short_vectors enumerates the ellipsoid on the ideal's HNF
+    columns, every point counting against ceilings.search_points, and exact
+    norm_int accepts each point.  Matches come in the order of a box scan
+    (HNF coordinates, the last varying slowest), independent of the reduced
+    basis: the HNF is upper triangular with positive pivots, so that order
+    is the order of the reversed power-basis coordinates.
     """
     K = a.field
     n = K.degree
     rank = K.r1 + K.r2 - 1
     if len(units) < rank:
         raise RankError(f"generator search needs {rank} fundamental units, got {len(units)}")
-    rows, scale = _search_constants(K, units)
+    scale = _search_constants(K, units)
     with mpmath.workprec(80):
         bound = mpmath.mpf(target) ** (mpmath.mpf(1) / n) * scale + mpmath.mpf("1e-9")
-        radius = float(n * bound * bound) * (1 + 1e-6)
-
-    def embed(coords):
-        return [sum(r * c for r, c in zip(row, coords)) for row in rows]
-
-    basis, transform = _lll_reduce(list(a.hnf.columns()), embed)
-    mu, sq = _gram_schmidt([embed(b) for b in basis])
+        radius = float(n * bound * bound)
     norm_int = K.norm_int
-    limit = ceilings.search_points
-    xs = [0] * n
-    points = 0
-    found = []
-
-    # x = sum_j xs[j] basis[j] has squared length
-    # sum_j sq[j] (xs[j] + sum_{i>j} mu[i][j] xs[i])^2; fix xs[n-1], ..., xs[0]
-    # in turn, each within the interval its remaining radius allows.
-    # `partial` holds the power-basis coordinates of sum_{i>j} xs[i] basis[i].
-    def descend(j: int, used: float, partial: list[int]) -> None:
-        nonlocal points
-        c = sum(mu[i][j] * xs[i] for i in range(j + 1, n))
-        half = math.sqrt(max(radius - used, 0.0) / sq[j])
-        for x in range(math.ceil(-c - half), math.floor(-c + half) + 1):
-            xs[j] = x
-            coords = [p + x * b for p, b in zip(partial, basis[j])]
-            if j:
-                descend(j - 1, used + sq[j] * (x + c) ** 2, coords)
-                continue
-            points += 1
-            if points > limit:
-                raise CeilingError(f"generator search past {limit} lattice points", limit)
-            if any(coords) and abs(norm_int(coords)) == target:
-                hnf_coords = [sum(xs[k] * transform[k][i] for k in range(n)) for i in range(n)]
-                found.append((hnf_coords[::-1], coords))
-        xs[j] = 0
-
-    descend(n - 1, 0.0, [0] * n)
-    found.sort()
-    return [coords for _, coords in found]
+    points = K.short_vectors(a.hnf.columns(), radius, ceilings.search_points)
+    found = [coords for coords in points if abs(norm_int(coords)) == target]
+    return sorted(found, key=lambda coords: coords[::-1])
 
 
 def norm_matches(

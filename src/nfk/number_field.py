@@ -4,25 +4,29 @@ Only monogenic fields are supported: build_field runs the Dedekind
 criterion at every prime whose square divides disc(f) and rejects the
 polynomial otherwise.  All element arithmetic is exact (ints/Fractions
 over the power basis 1, theta, ..., theta^(n-1)); floats appear only in
-the embedding routines, which carry explicit working precision.
+the embedding routines, which carry explicit working precision, and in
+placing the ellipsoids of short_vectors.
 
-The roots of unity are found once per field, by NumberField.torsion: an
-exact search of the box that the embeddings bound.  zeta_ell lies in K
-exactly when ell divides their number w, which is all contains_zeta and
-the unit group (class_unit) read.
+NumberField.short_vectors is the package's one lattice-point enumerator:
+Fincke-Pohst on an LLL-reduced basis, for the points with
+T2(x) = sum |sigma(x)|^2 at most a radius.  It has three callers: torsion
+(T2 <= n on the power basis), the unit search (class_unit) and the
+generator searches (ideals).  The roots of unity are found once per
+field; zeta_ell lies in K exactly when ell divides their number w, which
+is all contains_zeta and the unit group read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import mpmath
 from sympy import ZZ, factorint, isprime
 from sympy.polys.galoistools import gf_gcd
 
-from .errors import FieldConstructionError, MissingRootOfUnityError
+from .errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from .exact_math import (
     IntPolynomial,
     count_real_roots,
@@ -180,6 +184,53 @@ def _solve_fraction(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return [a[i][n] for i in range(n)]
 
 
+def _gram_schmidt(vecs: list[list[float]]) -> tuple[list[list[float]], list[float]]:
+    """mu coefficients and squared lengths of the Gram-Schmidt vectors."""
+    n = len(vecs)
+    mu = [[0.0] * n for _ in range(n)]
+    stars: list[list[float]] = []
+    sq: list[float] = []
+    for i, v in enumerate(vecs):
+        w = list(v)
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(v, stars[j])) / sq[j]
+            w = [x - mu[i][j] * y for x, y in zip(w, stars[j])]
+        stars.append(w)
+        sq.append(sum(x * x for x in w))
+    return mu, sq
+
+
+def _lll_reduce(cols: list[list[int]], embed) -> list[list[int]]:
+    """LLL reduction (delta = 0.99) of integer columns under a real embedding.
+
+    The reduced columns span the same lattice, exactly: the floats only
+    steer the reduction, and every vector is re-embedded from its exact
+    integer coordinates.
+    """
+    n = len(cols)
+    basis = [list(c) for c in cols]
+    vecs = [embed(c) for c in basis]
+    mu, sq = _gram_schmidt(vecs)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                vecs[k] = embed(basis[k])
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if sq[k] >= (0.99 - mu[k][k - 1] ** 2) * sq[k - 1]:
+            k += 1
+        else:
+            for lst in (basis, vecs):
+                lst[k - 1], lst[k] = lst[k], lst[k - 1]
+            mu, sq = _gram_schmidt(vecs)
+            k = max(k - 1, 1)
+    return basis
+
+
 class NumberField:
     """K = Q[x]/(f) with ring of integers Z[theta]; theta = class of x."""
 
@@ -200,8 +251,8 @@ class NumberField:
         self._roots_cache: tuple[int, list] | None = None
         self._torsion: tuple[AlgebraicNumber, int] | None = None  # torsion()
         self._norm_form: dict[tuple[int, ...], int] | None = None
-        # float embedding rows and unit-balance scale per units tuple (ideals.py)
-        self._generator_search_cache: dict[tuple, tuple] = {}
+        self._t2_rows: list[list[float]] | None = None  # _embed()
+        self._generator_search_cache: dict[tuple, object] = {}  # units -> scale (ideals.py)
         self._prime_cache: dict[int, list] = {}  # p -> split_prime(K, p) (ideals.py)
         self._zeta_constants_cache: dict[tuple[int, int], object] = {}  # (ell, bound) (density.py)
         self._unit_group = None  # compute_unit_group (class_unit.py)
@@ -362,57 +413,100 @@ class NumberField:
         sqrt_up = Fraction(math.isqrt(scaled) + 1, 10**6)
         return base * four_over_pi**self.r2 * sqrt_up
 
+    # -- short lattice vectors -------------------------------------------------
+
+    def _embed(self, coords: Sequence) -> list[float]:
+        """x as a real n-vector of floats whose squared length is T2(x).
+
+        One entry per real place, and sqrt(2) Re, sqrt(2) Im per complex
+        place.  The matrix of the power basis is cached on the field.
+        """
+        if self._t2_rows is None:
+            rts = self.roots(200)
+            rows = []
+            with mpmath.workprec(120):
+                for i, rho in enumerate(rts):
+                    powers = [rho**k for k in range(self.degree)]
+                    real = i < self.r1
+                    scale = 1 if real else mpmath.sqrt(2)
+                    for part in (mpmath.re,) if real else (mpmath.re, mpmath.im):
+                        rows.append([float(scale * part(p)) for p in powers])
+            self._t2_rows = rows
+        return [sum(r * c for r, c in zip(row, coords)) for row in self._t2_rows]
+
+    def t2(self, coords: Sequence) -> float:
+        """T2(x) = sum over the n embeddings of |sigma(x)|^2, in floats."""
+        return sum(v * v for v in self._embed(coords))
+
+    def short_vectors(
+        self, cols: Iterable[Sequence[int]], radius: float, limit: int | None = None
+    ) -> Iterator[list[int]]:
+        """Every nonzero x in the lattice spanned by cols with T2(x) <= radius.
+
+        Fincke-Pohst enumeration (Cohen, GTM 138, 2.7.3) on an LLL-reduced
+        basis; yields power-basis coordinates.  The floats only place the
+        ellipsoid, with the radius widened by a relative 1e-6; the
+        coordinates are exact.  Every lattice point visited, the origin
+        included, counts against limit, and one past it raises CeilingError.
+        """
+        basis = _lll_reduce([list(c) for c in cols], self._embed)
+        n = len(basis)
+        mu, sq = _gram_schmidt([self._embed(b) for b in basis])
+        radius *= 1 + 1e-6
+        limit = math.inf if limit is None else limit
+        xs = [0] * n
+        points = 0
+
+        # x = sum_j xs[j] basis[j] has T2(x) =
+        # sum_j sq[j] (xs[j] + sum_{i>j} mu[i][j] xs[i])^2; fix xs[n-1], ..., xs[0]
+        # in turn, each within the interval its remaining radius allows.
+        # `partial` holds the power-basis coordinates of sum_{i>j} xs[i] basis[i].
+        def descend(j: int, used: float, partial: list[int]):
+            nonlocal points
+            c = sum(mu[i][j] * xs[i] for i in range(j + 1, n))
+            half = math.sqrt(max(radius - used, 0.0) / sq[j])
+            row = range(math.ceil(-c - half), math.floor(-c + half) + 1)
+            if j:
+                for x in row:
+                    xs[j] = x
+                    coords = [p + x * b for p, b in zip(partial, basis[j])]
+                    yield from descend(j - 1, used + sq[j] * (x + c) ** 2, coords)
+                xs[j] = 0
+                return
+            points += len(row)
+            if points > limit:
+                raise CeilingError(f"short-vector search past {limit} lattice points", limit)
+            for x in row:
+                coords = [p + x * b for p, b in zip(partial, basis[0])]
+                if any(coords):
+                    yield coords
+
+        yield from descend(n - 1, 0.0, [0] * self.degree)
+
     # -- roots of unity -------------------------------------------------------
 
     def torsion(self) -> tuple[AlgebraicNumber, int]:
         """(zeta, w): a generator of the roots of unity in K and their number.
 
-        A root of unity has every embedding on the unit circle, so its
-        coordinates lie in the box bounded by the row sums of the inverse
-        embedding matrix; every nonzero point there of norm +-1 and finite
-        order is one.  zeta is the root of largest order, ties broken by
+        A root of unity has every |sigma| = 1, so T2 = n.  A nonzero
+        integral x with T2(x) <= n has |N(x)|^(2/n) <= T2(x)/n <= 1 by
+        AM-GM, so it is a unit, and it is a root of unity exactly when its
+        order is finite.  zeta is the root of largest order, ties broken by
         largest int_coords.  Cached on the field.
         """
-        if self._torsion is not None:
-            return self._torsion
-        n = self.degree
-        cap = 4 * n * n
-        rts = self.roots(200)
-        with mpmath.workprec(120):
-            rows = []
-            for i, rho in enumerate(rts):
-                vals = [rho**k for k in range(n)]
-                if i < self.r1:
-                    rows.append([mpmath.mpf(v) for v in vals])
-                else:
-                    rows.append([mpmath.mpc(v).real for v in vals])
-                    rows.append([mpmath.mpc(v).imag for v in vals])
-            inv = mpmath.inverse(mpmath.matrix(rows))
-            bound = []
-            for j in range(n):
-                s = sum(abs(inv[j, k]) for k in range(n)) * mpmath.mpf("1.001")
-                bound.append(int(mpmath.floor(s)) + 1)
-        found = []
-        idx = [-b for b in bound]
-        while True:
-            if any(idx):
-                x = self.element(list(idx))
-                order = self.element_order(x, cap) if abs(x.norm()) == 1 else None
+        if self._torsion is None:
+            n = self.degree
+            power_basis = [self.theta_power(k) for k in range(n)]
+            found = []
+            for coords in self.short_vectors(power_basis, n):
+                x = self.element(coords)
+                order = self.element_order(x, 4 * n * n)
                 if order is not None:
-                    found.append((order, list(idx), x))
-            i = 0
-            while i < n:
-                idx[i] += 1
-                if idx[i] <= bound[i]:
-                    break
-                idx[i] = -bound[i]
-                i += 1
-            if i == n:
-                break
-        w = len(found)
-        if w % 2:
-            raise ArithmeticError(f"odd torsion count {w}")
-        self._torsion = (max(found, key=lambda t: t[:2])[2], w)
+                    found.append((order, coords, x))
+            w = len(found)
+            if w % 2:
+                raise ArithmeticError(f"odd torsion count {w}")
+            self._torsion = (max(found, key=lambda t: t[:2])[2], w)
         return self._torsion
 
     def contains_zeta(self, ell: int) -> AlgebraicNumber | None:

@@ -79,6 +79,34 @@ def test_units_rank_two_smoke():
     assert 0.84 < float(u.regulator) < 0.86
 
 
+# (zeta.coords, w, [u.coords]) of the unit group, as the coordinate-box
+# searches for the roots of unity and the units found them
+_PINNED_UNITS = [
+    ([0, 1], (-1,), 2, []),
+    ([1, 0, 1], (0, 1), 4, []),  # Q(i)
+    ([5, 0, 1], (-1, 0), 2, []),  # Q(sqrt(-5))
+    ([-2, 0, 1], (-1, 0), 2, [(1, 1)]),  # Q(sqrt(2))
+    ([-7, 0, 1], (-1, 0), 2, [(8, 3)]),  # Q(sqrt(7))
+    ([1, 1, 1], (1, 1), 6, []),  # Q(zeta3)
+    ([-9, -1, 0, 1], (-1, 0, 0), 2, [(16, 9, 4)]),  # cubic-9
+    ([-1, -3, 0, 1], (-1, 0, 0), 2, [(1, 1, 0), (0, 1, 0)]),  # x^3 - 3x - 1
+    ([1, -2, -1, 1], (-1, 0, 0), 2, [(-1, 0, 1), (0, 1, 0)]),  # x^3 - x^2 - 2x + 1
+    ([1, 1, 1, 1, 1], (1, 1, 1, 1), 10, [(1, 0, 1, 0)]),  # Q(zeta5)
+    ([1, 0, -1, 0, 1], (0, 1, 0, 0), 12, [(-1, 1, 0, 0)]),  # Q(zeta12): no mod-p certificate
+    ([13, 0, 7, 0, 1], (4, 0, 1, 0), 6, [(7, -1, 2, 0)]),
+    ([21, 0, -9, 0, 1], (5, 0, -1, 0), 6, [(-2, 1, 0, 0)]),
+    ([1] * 7, (1,) * 6, 14, [(1, 0, 0, 1, 0, 0), (1, 0, 1, 0, 1, 0)]),  # Q(zeta7)
+]
+
+
+@pytest.mark.parametrize("coeffs, zeta, w, units", _PINNED_UNITS, ids=lambda v: str(v))
+def test_short_vector_callers_pinned(coeffs, zeta, w, units):
+    # a fresh field, so that torsion() and the unit search both run
+    K = build_field(coeffs, ell=2)
+    ug = compute_unit_group(K)
+    assert (ug.zeta.coords, ug.w, [u.coords for u in ug.fundamental]) == (zeta, w, units)
+
+
 def test_unit_coset_reps_counts(field_q, field_qi, field_qm5, field_cubic9, field_zeta3):
     for K, expected in (
         (field_q, 2),

@@ -184,6 +184,15 @@ def test_report_rho_by_norm(field_qm5):
     assert rep.rho_by_norm() == {r[1]: r[2] for r in rep.rows}
 
 
+def test_rho_by_norm_sums_rows_of_equal_norm():
+    # x^4 + 7x^2 + 13 at ell = 3: 16 rows share 8 norms
+    K = build_field([13, 0, 7, 0, 1], ell=3)
+    rep = density_report(K, 3)
+    by_norm = rep.rho_by_norm()
+    assert (len(rep.rows), len(by_norm)) == (16, 8)
+    assert sum(by_norm.values()) == Fraction(1)
+
+
 def test_report_identity_only_at_ell_2(field_zeta3):
     rep = density_report(field_zeta3, 3)
     assert rep.identity is None and rep.identity_expected is None

@@ -199,6 +199,16 @@ def test_rational_root_and_irreducibility():
     assert p > 0
 
 
+def test_irreducibility_without_prime_certificate():
+    # x^4 - x^2 + 1 (Phi_12, Galois group V4) is reducible mod every prime,
+    # so sympy's exact factorization certifies it
+    assert irreducibility_certificate(IntPolynomial([1, 0, -1, 0, 1])) == 0
+    assert irreducibility_certificate(IntPolynomial([2, 0, 0, 0, 1])) > 0  # x^4+2, by a prime
+    with pytest.raises(FieldConstructionError):
+        # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2), without a rational root
+        irreducibility_certificate(IntPolynomial([4, 0, 0, 0, 1]))
+
+
 def test_factor_mod_p_cubic():
     f = IntPolynomial([-9, -1, 0, 1])
     # 2 stays irreducible, 3 splits completely

@@ -31,6 +31,7 @@ from nfk.ideals import (
     valuation,
 )
 from nfk.number_field import build_field
+from oracles import _box_norm_matches
 
 
 def elem(K, *coords):
@@ -441,7 +442,7 @@ def test_lattice_search_matches_box_oracle(name, bound, request, monkeypatch):
     for fa in _integral_ideals(K, bound):
         a = fa.to_ideal()
         target = a.norm()
-        box = ideals._box_norm_matches(a, target, units, ceilings)
+        box = _box_norm_matches(a, target, units, ceilings)
         lattice = ideals._lattice_norm_matches(a, target, units, ceilings)
         assert bool(box) == bool(lattice), fa
         verdicts.add(bool(box))
@@ -454,11 +455,41 @@ def test_lattice_search_matches_box_oracle(name, bound, request, monkeypatch):
         assert bool(inside(box)) == bool(box), fa
         fast = principal_test_generator(a, units)
         with monkeypatch.context() as m:
-            m.setattr(ideals, "_lattice_norm_matches", ideals._box_norm_matches)
+            m.setattr(ideals, "_lattice_norm_matches", _box_norm_matches)
             slow = principal_test_generator(a, units)
         assert (fast and fast.coords) == (slow and slow.coords), fa
     # the cubic (h = 3) exercises non-principal ideals as well
     assert verdicts == ({True, False} if name == "cubic9" else {True})
+
+
+def _hnf_coefficients(h, v):
+    """c with v = h c, by back substitution on the upper-triangular HNF h."""
+    n = len(v)
+    c = [0] * n
+    for i in reversed(range(n)):
+        rest = v[i] - sum(h[i, j] * c[j] for j in range(i + 1, n))
+        assert rest % h[i, i] == 0
+        c[i] = rest // h[i, i]
+    return c
+
+
+@pytest.mark.parametrize("name", ["cubic9", "cyclic_cubic"])
+def test_lattice_matches_come_in_box_scan_order(name, request):
+    # sorting by reversed power-basis coordinates is the order of a box scan
+    # over HNF coordinates with the last varying slowest
+    if name == "cyclic_cubic":
+        K = build_field([-1, -3, 0, 1], ell=2, label="cyclic-cubic-9")
+    else:
+        K = request.getfixturevalue(f"field_{name}")
+    units = compute_unit_group(K).fundamental
+    several = 0
+    for fa in _integral_ideals(K, 60):
+        a = fa.to_ideal()
+        matches = ideals._lattice_norm_matches(a, a.norm(), units, Ceilings())
+        keys = [_hnf_coefficients(a.hnf, m)[::-1] for m in matches]
+        assert keys == sorted(keys), fa
+        several += len(matches) > 1
+    assert several
 
 
 @pytest.mark.parametrize("name", ["qi", "qm5", "zeta3"])

@@ -1,5 +1,6 @@
 """Field construction, element arithmetic, signatures, embeddings."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import mpmath
 import pytest
 
 from nfk.class_unit import compute_unit_group
-from nfk.errors import FieldConstructionError, MissingRootOfUnityError
+from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
+from nfk.ideals import split_prime
 from nfk.exact_math import IntPolynomial
 from nfk.number_field import build_field, dedekind_q_maximal
 
@@ -168,6 +170,51 @@ def test_zeta_membership():
                 assert _cyclotomic_value(ell, z).is_zero()
         with pytest.raises(ValueError):
             K.contains_zeta(4)
+
+
+def _t2(K, coords):
+    with mpmath.workprec(120):
+        vals = K.embeddings(K.element(coords), 100)
+        return sum((1 if i < K.r1 else 2) * abs(v) ** 2 for i, v in enumerate(vals))
+
+
+@pytest.mark.parametrize(
+    "coeffs, radius",
+    [([0, 1], 10.5), ([1, 0, 1], 30.5), ([-2, 0, 1], 25.5), (CUBIC, 150.5), ([1, 1, 1, 1, 1], 40.5)],
+)
+def test_short_vectors_match_box(coeffs, radius):
+    # every lattice point of T2 <= radius, each once, on the power basis and
+    # on the HNF columns of a prime over 3, against a scan of a coordinate
+    # box that holds the ellipsoid (T2(x) >= lambda_min |x|^2)
+    K = build_field(coeffs, 2)
+    n = K.degree
+    vecs = [K._embed(K.theta_power(k)) for k in range(n)]
+    gram = mpmath.matrix([[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs])
+    h = int(mpmath.sqrt(radius / min(mpmath.eigsy(gram)[0]))) + 1
+    prime = split_prime(K, 3)[0].ideal
+    for cols, inside in (
+        ([K.theta_power(k) for k in range(n)], lambda x: True),
+        (list(prime.hnf.columns()), lambda x: prime.contains(K.element(x))),
+    ):
+        got = [tuple(c) for c in K.short_vectors(cols, radius)]
+        want = []
+        for x in itertools.product(range(-h, h + 1), repeat=n):
+            if any(x) and inside(x):
+                t2 = K.t2(x)
+                assert abs(t2 - radius) > 1e-6 * radius, x  # no point on the boundary
+                if t2 <= radius:
+                    assert abs(t2 - float(_t2(K, x))) < 1e-9 * radius
+                    want.append(x)
+        assert sorted(got) == want  # every point, each once
+
+
+def test_short_vectors_degree_one_and_ceiling():
+    K = build_field([0, 1], 2)
+    assert list(K.short_vectors([[1]], 10)) == [[k] for k in (-3, -2, -1, 1, 2, 3)]
+    # seven lattice points visited, the origin among them
+    assert len(list(K.short_vectors([[1]], 10, limit=7))) == 6
+    with pytest.raises(CeilingError):
+        list(K.short_vectors([[1]], 10, limit=6))
 
 
 def test_power_traces_against_embeddings():
