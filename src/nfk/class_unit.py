@@ -16,6 +16,7 @@ cross-check, as advertised.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator
@@ -407,14 +408,22 @@ class ClassGroup:
     _ell_free_reps: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self._torsion = [t.coords for t in self.units.torsion_elements()]
+        # y -> t*y for each root of unity t, as int matrix rows (generator())
+        K = self.field
+        basis = [K.theta_power(j) for j in range(K.degree)]
+        self._torsion_rows = []
+        for t in self.units.torsion_elements():
+            cols = [K.mul_int_coords(t.coords, b) for b in basis]
+            self._torsion_rows.append(list(zip(*cols)))
 
     @property
     def h(self) -> int:
         return self.group.order
 
     def index_of(self, a, ceilings: Ceilings | None = None) -> int:
-        """Class index of an Ideal or FactoredIdeal."""
+        """Class index of an Ideal or FactoredIdeal (0 when h = 1)."""
+        if self.h == 1:
+            return 0
         fa = as_factored(a)
         # compose from prime classes (exponents taken mod h: the class of
         # q^e depends only on e mod the order of [q], which divides h)
@@ -449,11 +458,21 @@ class ClassGroup:
         generators and the times table, and the torsion multiple of least
         key is divided by den.  A prime not yet looked up goes through
         class_of_prime under the caller's ceilings.  Raises
-        NotPrincipalError when the class does not end at 0.
+        NotPrincipalError when the class does not end at 0.  In degree 1
+        the generators are +-N(fa) and the key takes N(fa), a product of
+        prime powers.
         """
         if self.units.rank:
             return canonical_generator(fa, self.units.fundamental, ceilings)
         K = self.field
+        if K.degree == 1:
+            num = den = 1
+            for q, e in fa.exps.items():
+                if e > 0:
+                    num *= q.p**e
+                else:
+                    den *= q.p**-e
+            return K.element([num if den == 1 else Fraction(num, den)])
         mul = K.mul_int_coords
         num, den = fa.cleared()
         coords = one = K.one.coords
@@ -470,9 +489,27 @@ class ClassGroup:
             raise NotPrincipalError(f"{fa!r} is not principal")
         if any(c % scale for c in coords):
             raise ArithmeticError(f"composed generator of {fa!r} is not integral")
-        coords = tuple(c // scale for c in coords)
-        best = min((mul(coords, t) for t in self._torsion), key=_coord_sort_key)
+        best = self._least_torsion_multiple([c // scale for c in coords])
         return K.element(best if den == 1 else [Fraction(c, den) for c in best])
+
+    def _least_torsion_multiple(self, coords: list[int]) -> list[int]:
+        """The torsion multiple t*x of least _coord_sort_key.
+
+        The key compares the highest coordinate first, by (|c|, sign), an
+        order that 2|c| + (c < 0) reproduces on ints; so only the multiples
+        whose highest coordinate ties for least are formed in full.
+        """
+        tops = []
+        for rows in self._torsion_rows:
+            c = sum(map(operator.mul, rows[-1], coords))
+            tops.append(2 * abs(c) + (c < 0))
+        least = min(tops)
+        tied = [
+            [sum(map(operator.mul, row, coords)) for row in rows]
+            for rows, top in zip(self._torsion_rows, tops)
+            if top == least
+        ]
+        return tied[0] if len(tied) == 1 else min(tied, key=_coord_sort_key)
 
     def ell_free_ideals(
         self,

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import mpmath
 import sympy
+from mpmath.libmp import fone, from_int, mpf_div, mpf_pow_int, mpf_sub, round_nearest, to_float
 
 from .abelian_groups import quotient_by_powers, unit_group_mod_ideal
 from .class_unit import ClassGroup, compute_class_group
@@ -219,6 +220,33 @@ class ZetaConstants:
     tail_bound: float  # relative truncation bound of the Euler products
 
 
+def _euler_products(K: NumberField, ell: int, prime_bound: int) -> tuple[tuple, tuple]:
+    """prod 1/(1 - N(q)^-2) and prod 1/(1 - N(q)^-ell) over the primes q
+    above p <= prime_bound, as raw 80-bit mpmath.libmp values.
+
+    Each factor runs the operations of `z /= 1 - mpf(p**f) ** -s` at 80
+    bits, round to nearest, in the same order, straight on mpmath.libmp:
+    the values are bit for bit those of the mpf operators, without their
+    object layer.  Primes above p of equal degree (adjacent, as
+    residue_degrees ascends) share one factor.  For ell = 2 both products
+    are the same value.
+    """
+    prec, rnd = 80, round_nearest
+    z2 = zl = fone
+    for p in sympy.sieve.primerange(2, prime_bound + 1):
+        last = 0
+        for f in residue_degrees(K, p):
+            if f != last:
+                last, n = f, from_int(p**f, prec, rnd)
+                d2 = mpf_sub(fone, mpf_pow_int(n, -2, prec, rnd), prec, rnd)
+                if ell != 2:
+                    dl = mpf_sub(fone, mpf_pow_int(n, -ell, prec, rnd), prec, rnd)
+            z2 = mpf_div(z2, d2, prec, rnd)
+            if ell != 2:
+                zl = mpf_div(zl, dl, prec, rnd)
+    return z2, (z2 if ell == 2 else zl)
+
+
 def zeta_constants(
     K: NumberField,
     ell: int = 2,
@@ -256,22 +284,16 @@ def zeta_constants(
                 / (ug.w * mpmath.sqrt(abs(K.disc)))
             )
             if K.degree == 1:
-                z2, zl, tail = mpmath.zeta(2), mpmath.zeta(ell), 0.0
+                z2, zl, tail = float(mpmath.zeta(2)), float(mpmath.zeta(ell)), 0.0
             else:
                 tail = K.degree / prime_bound
-                z2 = mpmath.mpf(1)
-                zl = mpmath.mpf(1)
-                for p in sympy.sieve.primerange(2, prime_bound + 1):
-                    for f in residue_degrees(K, p):
-                        z2 /= 1 - mpmath.mpf(p**f) ** -2
-                        if ell != 2:
-                            zl /= 1 - mpmath.mpf(p**f) ** -ell
-                if ell == 2:
-                    zl = z2
+                z2, zl = (
+                    to_float(z, rnd=round_nearest) for z in _euler_products(K, ell, prime_bound)
+                )
             got = ZetaConstants(
                 residue=float(residue),
-                zeta_at_2=float(z2),
-                zeta_at_ell=float(zl),
+                zeta_at_2=z2,
+                zeta_at_ell=zl,
                 tail_bound=float(tail),
             )
         cache[(ell, prime_bound)] = got

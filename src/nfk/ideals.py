@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -183,24 +184,7 @@ class PrimeIdeal:
         self.index = index  # position among the primes over p (canonical order)
         self.ambiguous = False  # set when another prime over p shares (f, e)
         self._hash = hash((p, gpoly.coeffs))  # primes key the hot dicts
-        # evaluate g at theta with full power reduction: for an inert prime
-        # g is the defining polynomial itself and g(theta) = 0, leaving (p)
-        n_deg = field.degree
-        g_coords = [0] * n_deg
-        for k, c in enumerate(gpoly.coeffs):
-            if c:
-                tp = field.theta_power(k)
-                for i in range(n_deg):
-                    g_coords[i] += c * tp[i]
-        g_elt = field.element(g_coords)
-        n = field.degree
-        cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
-        acc = g_elt
-        for _ in range(n):
-            cols.append(acc.int_coords())
-            acc = acc * field.theta
-        m = IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-        self.ideal = Ideal(field, hnf_square(m))
+        self.ideal = Ideal(field, _prime_hnf(field, p, gpoly))
         self._powers = [Ideal.one(field), self.ideal]
         self._depths: dict[tuple[int, ...], int] = {}  # residue -> congruence depth (kummer.py)
 
@@ -235,6 +219,36 @@ class PrimeIdeal:
 
     def __repr__(self) -> str:
         return f"q[{self.label()}]"
+
+
+def _prime_hnf(K: NumberField, p: int, gpoly: IntPolynomial) -> IntMatrix:
+    """HNF of the prime (p, g(theta)).
+
+    For f = 1, g is linear with root r mod p, and the prime is the kernel
+    of theta -> r mod p: its HNF has diagonal (p, 1, ..., 1) and first row
+    (p, -r, -r^2, ...) mod p, so in degree 1 it is [[p]].  Otherwise the
+    HNF of the columns p theta^j and g(theta) theta^j.
+    """
+    n = K.degree
+    if gpoly.degree == 1:
+        r = -gpoly.coeffs[0] * pow(gpoly.coeffs[1], -1, p)
+        rows = [[p] + [-pow(r, k, p) % p for k in range(1, n)]]
+        rows += [[int(i == j) for j in range(n)] for i in range(1, n)]
+        return IntMatrix(rows)
+    # evaluate g at theta with full power reduction: for an inert prime
+    # g is the defining polynomial itself and g(theta) = 0, leaving (p)
+    g_coords = [0] * n
+    for k, c in enumerate(gpoly.coeffs):
+        if c:
+            tp = K.theta_power(k)
+            for i in range(n):
+                g_coords[i] += c * tp[i]
+    cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
+    acc = g_coords
+    for _ in range(n):
+        cols.append(acc)
+        acc = K.mul_int_coords(acc, K.theta.coords)
+    return hnf_square(IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)]))
 
 
 def split_prime(K: NumberField, p: int) -> list[PrimeIdeal]:
@@ -367,9 +381,17 @@ class FactoredIdeal:
         self.field = field
         self.exps = {q: e for q, e in (exps or {}).items() if e != 0}
 
+    @classmethod
+    def _of(cls, field: NumberField, exps: dict[PrimeIdeal, int]) -> "FactoredIdeal":
+        """The ideal of an exponent dict already free of zeros, taken as is."""
+        out = object.__new__(cls)
+        out.field = field
+        out.exps = exps
+        return out
+
     @staticmethod
     def unit(field: NumberField) -> "FactoredIdeal":
-        return FactoredIdeal(field, {})
+        return FactoredIdeal._of(field, {})
 
     def is_unit_ideal(self) -> bool:
         return not self.exps
@@ -402,13 +424,25 @@ class FactoredIdeal:
         return "FactoredIdeal(" + " * ".join(f"{q!r}^{e}" for q, e in sorted(self.exps.items())) + ")"
 
     def __mul__(self, other: "FactoredIdeal") -> "FactoredIdeal":
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
         exps = dict(self.exps)
         for q, e in other.exps.items():
-            exps[q] = exps.get(q, 0) + e
-        return FactoredIdeal(self.field, exps)
+            e += exps.get(q, 0)
+            if e:
+                exps[q] = e
+            else:
+                del exps[q]
+        return FactoredIdeal._of(self.field, exps)
 
     def __pow__(self, k: int) -> "FactoredIdeal":
-        return FactoredIdeal(self.field, {q: e * k for q, e in self.exps.items()})
+        if k == 1 or not self.exps:
+            return self
+        if k == 0:
+            return FactoredIdeal._of(self.field, {})
+        return FactoredIdeal._of(self.field, {q: e * k for q, e in self.exps.items()})
 
     def inverse(self) -> "FactoredIdeal":
         return self**-1
@@ -419,7 +453,7 @@ class FactoredIdeal:
     def sqrt(self) -> "FactoredIdeal":
         if any(e % 2 for e in self.exps.values()):
             raise NotASquareError(f"odd exponent in {self!r}")
-        return FactoredIdeal(self.field, {q: e // 2 for q, e in self.exps.items()})
+        return FactoredIdeal._of(self.field, {q: e // 2 for q, e in self.exps.items()})
 
     def to_ideal(self) -> Ideal:
         """Assemble the HNF ideal; requires integrality."""
@@ -485,28 +519,52 @@ class PartsDecomposition:
             out = out * part**i
         return out
 
+    # What the Kummer layer needs of the parts alone, computed once and shared
+    # by every unit twist alpha*u of a cell (kummer._discriminant_split,
+    # kummer.steinitz_class).
+
+    @cached_property
+    def tame_part(self) -> FactoredIdeal:
+        """The ell-free part of the relative discriminant: exponent ell - 1
+        at every prime of the power parts."""
+        exps = {q: self.ell - 1 for part in self.power_parts.values() for q in part.exps}
+        return FactoredIdeal._of(self.ell_part.field, exps)
+
+    @cached_property
+    def tame_norm(self) -> int:
+        """N(tame_part) as an int."""
+        return math.prod(q.norm for q in self.tame_part.exps) ** (self.ell - 1)
+
+    @cached_property
+    def steinitz_den_pow(self) -> FactoredIdeal:
+        """(ell_part * root^ell * prod_i power_parts[i]^(i-1))^(ell-1), the
+        denominator of St^2 in the Steinitz formula."""
+        den = self.ell_part * self.root**self.ell
+        for i in range(2, self.ell):
+            den = den * self.power_parts[i] ** (i - 1)
+        return den ** (self.ell - 1)
+
 
 def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
     fa = as_factored(a)
     K = fa.field
-    ell_primes = {q for q in split_prime(K, ell)}
     ell_part: dict[PrimeIdeal, int] = {}
     root: dict[PrimeIdeal, int] = {}
     parts: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
     for q, e in fa.exps.items():
-        if q in ell_primes:
+        if q.p == ell:
             ell_part[q] = e
             continue
-        r = e % ell
-        if e // ell:
-            root[q] = e // ell
+        k, r = divmod(e, ell)
+        if k:
+            root[q] = k
         if r:
             parts[r][q] = 1
     return PartsDecomposition(
         ell=ell,
-        ell_part=FactoredIdeal(K, ell_part),
-        root=FactoredIdeal(K, root),
-        power_parts={i: FactoredIdeal(K, parts[i]) for i in range(1, ell)},
+        ell_part=FactoredIdeal._of(K, ell_part),
+        root=FactoredIdeal._of(K, root),
+        power_parts={i: FactoredIdeal._of(K, parts[i]) for i in range(1, ell)},
     )
 
 

@@ -201,28 +201,29 @@ def _congruence_depth(
 def _discriminant_split(
     d: KummerDatum, ceilings: Ceilings | None = None
 ) -> tuple[FactoredIdeal, FactoredIdeal, FactoredIdeal]:
-    """(Delta, ell-part, ell-free part) of the relative discriminant."""
+    """(Delta, ell-part, ell-free part) of the relative discriminant.
+
+    The ell-free part depends only on the parts of gamma O_K
+    (PartsDecomposition.tame_part); the exponents at the primes over ell
+    come from gamma itself, through the congruence depth.
+    """
     K, ell = d.field, d.ell
-    fa = d.gamma_ideal()
-    exps: dict[PrimeIdeal, int] = {}
-    for q, e in fa.exps.items():
-        if q.p != ell and e % ell:
-            exps[q] = ell - 1
+    lexps = d.parts.ell_part.exps
+    wild: dict[PrimeIdeal, int] = {}
     for q in split_prime(K, ell):
-        nu = fa.exps.get(q, 0)
+        nu = lexps.get(q, 0)
         if nu % ell:
-            exps[q] = (ell - 1) + ell * q.e
+            wild[q] = (ell - 1) + ell * q.e
             continue
         if nu:
             raise ArithmeticError(f"datum not normalized at {q!r}")
         bound = wild_saturation_depth(q, ell)
         s = _congruence_depth(d.gamma, q, ell, ceilings)
         if s < bound:
-            exps[q] = (ell - 1) * (bound - s + 1)
-    delta = FactoredIdeal(K, exps)
-    lpart = FactoredIdeal(K, {q: e for q, e in exps.items() if q.p == ell})
-    fpart = FactoredIdeal(K, {q: e for q, e in exps.items() if q.p != ell})
-    return delta, lpart, fpart
+            wild[q] = (ell - 1) * (bound - s + 1)
+    fpart = d.parts.tame_part
+    lpart = FactoredIdeal._of(K, wild)
+    return fpart * lpart, lpart, fpart
 
 
 def relative_discriminant(d: KummerDatum, ceilings: Ceilings | None = None):
@@ -302,12 +303,8 @@ def steinitz_class(
     """
     if ell_part is None:
         ell_part = _discriminant_split(d, ceilings)[1]
-    den = d.parts.ell_part * d.parts.root**d.ell
-    for i in range(2, d.ell):
-        den = den * d.parts.power_parts[i] ** (i - 1)
-    den_pow = den ** (d.ell - 1)
-    st2 = ell_part * den_pow.inverse()
-    st = st2.sqrt()
+    den_pow = d.parts.steinitz_den_pow
+    st = (ell_part / den_pow).sqrt()
     if st * st * den_pow != ell_part:
         raise ArithmeticError("Steinitz square does not reassemble the ell-part")
     return cg.index_of(st, ceilings)
@@ -464,7 +461,7 @@ def iter_extensions(
         for support, c in cg.ell_free_ideals(pool, s_bound, ell, ceilings, radical=True):
             if not cells_of[c]:
                 continue
-            I = FactoredIdeal(K, dict(support))
+            I = FactoredIdeal._of(K, dict(support))
             for cls in cells_of[c]:
                 yield from _cell_records(
                     K, ell, X, order_by, dedup, ceilings,
@@ -501,21 +498,39 @@ def enumerate_extensions(
 
 
 def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets, rep, cls, Q, I):
+    """The records of one cell: gamma = alpha * u for the cell generator alpha
+    and each unit coset representative u.
+
+    Everything that depends on the cell alone (its generator and parts,
+    the ell-free discriminant and its norm, the Steinitz denominator) is
+    computed once, the last three on the PartsDecomposition the candidates
+    share; each candidate pays for its congruence depths at the primes over
+    ell.
+    """
     fa = rep**ell * Q * I
-    if fa.is_unit_ideal():
-        alpha = K.one
-    else:
-        alpha = cg.generator(fa, ceilings)
-    parts = decompose_parts(fa, ell)
+    unit_cell = fa.is_unit_ideal()
+    alpha = K.one if unit_cell else cg.generator(fa, ceilings)
+    # rep is coprime to ell, Q lies over ell and I is ell-power-free, so the
+    # parts of fa (decompose_parts) are read off the three factors
+    by_exp: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
+    for q, a in I.exps.items():
+        by_exp[a][q] = 1
+    parts = PartsDecomposition(
+        ell=ell,
+        ell_part=Q,
+        root=rep,
+        power_parts={i: FactoredIdeal._of(K, e) for i, e in by_exp.items()},
+    )
     if not u_cosets:
         # the first cell, always the unit ideal (Q = (1), class 0, I = (1)),
         # so the trivial coset is computed in the cell that skips it; the
         # perfbench tracer counts trivial skips from that call
         u_cosets += [unit_coset_coords(ug, u, ell) for u in u_reps]
+    tame_norm = parts.tame_norm
     for u, coset in zip(u_reps, u_cosets):
-        gamma = alpha * u
-        if fa.is_unit_ideal() and all(c == 0 for c in coset):
+        if unit_cell and not any(coset):
             continue  # gamma is the trivial ell-th power
+        gamma = alpha if u.is_one() else alpha * u
         datum = KummerDatum(
             field=K,
             ell=ell,
@@ -526,8 +541,8 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
             unit_coset=coset,
         )
         delta, lpart, fpart = _discriminant_split(datum, ceilings)
-        disc_norm = _int_norm(delta)
-        if (disc_norm if order_by == "disc" else _int_norm(fpart)) > X:
+        disc_norm = tame_norm * _int_norm(lpart)
+        if (disc_norm if order_by == "disc" else tame_norm) > X:
             continue
         if dedup and ell > 2:
             key = datum.key()

@@ -126,12 +126,20 @@ class AlgebraicNumber:
         return _det_fraction(m)
 
     def inverse(self) -> "AlgebraicNumber":
+        """1/x, solved fraction-free (_solve_int) on an int matrix.
+
+        With x = a/d for a integral and d the least common denominator,
+        1/x is the solution y of a*y = d, on the int multiplication matrix
+        of a.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        m = self.multiplication_matrix()
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(self.field.degree)]
-        sol = _solve_fraction(m, rhs)
-        return AlgebraicNumber(self.field, sol)
+        K = self.field
+        d = math.lcm(*(c.denominator for c in self.coords if isinstance(c, Fraction)))
+        a = [int(c * d) for c in self.coords]
+        cols = [K.mul_int_coords(a, K.theta_power(j)) for j in range(K.degree)]
+        rhs = [d] + [0] * (K.degree - 1)
+        return AlgebraicNumber(K, _solve_int([list(r) for r in zip(*cols)], rhs))
 
     def __truediv__(self, other: "AlgebraicNumber") -> "AlgebraicNumber":
         if isinstance(other, (int, Fraction)):
@@ -163,25 +171,36 @@ def _det_fraction(m: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _solve_fraction(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve_int(m: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """The solution of m x = rhs for a nonsingular int matrix, by Bareiss's
+    fraction-free elimination.
+
+    Forward elimination keeps every entry an int (each division is exact:
+    the entries are minors of the augmented matrix), and the last pivot D
+    is +-det(m), so D x is an int vector (Cramer) and the back substitution
+    divides exactly too.  One Fraction per coordinate at the end.
+    """
     n = len(m)
     a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
+    prev = 1
     for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ZeroDivisionError("singular system")
         a[k], a[piv] = a[piv], a[k]
-        inv = 1 / Fraction(a[k][k])
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][n] for i in range(n)]
+        akk, rowk = a[k][k], a[k]
+        for i in range(k + 1, n):
+            aik, rowi = a[i][k], a[i]
+            a[i] = [
+                0 if j <= k else (akk * rowi[j] - aik * rowk[j]) // prev for j in range(n + 1)
+            ]
+        prev = akk
+    det = a[n - 1][n - 1]
+    x = [0] * n  # det * solution
+    for i in range(n - 1, -1, -1):
+        acc = det * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = acc // a[i][i]
+    return [Fraction(v, det) for v in x]
 
 
 def _gram_schmidt(vecs: list[list[float]]) -> tuple[list[list[float]], list[float]]:

@@ -1,20 +1,93 @@
-"""Slow exact searches kept as test oracles for the fast paths in src/nfk.
+"""Slow exact paths kept as test oracles for the fast paths in src/nfk.
 
-_box_norm_matches is the coordinate-box generator search that
-ideals._lattice_norm_matches replaced; tests compare the two and can
-monkeypatch it in for the lattice search.
+- _box_norm_matches is the coordinate-box generator search that
+  ideals._lattice_norm_matches replaced; tests compare the two and can
+  monkeypatch it in for the lattice search.
+- discriminant_split_from_ideal and steinitz_class_from_parts are the
+  per-candidate relative discriminant and Steinitz class, rebuilt from the
+  whole ideal gamma O_K, that the Kummer cell loop replaced by work shared
+  per cell (PartsDecomposition.tame_part, .steinitz_den_pow).
+- euler_products_mpf is the Euler product of zeta_constants on mpmath's
+  mpf operators, which density._euler_products runs on raw mpmath.libmp.
+- inverse_by_fraction_solve is the Fraction Gauss-Jordan inverse that
+  AlgebraicNumber.inverse replaced by fraction-free elimination.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+import sympy
 
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, RankError
-from nfk.ideals import Ideal
-from nfk.number_field import AlgebraicNumber
+from nfk.ideals import FactoredIdeal, Ideal, PrimeIdeal, residue_degrees, split_prime
+from nfk.kummer import KummerDatum, _congruence_depth, wild_saturation_depth
+from nfk.number_field import AlgebraicNumber, NumberField
+
+
+def discriminant_split_from_ideal(
+    d: KummerDatum, ceilings: Ceilings | None = None
+) -> tuple[FactoredIdeal, FactoredIdeal, FactoredIdeal]:
+    """(Delta, ell-part, ell-free part) of the relative discriminant, from
+    the factorization of gamma O_K prime by prime."""
+    K, ell = d.field, d.ell
+    fa = d.gamma_ideal()
+    exps: dict[PrimeIdeal, int] = {}
+    for q, e in fa.exps.items():
+        if q.p != ell and e % ell:
+            exps[q] = ell - 1
+    for q in split_prime(K, ell):
+        nu = fa.exps.get(q, 0)
+        if nu % ell:
+            exps[q] = (ell - 1) + ell * q.e
+            continue
+        if nu:
+            raise ArithmeticError(f"datum not normalized at {q!r}")
+        bound = wild_saturation_depth(q, ell)
+        s = _congruence_depth(d.gamma, q, ell, ceilings)
+        if s < bound:
+            exps[q] = (ell - 1) * (bound - s + 1)
+    delta = FactoredIdeal(K, exps)
+    lpart = FactoredIdeal(K, {q: e for q, e in exps.items() if q.p == ell})
+    fpart = FactoredIdeal(K, {q: e for q, e in exps.items() if q.p != ell})
+    return delta, lpart, fpart
+
+
+def steinitz_denominator(d: KummerDatum) -> FactoredIdeal:
+    """(Q N^ell prod I_i^(i-1))^(ell-1), assembled from the datum's parts."""
+    den = d.parts.ell_part * d.parts.root**d.ell
+    for i in range(2, d.ell):
+        den = den * d.parts.power_parts[i] ** (i - 1)
+    return den ** (d.ell - 1)
+
+
+def steinitz_class_from_parts(d: KummerDatum, cg, ceilings: Ceilings | None = None) -> int:
+    """Class of St with St^2 = L-part / steinitz_denominator(d)."""
+    ell_part = discriminant_split_from_ideal(d, ceilings)[1]
+    den_pow = steinitz_denominator(d)
+    st = (ell_part * den_pow.inverse()).sqrt()
+    if st * st * den_pow != ell_part:
+        raise ArithmeticError("Steinitz square does not reassemble the ell-part")
+    return cg.index_of(st, ceilings)
+
+
+def euler_products_mpf(K: NumberField, ell: int, prime_bound: int) -> tuple[tuple, tuple]:
+    """The Euler products of zeta_K(2) and zeta_K(ell) on mpf operators at
+    80 bits, as raw mpmath.libmp values."""
+    with mpmath.workprec(80):
+        z2 = mpmath.mpf(1)
+        zl = mpmath.mpf(1)
+        for p in sympy.sieve.primerange(2, prime_bound + 1):
+            for f in residue_degrees(K, p):
+                z2 /= 1 - mpmath.mpf(p**f) ** -2
+                if ell != 2:
+                    zl /= 1 - mpmath.mpf(p**f) ** -ell
+        if ell == 2:
+            zl = z2
+        return z2._mpf_, zl._mpf_
 
 
 def _box_norm_matches(
@@ -89,3 +162,30 @@ def _box_norm_matches(
             i += 1
         if i == n:
             return out
+
+
+def _solve_fraction(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    n = len(m)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
+    for k in range(n):
+        piv = None
+        for i in range(k, n):
+            if a[i][k] != 0:
+                piv = i
+                break
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / Fraction(a[k][k])
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[i][n] for i in range(n)]
+
+
+def inverse_by_fraction_solve(x: AlgebraicNumber) -> AlgebraicNumber:
+    """1/x by Fraction Gauss-Jordan on the multiplication matrix of x."""
+    one = [Fraction(int(i == 0)) for i in range(x.field.degree)]
+    return x.field.element(_solve_fraction(x.multiplication_matrix(), one))

@@ -242,6 +242,25 @@ def test_class_of_prime_honours_search_ceiling():
     assert cg.class_of_prime(q59) in (0, 1)  # the failed search cached nothing
 
 
+@pytest.mark.parametrize("coeffs", [[0, 1], [1, 0, 1]], ids=["q", "qi"])
+def test_index_of_is_zero_when_h_is_one(coeffs):
+    # h = 1: every ideal lies in class 0, so index_of looks up no prime,
+    # even primes outside the census under a one-point search ceiling
+    K = build_field(coeffs, ell=2)
+    cg = compute_class_group(K)
+    assert cg.h == 1
+    pool = sorted(primes_of_norm_up_to(K, 5000))
+    rng = random.Random(17)
+    tiny = Ceilings(search_points=1)
+    for _ in range(40):
+        picks = rng.sample(pool, rng.randint(1, 4))
+        fa = FactoredIdeal(K, {q: rng.choice([-3, -2, -1, 1, 2, 3]) for q in picks})
+        assert cg.index_of(fa) == 0
+        assert cg.index_of(fa, tiny) == 0
+        num, den = fa.num_den()
+        assert cg.index_of(num, tiny) == 0
+
+
 def test_imaginary_quadratic_class_of_prime_honours_search_ceiling():
     # a fresh Q(sqrt(-5)): the binary-form solve for a prime of norm 10007
     # scans 89 values of t, past a ceiling of one point

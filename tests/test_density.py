@@ -7,9 +7,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from mpmath.libmp import round_nearest, to_float
 
 from nfk.config import Ceilings
 from nfk.density import (
+    _euler_products,
     allowed_wild_exponents,
     count_squarefree_ideals_in_class,
     density_report,
@@ -23,6 +25,7 @@ from nfk.density import (
 from nfk.errors import CeilingError, UnrealizableEllPartError
 from nfk.ideals import FactoredIdeal, ideal_from_element, split_prime
 from nfk.number_field import build_field
+from oracles import euler_products_mpf
 
 
 def _norms(fas):
@@ -274,6 +277,20 @@ def test_euler_products_match_split_prime_oracle(coeffs, ell):
                 zl /= 1 - mpmath.mpf(q.norm) ** -ell
         assert zc.zeta_at_2 == float(z2)
         assert zc.zeta_at_ell == float(zl)
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell", [pytest.param([1, 0, 1], 2, id="qi"), pytest.param([1, 1, 1], 3, id="zeta3")]
+)
+def test_euler_products_bit_identical_to_mpf_operators(coeffs, ell):
+    # _euler_products runs the mpf operators' libmp calls directly; the raw
+    # 80-bit values and the floats zeta_constants reports stay bit for bit
+    K = build_field(coeffs, ell=ell)
+    want = euler_products_mpf(K, ell, 10**5)
+    assert _euler_products(K, ell, 10**5) == want
+    zc = zeta_constants(K, ell=ell, prime_bound=10**5)
+    z2, zl = (to_float(z, rnd=round_nearest) for z in want)
+    assert (zc.zeta_at_2, zc.zeta_at_ell) == (z2, zl)
 
 
 def test_zeta_constants_caches_no_prime_above_1000():

@@ -200,6 +200,39 @@ def test_quadratic_split_matches_zassenhaus(coeffs, ell, monkeypatch):
         assert calls == ([p] if K.disc % p == 0 else []), p
 
 
+def _prime_hnf_by_generators(K, q):
+    """HNF of the columns p theta^j and g(theta) theta^j, g reduced at theta."""
+    n = K.degree
+    g = [0] * n
+    for k, c in enumerate(q.gpoly.coeffs):
+        g = [a + c * b for a, b in zip(g, K.theta_power(k))]
+    cols = [[q.p * (i == j) for i in range(n)] for j in range(n)]
+    acc = K.element(g)
+    for _ in range(n):
+        cols.append(acc.int_coords())
+        acc = acc * K.theta
+    return hnf_square(IntMatrix([[c[i] for c in cols] for i in range(n)]))
+
+
+def test_degree_one_prime_hnf_closed_form():
+    # over Q the prime (p) has the HNF [[p]], built with no hnf_square
+    K = build_field([0, 1], ell=2)
+    for p in primerange(2, 2000):
+        (q,) = split_prime(K, p)
+        assert q.ideal.hnf.rows == [[p]]
+        assert q.ideal.hnf == _prime_hnf_by_generators(K, q), p
+
+
+@pytest.mark.parametrize("coeffs, ell", _SPLITTING_FIELDS)
+def test_prime_hnf_matches_generator_hnf(coeffs, ell):
+    # f = 1 primes take the closed form (p, -r, -r^2, ...) on the first row
+    K = build_field(coeffs, ell=ell)
+    for p in primerange(2, 400):
+        for q in split_prime(K, p):
+            assert q.ideal.hnf == _prime_hnf_by_generators(K, q), q
+            assert q.ideal.norm() == q.norm
+
+
 def test_prime_power_valuations(field_qi):
     K = field_qi
     q2 = split_prime(K, 2)[0]

@@ -18,7 +18,13 @@ from nfk.class_unit import (
 )
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, DegenerateExtensionError, MissingRootOfUnityError
-from nfk.ideals import FactoredIdeal, factor_ideal, ideal_from_element, split_prime
+from nfk.ideals import (
+    FactoredIdeal,
+    decompose_parts,
+    factor_ideal,
+    ideal_from_element,
+    split_prime,
+)
 from nfk.kummer import (
     ExtensionRecord,
     KummerDatum,
@@ -35,6 +41,11 @@ from nfk.kummer import (
     verify_trace_determinant,
 )
 from nfk.number_field import build_field
+from oracles import (
+    discriminant_split_from_ideal,
+    steinitz_class_from_parts,
+    steinitz_denominator,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +570,63 @@ def test_cells_run_no_generator_search_in_unit_rank_zero(name, ell, X, searches,
         assert calls["norm_matches"] and calls["to_ideal"]
     else:
         assert calls == {"norm_matches": 0, "to_ideal": 0}
+
+
+@pytest.fixture(scope="module")
+def field_x4_7x2_13():
+    # ell = 3 with h = 2: the one field here whose Steinitz classes at
+    # ell = 3 are not all trivial
+    return build_field([13, 0, 7, 0, 1], ell=3, label="x^4+7x^2+13")
+
+
+@pytest.mark.parametrize(
+    "name, ell, X, options",
+    [
+        ("q", 2, 2000, {}),
+        ("qi", 2, 1000, {}),
+        ("qm5", 2, 1000, {}),
+        ("cubic9", 2, 200, {}),
+        ("zeta3", 3, 100000, {}),
+        ("qm5", 2, 200, {"order_by": "ell_free"}),
+        ("zeta3", 3, 20000, {"dedup": False}),
+        ("qi", 2, 100, {"order_by": "ell_free"}),
+        ("x4_7x2_13", 3, 20, {"order_by": "ell_free"}),
+    ],
+    ids=["q", "qi", "qm5", "cubic9", "zeta3", "qm5-ell_free", "zeta3-raw", "qi-ell_free",
+         "x4_7x2_13-ell_free"],
+)
+def test_cell_loop_matches_per_candidate_oracle(name, ell, X, options, request, monkeypatch):
+    # the cell loop shares the ell-free discriminant, its norm and the
+    # Steinitz denominator across a cell; every candidate (norm-rejected
+    # ones included) and every record must agree with the discriminant
+    # and Steinitz class rebuilt from the whole ideal gamma O_K
+    K = request.getfixturevalue(f"field_{name}")
+    cg = compute_class_group(K)
+    candidates = []
+
+    def recording(d, ceilings=None):
+        got = split(d, ceilings)
+        candidates.append((d, got))
+        return got
+
+    split = kummer._discriminant_split
+    monkeypatch.setattr(kummer, "_discriminant_split", recording)
+    records = enumerate_extensions(K, ell, X, **options)
+    assert records and len(candidates) >= len(records)
+    for d, got in candidates:
+        assert got == discriminant_split_from_ideal(d)
+        assert d.parts.steinitz_den_pow == steinitz_denominator(d)
+    for d, _ in candidates[:: len(candidates) // 200 + 1]:  # parts are those of gamma O_K
+        fa = factor_ideal(ideal_from_element(d.gamma))
+        assert d.gamma_ideal() == fa and d.parts == decompose_parts(fa, ell)
+    classes = set()
+    for r in records:
+        delta, lpart, fpart = discriminant_split_from_ideal(r.datum)
+        assert (r.discriminant, r.ell_part, r.ell_free_part) == (delta, lpart, fpart)
+        assert r.disc_norm == delta.norm()
+        assert r.steinitz == steinitz_class_from_parts(r.datum, cg)
+        classes.add(r.steinitz)
+    assert len(classes) == cg.h
 
 
 def test_int_nth_root_beyond_float_range():

@@ -1,8 +1,10 @@
 """Field construction, element arithmetic, signatures, embeddings."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -12,6 +14,7 @@ from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityE
 from nfk.ideals import split_prime
 from nfk.exact_math import IntPolynomial
 from nfk.number_field import build_field, dedekind_q_maximal
+from oracles import inverse_by_fraction_solve
 
 CUBIC = [-9, -1, 0, 1]  # x^3 - x - 9
 
@@ -107,6 +110,32 @@ def test_inverse_and_division():
         assert (x * x.inverse()).is_one()
         y = K.element([random.randint(-9, 9) for _ in range(3)])
         assert (y / x) * x == y
+
+
+_SPECS = Path(__file__).resolve().parent.parent / "fieldspecs"
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [pytest.param(spec["poly"], spec["ell"], id=spec["label"]) for spec in
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))]
+    + [pytest.param([1, 1, 1, 1, 1], 5, id="Q(zeta5)")],
+)
+def test_inverse_matches_fraction_solve(coeffs, ell):
+    # x = a/d is inverted fraction-free (Bareiss on the int matrix of a);
+    # the Fraction Gauss-Jordan on the multiplication matrix is the oracle
+    K = build_field(coeffs, ell=ell)
+    rng = random.Random(sum(coeffs) + 31 * K.degree)
+    for trial in range(200):
+        height = 3 if trial < 50 else 10**6
+        x = K.element([rng.randint(-height, height) for _ in range(K.degree)])
+        if trial >= 150:  # non-integral elements
+            x = K.element([Fraction(c, rng.randint(1, 12)) for c in x.coords])
+        if x.is_zero():
+            continue
+        y = x.inverse()
+        assert y == inverse_by_fraction_solve(x), x
+        assert (x * y).is_one()
 
 
 def test_embeddings_structure_and_precision():

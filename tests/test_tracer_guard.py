@@ -4,7 +4,7 @@ perfbench/tracer.py is read and executed in a private namespace (nothing is
 imported from or written under perfbench/), so a rename in nfk fails here
 and not only in the benchmark's own smoke test.  The tracer also counts
 trivial skips from the enumeration's first cell, which must be the unit
-ideal.
+ideal, and the cell loop's bookkeeping identities must hold under it.
 """
 
 import inspect
@@ -65,3 +65,37 @@ def test_first_cell_is_unit_ideal(name, ell, request, monkeypatch):
     assert cell["cls"] == 0
     for ideal in ("rep", "Q", "I"):
         assert cell[ideal].is_unit_ideal(), ideal
+
+
+@pytest.mark.parametrize(
+    "name, ell, X, options",
+    [
+        ("q", 2, 500, {}),
+        ("qi", 2, 300, {}),
+        ("qm5", 2, 300, {}),
+        ("cubic9", 2, 60, {}),
+        ("zeta3", 3, 20000, {}),
+        ("qm5", 2, 60, {"order_by": "ell_free"}),
+    ],
+    ids=["q", "qi", "qm5", "cubic9", "zeta3", "qm5-ell_free"],
+)
+def test_traced_identities_hold(name, ell, X, options, request):
+    # the identities the traced benchmark run checks:
+    #   cells*|U/U^ell| = candidates + trivial
+    #   candidates = records + norm_rejected + dedup_rejected
+    K = request.getfixturevalue(f"field_{name}")
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        records = nfk.kummer.enumerate_extensions(K, ell, X, **options)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["kummer.records"] == len(records) > 0
+    assert counts["kummer.cells"] > 0 and counts["kummer.trivial"] == 1
+    if not options:  # ordered by N(Delta), some candidates exceed X
+        assert counts["kummer.norm_rejected"] > 0
+    if ell > 2:
+        assert counts["kummer.dedup_rejected"] > 0
+    for identity, sides in tracer.invariants().items():
+        assert sides["lhs"] == sides["rhs"], identity
