@@ -54,18 +54,20 @@ class UnitGroup:
     w: int  # torsion order
     fundamental: list[AlgebraicNumber]
     regulator: object  # mpmath.mpf
+    _torsion: list[AlgebraicNumber] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._torsion = [self.field.one]
+        for _ in range(self.w - 1):
+            self._torsion.append(self._torsion[-1] * self.zeta)
 
     @property
     def rank(self) -> int:
         return len(self.fundamental)
 
     def torsion_elements(self) -> list[AlgebraicNumber]:
-        out = [self.field.one]
-        acc = self.field.one
-        for _ in range(self.w - 1):
-            acc = acc * self.zeta
-            out.append(acc)
-        return out
+        """zeta^0, ..., zeta^(w-1), built once with the unit group."""
+        return self._torsion
 
     def zeta_ell_part(self, ell: int) -> tuple[AlgebraicNumber, int]:
         """Generator of the ell-part of torsion and its order ell^v."""

@@ -92,7 +92,10 @@ def _as_unit(K: NumberField, x: AlgebraicNumber) -> AlgebraicNumber:
 
 
 def normalize_gamma(
-    gamma: AlgebraicNumber, ell: int, ceilings: Ceilings | None = None
+    gamma: AlgebraicNumber,
+    ell: int,
+    ceilings: Ceilings | None = None,
+    fa: FactoredIdeal | None = None,
 ) -> KummerDatum:
     """Replace gamma by the canonical element cutting out the same extension.
 
@@ -101,6 +104,15 @@ def normalize_gamma(
     k of the quotient), which makes the ell-part ell-power-free.  An
     ell-th power (no extension of degree ell) raises
     DegenerateExtensionError.
+
+    fa is gamma O_K already factored (the cell loop passes the cell's
+    ideal to the m-th power); without it gamma O_K is built and factored
+    here.  The result is the same either way: k^ell alpha generates fa
+    for the canonical generator alpha of the normalized ideal, so the one
+    division u = gamma / (k^ell alpha) is a unit exactly when
+    fa = gamma O_K.  A wrong fa raises instead of giving a wrong key:
+    ArithmeticError from _as_unit, or NotPrincipalError first when fa is
+    not principal.  gamma' = alpha u is then integral by construction.
     """
     K = gamma.field
     if gamma.is_zero():
@@ -112,30 +124,22 @@ def normalize_gamma(
             f"Kummer theory for ell={ell} needs the {ell}-th roots of unity"
         )
     cg = compute_class_group(K, ceilings)
-    ug = cg.units
-    fa = factor_ideal(ideal_from_element(gamma))
+    if fa is None:
+        fa = factor_ideal(ideal_from_element(gamma))
     root = _power_root(fa, ell)
     cls = cg.index_of(root, ceilings)
     rep = cg.ell_free_representative(cls, ell, ceilings)
     quo = root * rep.inverse()
-    if quo.is_unit_ideal():
-        gprime = gamma
-    else:
-        k = cg.generator(quo, ceilings)
-        gprime = gamma / k**ell
-        if not gprime.is_integral():
-            raise ArithmeticError("normalization left the ring of integers")
-        gprime = K.element(gprime.int_coords())
-    fa2 = fa * (rep * root.inverse()) ** ell
+    fa2 = fa * quo.inverse() ** ell
     parts = decompose_parts(fa2, ell)
     if parts.root != rep or parts.reconstruct() != fa2:
         raise ArithmeticError("parts decomposition does not reconstruct gamma")
-    if fa2.is_unit_ideal():
-        alpha = K.one
+    alpha = K.one if fa2.is_unit_ideal() else cg.generator(fa2, ceilings)
+    if quo.is_unit_ideal():
+        u = _as_unit(K, gamma / alpha)
     else:
-        alpha = cg.generator(fa2, ceilings)
-    u = _as_unit(K, gprime / alpha)
-    coset = unit_coset_coords(ug, u, ell)
+        u = _as_unit(K, gamma / (cg.generator(quo, ceilings) ** ell * alpha))
+    coset = unit_coset_coords(cg.units, u, ell)
     if fa2.is_unit_ideal() and all(c == 0 for c in coset):
         raise DegenerateExtensionError(
             f"{gamma!r} is an {ell}-th power; the extension is trivial"
@@ -143,7 +147,7 @@ def normalize_gamma(
     return KummerDatum(
         field=K,
         ell=ell,
-        gamma=gprime,
+        gamma=alpha * u,
         parts=parts,
         unit_coordinate=u,
         power_root_class=cls,
@@ -505,7 +509,8 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
     the ell-free discriminant and its norm, the Steinitz denominator) is
     computed once, the last three on the PartsDecomposition the candidates
     share; each candidate pays for its congruence depths at the primes over
-    ell.
+    ell.  For odd ell, orbit dedup makes one normalize_gamma call per power
+    gamma^m tried, passing it fa^m, the ideal of gamma^m in factored form.
     """
     fa = rep**ell * Q * I
     unit_cell = fa.is_unit_ideal()
@@ -548,7 +553,7 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
             key = datum.key()
             smaller = False
             for m in range(2, ell):
-                other = normalize_gamma(gamma**m, ell, ceilings)
+                other = normalize_gamma(gamma**m, ell, ceilings, fa=fa**m)
                 if other.key() < key:
                     smaller = True
                     break

@@ -126,25 +126,33 @@ class AlgebraicNumber:
         return _det_fraction(m)
 
     def inverse(self) -> "AlgebraicNumber":
-        """1/x, solved fraction-free (_solve_int) on an int matrix.
-
-        With x = a/d for a integral and d the least common denominator,
-        1/x is the solution y of a*y = d, on the int multiplication matrix
-        of a.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        K = self.field
-        d = math.lcm(*(c.denominator for c in self.coords if isinstance(c, Fraction)))
-        a = [int(c * d) for c in self.coords]
-        cols = [K.mul_int_coords(a, K.theta_power(j)) for j in range(K.degree)]
-        rhs = [d] + [0] * (K.degree - 1)
-        return AlgebraicNumber(K, _solve_int([list(r) for r in zip(*cols)], rhs))
+        """1/x, on the one division path (__truediv__)."""
+        return self.field.one / self
 
     def __truediv__(self, other: "AlgebraicNumber") -> "AlgebraicNumber":
+        """x / y as the solution z of y z = x, by one fraction-free solve.
+
+        With x = a/d and y = b/e for integral a, b and least common
+        denominators d, e, the vector d z solves b (d z) = e a on the int
+        multiplication matrix of b (_solve_int, which divides by d at the
+        end).  Every operand, integral or not, takes this path.
+        """
         if isinstance(other, (int, Fraction)):
             return AlgebraicNumber(self.field, [Fraction(a, 1) / other for a in self.coords])
-        return self * other.inverse()
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero")
+        K = self.field
+        a, d = _int_scaled(self.coords)
+        b, e = _int_scaled(other.coords)
+        cols = [K.mul_int_coords(b, K.theta_power(j)) for j in range(K.degree)]
+        m = [list(r) for r in zip(*cols)]
+        return AlgebraicNumber(K, _solve_int(m, [e * c for c in a], d))
+
+
+def _int_scaled(coords: Sequence) -> tuple[list[int], int]:
+    """(a, d) with coords = a/d for int a and d the least common denominator."""
+    d = math.lcm(*(c.denominator for c in coords if isinstance(c, Fraction)))
+    return [int(c * d) for c in coords], d
 
 
 def _det_fraction(m: list[list[Fraction]]) -> Fraction:
@@ -171,14 +179,15 @@ def _det_fraction(m: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _solve_int(m: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """The solution of m x = rhs for a nonsingular int matrix, by Bareiss's
-    fraction-free elimination.
+def _solve_int(m: list[list[int]], rhs: Sequence[int], den: int = 1) -> list:
+    """The solution x of m x = rhs / den for a nonsingular int matrix, by
+    Bareiss's fraction-free elimination.
 
     Forward elimination keeps every entry an int (each division is exact:
     the entries are minors of the augmented matrix), and the last pivot D
     is +-det(m), so D x is an int vector (Cramer) and the back substitution
-    divides exactly too.  One Fraction per coordinate at the end.
+    divides exactly too.  At the end each coordinate is divided by D den:
+    an int where that is exact, else one Fraction.
     """
     n = len(m)
     a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
@@ -200,7 +209,8 @@ def _solve_int(m: list[list[int]], rhs: list[int]) -> list[Fraction]:
     for i in range(n - 1, -1, -1):
         acc = det * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))
         x[i] = acc // a[i][i]
-    return [Fraction(v, det) for v in x]
+    det *= den
+    return [v // det if v % det == 0 else Fraction(v, det) for v in x]
 
 
 def _gram_schmidt(vecs: list[list[float]]) -> tuple[list[list[float]], list[float]]:
@@ -269,6 +279,7 @@ class NumberField:
         )
         self._roots_cache: tuple[int, list] | None = None
         self._torsion: tuple[AlgebraicNumber, int] | None = None  # torsion()
+        self._zeta_ell: dict[int, AlgebraicNumber | None] = {}  # contains_zeta()
         self._norm_form: dict[tuple[int, ...], int] | None = None
         self._t2_rows: list[list[float]] | None = None  # _embed()
         self._generator_search_cache: dict[tuple, object] = {}  # units -> scale (ideals.py)
@@ -530,11 +541,14 @@ class NumberField:
 
     def contains_zeta(self, ell: int) -> AlgebraicNumber | None:
         """zeta^(w/ell), a primitive ell-th root of unity in K, or None when
-        ell does not divide w.  Raises ValueError for a non-prime ell."""
-        if not isprime(ell):
-            raise ValueError("ell must be prime")
-        zeta, w = self.torsion()
-        return zeta ** (w // ell) if w % ell == 0 else None
+        ell does not divide w.  Raises ValueError for a non-prime ell.
+        Cached per ell on the field."""
+        if ell not in self._zeta_ell:
+            if not isprime(ell):
+                raise ValueError("ell must be prime")
+            zeta, w = self.torsion()
+            self._zeta_ell[ell] = zeta ** (w // ell) if w % ell == 0 else None
+        return self._zeta_ell[ell]
 
     def element_order(self, x: AlgebraicNumber, cap: int = 64) -> int | None:
         """Multiplicative order of x if <= cap, else None."""

@@ -11,6 +11,7 @@ from nfk.class_unit import (
     compute_class_group,
     compute_unit_group,
     unit_coset_reps,
+    unit_dlog,
 )
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, MissingRootOfUnityError, NotPrincipalError
@@ -105,6 +106,25 @@ def test_short_vector_callers_pinned(coeffs, zeta, w, units):
     K = build_field(coeffs, ell=2)
     ug = compute_unit_group(K)
     assert (ug.zeta.coords, ug.w, [u.coords for u in ug.fundamental]) == (zeta, w, units)
+
+
+@pytest.mark.parametrize("name", ["zeta3", "qi", "cubic9"])
+def test_unit_dlog_on_seeded_units(name, request):
+    # the torsion list is built once with the unit group; unit_dlog reads
+    # back the exponents of zeta^a prod eps_i^b_i
+    K = request.getfixturevalue(f"field_{name}")
+    ug = compute_unit_group(K)
+    torsion = ug.torsion_elements()
+    assert torsion is ug.torsion_elements()
+    assert torsion == [ug.zeta**k for k in range(ug.w)]
+    rng = random.Random(13)
+    for _ in range(40):
+        a = rng.randrange(ug.w)
+        b = tuple(rng.randint(-6, 6) for _ in ug.fundamental)
+        u = ug.zeta**a
+        for f, e in zip(ug.fundamental, b):
+            u = u * f**e
+        assert unit_dlog(ug, u) == (a, b)
 
 
 def test_unit_coset_reps_counts(field_q, field_qi, field_qm5, field_cubic9, field_zeta3):

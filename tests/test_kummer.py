@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from nfk import ideals, kummer
+from nfk import class_unit, ideals, kummer
 from nfk.abelian_groups import is_power_class
 from nfk.class_unit import (
     compute_class_group,
@@ -627,6 +627,64 @@ def test_cell_loop_matches_per_candidate_oracle(name, ell, X, options, request, 
         assert r.steinitz == steinitz_class_from_parts(r.datum, cg)
         classes.add(r.steinitz)
     assert len(classes) == cg.h
+
+
+@pytest.mark.parametrize(
+    "name, X, options",
+    [("zeta3", 100000, {}), ("x4_7x2_13", 20, {"order_by": "ell_free"})],
+    ids=["zeta3", "x4_7x2_13-ell_free"],
+)
+def test_normalize_hint_matches_factoring(name, X, options, request, monkeypatch):
+    # the cell loop passes gamma^m O_K = fa^m to normalize_gamma; on every
+    # deduped candidate the result equals the one that factors gamma^m O_K
+    # itself.  On x^4+7x^2+13 (h = 2, rank 1) the power root moves to a
+    # nontrivial class representative and canonical_generator runs.
+    K = request.getfixturevalue(f"field_{name}")
+    calls = []
+    normalize = kummer.normalize_gamma
+
+    def recording(gamma, ell, ceilings=None, fa=None):
+        got = normalize(gamma, ell, ceilings, fa=fa)
+        calls.append((gamma, fa, got))
+        return got
+
+    monkeypatch.setattr(kummer, "normalize_gamma", recording)
+    records = enumerate_extensions(K, 3, X, **options)
+    assert len(calls) > len(records) > 0  # ell = 3 tries m = 2 once per candidate
+    searches = []
+    search = class_unit.canonical_generator
+    monkeypatch.setattr(
+        class_unit, "canonical_generator", lambda *a: searches.append(a) or search(*a)
+    )
+    for gamma, fa, got in calls:
+        assert fa is not None
+        assert normalize(gamma, 3) == got
+    if name == "x4_7x2_13":
+        assert any(d.power_root_class for *_, d in calls) and searches
+
+
+def test_normalize_rejects_a_wrong_hint(field_zeta3, field_x4_7x2_13):
+    # u = gamma / (k^ell alpha) is a unit exactly when the hint is gamma O_K
+    K = field_zeta3
+    cg = compute_class_group(K)
+    q, qbar = split_prime(K, 7)
+    g = cg.generator(FactoredIdeal(K, {q: 1}))
+    assert normalize_gamma(g, 3, fa=FactoredIdeal(K, {q: 1})) == normalize_gamma(g, 3)
+    with pytest.raises(ArithmeticError):
+        normalize_gamma(g, 3, fa=FactoredIdeal(K, {qbar: 1}))  # the conjugate prime
+    five = FactoredIdeal(K, {r: 1 for r in split_prime(K, 5)})
+    gamma = K.from_int(5) * g**3
+    assert normalize_gamma(gamma, 3, fa=five * FactoredIdeal(K, {q: 3})) == normalize_gamma(gamma, 3)
+    with pytest.raises(ArithmeticError):
+        normalize_gamma(gamma, 3, fa=five)  # drops the cube q^3
+    # an extra principal cube on x^4+7x^2+13 leaves the classes alone
+    K = field_x4_7x2_13
+    gamma = K.from_int(5) * K.theta
+    fa = factor_ideal(ideal_from_element(gamma))
+    two = FactoredIdeal(K, {r: r.e for r in split_prime(K, 2)})
+    assert normalize_gamma(gamma, 3, fa=fa) == normalize_gamma(gamma, 3)
+    with pytest.raises(ArithmeticError):
+        normalize_gamma(gamma, 3, fa=fa * two**3)
 
 
 def test_int_nth_root_beyond_float_range():

@@ -13,7 +13,7 @@ from nfk.class_unit import compute_unit_group
 from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from nfk.ideals import split_prime
 from nfk.exact_math import IntPolynomial
-from nfk.number_field import build_field, dedekind_q_maximal
+from nfk.number_field import NumberField, build_field, dedekind_q_maximal
 from oracles import inverse_by_fraction_solve
 
 CUBIC = [-9, -1, 0, 1]  # x^3 - x - 9
@@ -138,6 +138,38 @@ def test_inverse_matches_fraction_solve(coeffs, ell):
         assert (x * y).is_one()
 
 
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [pytest.param(spec["poly"], spec["ell"], id=spec["label"]) for spec in
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))]
+    + [pytest.param([1, 1, 1, 1, 1], 5, id="Q(zeta5)")],
+)
+def test_division_matches_inverse_oracle(coeffs, ell):
+    # x / y is one fraction-free solve of y z = x; the product with the
+    # inverse, and with the Fraction Gauss-Jordan inverse, are the oracles
+    K = build_field(coeffs, ell=ell)
+    rng = random.Random(7 * sum(coeffs) + K.degree)
+
+    def element(height, fractional):
+        x = K.element([rng.randint(-height, height) for _ in range(K.degree)])
+        return K.element([Fraction(c, rng.randint(1, 12)) for c in x.coords]) if fractional else x
+
+    for trial in range(160):
+        height = 4 if trial < 40 else 10**5
+        x = element(height, trial % 4 in (1, 3))
+        y = element(height, trial % 4 in (2, 3))
+        if y.is_zero():
+            continue
+        z = x / y
+        assert z == x * y.inverse() == x * inverse_by_fraction_solve(y), (x, y)
+        assert z * y == x
+    for x in (K.one, K.element([Fraction(1, 3)] * K.degree)):
+        with pytest.raises(ZeroDivisionError):
+            x / K.zero
+        with pytest.raises(ZeroDivisionError):
+            K.zero.inverse()
+
+
 def test_embeddings_structure_and_precision():
     K = build_field(CUBIC, 2)
     with mpmath.workprec(160):
@@ -199,6 +231,29 @@ def test_zeta_membership():
                 assert _cyclotomic_value(ell, z).is_zero()
         with pytest.raises(ValueError):
             K.contains_zeta(4)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [pytest.param(spec["poly"], id=spec["label"]) for spec in
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))]
+    + [pytest.param([1, 1, 1, 1, 1], id="Q(zeta5)"), pytest.param([1, 0, -1, 0, 1], id="Q(zeta12)")],
+)
+def test_contains_zeta_cache(coeffs):
+    # contains_zeta keeps one answer per ell in a cache that a fresh field
+    # starts with empty (as it starts with no unit group, whose torsion list
+    # is the other cache); a non-prime ell raises and is not cached
+    K = NumberField(IntPolynomial(coeffs))
+    assert K._zeta_ell == {} and K._unit_group is None  # no torsion list yet
+    zeta, w = K.torsion()
+    for ell in (2, 3, 5, 7):
+        z = K.contains_zeta(ell)
+        assert z == (zeta ** (w // ell) if w % ell == 0 else None)
+        assert K.contains_zeta(ell) is z
+    assert set(K._zeta_ell) == {2, 3, 5, 7}
+    with pytest.raises(ValueError):
+        K.contains_zeta(9)
+    assert 9 not in K._zeta_ell
 
 
 def _t2(K, coords):

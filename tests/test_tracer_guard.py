@@ -21,6 +21,7 @@ import nfk.harness  # noqa: F401
 import nfk.ideals  # noqa: F401
 import nfk.kummer
 import nfk.number_field  # noqa: F401
+from nfk.number_field import build_field
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -97,5 +98,23 @@ def test_traced_identities_hold(name, ell, X, options, request):
         assert counts["kummer.norm_rejected"] > 0
     if ell > 2:
         assert counts["kummer.dedup_rejected"] > 0
+    for identity, sides in tracer.invariants().items():
+        assert sides["lhs"] == sides["rhs"], identity
+
+
+def test_traced_identities_hold_x4_7x2_13():
+    # ell = 3 over x^4+7x^2+13 (h = 2, unit rank 1): orbit dedup moves power
+    # roots to a nontrivial class representative and runs canonical_generator
+    # inside normalize_gamma, whose calls the tracer counts as dedup rejects
+    K = build_field([13, 0, 7, 0, 1], ell=3, label="x^4+7x^2+13")
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        records = nfk.kummer.enumerate_extensions(K, 3, 200000)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["kummer.records"] == len(records) > 0
+    assert counts["kummer.dedup_rejected"] > 0
     for identity, sides in tracer.invariants().items():
         assert sides["lhs"] == sides["rhs"], identity
