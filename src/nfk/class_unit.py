@@ -30,8 +30,9 @@ from .ideals import (
     FactoredIdeal,
     PrimeIdeal,
     _coord_sort_key,
+    _embedding_ranked,
+    _search_constants,
     as_factored,
-    canonical_generator,
     ideal_from_element,
     principal_test_generator,
     primes_of_norm_up_to,
@@ -55,11 +56,27 @@ class UnitGroup:
     fundamental: list[AlgebraicNumber]
     regulator: object  # mpmath.mpf
     _torsion: list[AlgebraicNumber] = dc_field(init=False, repr=False, compare=False)
+    log_vectors: list = dc_field(init=False, repr=False, compare=False)
+    log_rows: list[list[float]] = dc_field(init=False, repr=False, compare=False)
+    vertex_inverses: list[list[list[float]]] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._torsion = [self.field.one]
+        K = self.field
+        self._torsion = [K.one]
         for _ in range(self.w - 1):
             self._torsion.append(self._torsion[-1] * self.zeta)
+        # 160-bit weighted log vectors of the fundamental units (unit_dlog)
+        self.log_vectors = [_log_vector(K, u, prec=160) for u in self.fundamental]
+        # log |sigma_i(eps_j)|, one row per place, in floats (ClassGroup.generator);
+        # for each place m, the float inverse of the rows of the other places
+        r = self.rank
+        with mpmath.workprec(160):
+            rows = [[v[i] / (1 if i < K.r1 else 2) for v in self.log_vectors] for i in range(r + 1)]
+            self.log_rows = [[float(x) for x in row] for row in rows]
+            self.vertex_inverses = []
+            for m in range(r + 1 if r else 0):
+                inv = mpmath.inverse(mpmath.matrix(rows[:m] + rows[m + 1:]))
+                self.vertex_inverses.append([[float(x) for x in row] for row in inv.tolist()])
 
     @property
     def rank(self) -> int:
@@ -314,12 +331,11 @@ def unit_dlog(ug: UnitGroup, u: AlgebraicNumber) -> tuple[int, tuple[int, ...]]:
     b: list[int] = []
     if r:
         with mpmath.workprec(160):
-            cols = [_log_vector(K, f, prec=160) for f in ug.fundamental]
             target = _log_vector(K, u, prec=160)
             m = mpmath.matrix(r, r)
-            for j in range(r):
+            for j, col in enumerate(ug.log_vectors):
                 for i in range(r):
-                    m[i, j] = cols[j][i]
+                    m[i, j] = col[i]
             sol = mpmath.lu_solve(m, mpmath.matrix(target[:r]))
         for x in sol:
             n = int(mpmath.nint(x))
@@ -396,8 +412,9 @@ class ClassGroup:
     products[(i, j)] = (k, g) with reps[i] reps[j] = (g) reps[k], the times
     table that group.op reads; prime_class[q] = c and prime_gen[q] = g with
     q = (g) reps[c].  Each g is an int coordinate tuple over one positive
-    int denominator.  In unit rank 0 generator() multiplies them into the
-    canonical generator of an ideal with no search.
+    int denominator.  generator() multiplies them into a generator of an
+    ideal and picks the canonical one among its torsion and unit
+    multiples, with no search.
     """
 
     field: NumberField
@@ -417,6 +434,11 @@ class ClassGroup:
         for t in self.units.torsion_elements():
             cols = [K.mul_int_coords(t.coords, b) for b in basis]
             self._torsion_rows.append(list(zip(*cols)))
+        # each fundamental unit with its inverse, and the log of the search's
+        # unit-balance scale (_least_unit_multiple)
+        units = self.units.fundamental
+        self._unit_coords = [(u.coords, u.inverse().coords) for u in units]
+        self._log_scale = float(mpmath.log(_search_constants(K, units))) if units else 0.0
 
     @property
     def h(self) -> int:
@@ -449,23 +471,22 @@ class ClassGroup:
         return found[0]
 
     def generator(self, fa: FactoredIdeal, ceilings: Ceilings | None = None) -> AlgebraicNumber:
-        """The canonical generator of fa, as canonical_generator chooses it.
+        """The canonical generator of fa, as canonical_generator chooses it,
+        composed from stored generators with no lattice search.
 
-        In unit rank >= 1 this is canonical_generator.  In unit rank 0 (Q
-        and the imaginary quadratic fields) the generators of fa are the w
-        torsion multiples of any one of them, and canonical_generator takes
-        the least coordinate key among them (a key that positive scaling
-        keeps).  So fa is cleared to num/den (FactoredIdeal.cleared), one
-        generator of num is carried prime by prime through the stored
-        generators and the times table, and the torsion multiple of least
-        key is divided by den.  A prime not yet looked up goes through
+        fa is cleared to num/den (FactoredIdeal.cleared), and one generator
+        g of num is carried prime by prime through the stored generators and
+        the times table; a prime not yet looked up goes through
         class_of_prime under the caller's ceilings.  Raises
-        NotPrincipalError when the class does not end at 0.  In degree 1
-        the generators are +-N(fa) and the key takes N(fa), a product of
-        prime powers.
+        NotPrincipalError when the class does not end at 0.  Every
+        generator of num is t g eps^k for a root of unity t and a unit
+        eps^k, and the canonical one is picked among them: in unit rank 0
+        the torsion multiple of least key (_least_torsion_multiple), in
+        rank >= 1 the least of the unit multiples the search would see
+        (_least_unit_multiple).  It is divided by den.  In degree 1 the
+        generators are +-N(fa) and the key takes N(fa), a product of prime
+        powers.
         """
-        if self.units.rank:
-            return canonical_generator(fa, self.units.fundamental, ceilings)
         K = self.field
         if K.degree == 1:
             num = den = 1
@@ -491,8 +512,83 @@ class ClassGroup:
             raise NotPrincipalError(f"{fa!r} is not principal")
         if any(c % scale for c in coords):
             raise ArithmeticError(f"composed generator of {fa!r} is not integral")
-        best = self._least_torsion_multiple([c // scale for c in coords])
+        coords = [c // scale for c in coords]
+        if self.units.rank:
+            target = math.prod(q.norm**e for q, e in num.exps.items())
+            best = self._least_unit_multiple(coords, target, ceilings)
+        else:
+            best = self._least_torsion_multiple(coords)
         return K.element(best if den == 1 else [Fraction(c, den) for c in best])
+
+    def _least_unit_multiple(
+        self, coords: list[int], target: int, ceilings: Ceilings | None
+    ) -> list[int]:
+        """The generator canonical_generator picks among the t g eps^k, for g
+        of norm +-target given by int coordinates.
+
+        The search (ideals._lattice_norm_matches) ranks every generator in
+        an ellipsoid that holds the region max |sigma| <= M, where M is
+        target^(1/n) times the scale of ideals._search_constants, and the
+        least generator lies 1.0001 inside M.  The ranking
+        (ideals._embedding_ranked) depends only on the generators within a
+        relative 1e-12 or so of the least max |sigma|, in the search's
+        order, so ranking the generators with max |sigma| <= M in that
+        order picks the same element.  Those are the torsion multiples of
+        g eps^k for the integer points k of the simplex
+        log |sigma_i(g)| + sum_j k_j log |sigma_i(eps_j)| <= log M, one
+        inequality per place i.  Vertex m makes every inequality but the
+        m-th an equality (UnitGroup.vertex_inverses); the points of the
+        vertices' bounding box count against ceilings.search_points, are
+        walked by exact products and kept when inside.  Torsion multiples
+        share every |sigma|, so when the ranking's float pre-screen leaves
+        one kept point, its torsion multiples all tie and the least
+        coordinate key decides (_least_torsion_multiple) with no mpmath.
+        """
+        K, ug = self.field, self.units
+        ceilings = ceilings or Ceilings()
+        mul = K.mul_int_coords
+        log_m = math.log(target) / K.degree + self._log_scale + 1e-9
+        slack = [log_m - x for x in K.log_abs_embeddings(coords)]  # (L k)_i <= slack_i
+        vertices = [
+            [sum(map(operator.mul, row, slack[:m] + slack[m + 1:])) for row in inv]
+            for m, inv in enumerate(ug.vertex_inverses)
+        ]
+        ranges = [range(math.ceil(min(c)), math.floor(max(c)) + 1) for c in zip(*vertices)]
+        points = math.prod(map(len, ranges))
+        if points > ceilings.search_points:
+            raise CeilingError(f"unit reduction over {points} box points", ceilings.search_points)
+        start = coords
+        for (u, u_inv), rng in zip(self._unit_coords, ranges):
+            for _ in range(abs(rng.start)):
+                start = mul(start, u if rng.start > 0 else u_inv)
+
+        def box(j: int, x, ks: tuple):
+            if j == ug.rank:
+                yield ks, x
+                return
+            u = self._unit_coords[j][0]
+            for k in ranges[j]:
+                yield from box(j + 1, x, ks + (k,))
+                x = mul(x, u)
+
+        kept = [
+            x for ks, x in box(0, start, ())
+            if all(sum(map(operator.mul, row, ks)) <= s for row, s in zip(ug.log_rows, slack))
+        ]
+        if not kept:
+            raise ArithmeticError(f"unit reduction of {coords} kept no point")
+        tops = [K.max_embedding_sq(x) for x in kept]
+        cut = min(tops) * (1 + 2e-6)
+        near = [x for x, t in zip(kept, tops) if t <= cut]
+        if len(near) == 1:
+            best = self._least_torsion_multiple(near[0])
+        else:
+            found = [[sum(map(operator.mul, row, x)) for row in rows]
+                     for x in near for rows in self._torsion_rows]
+            best = _embedding_ranked(K, sorted(found, key=lambda c: c[::-1]))
+        if abs(K.norm_int(best)) != target:
+            raise ArithmeticError(f"unit reduction of {coords} lost the norm {target}")
+        return best
 
     def _least_torsion_multiple(self, coords: list[int]) -> list[int]:
         """The torsion multiple t*x of least _coord_sort_key.

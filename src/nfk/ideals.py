@@ -17,10 +17,10 @@ multiple of every generator.  The canonical generator — the
 F-map used throughout the Kummer layer — is the match minimizing the
 largest embedding magnitude, ties broken by smallest coordinate key (|c|
 before sign, so 2 beats -2).  In imaginary quadratic fields every match
-ties, and the coordinate key alone decides.  Where the unit group is
-finite, ClassGroup.generator (class_unit) picks the same element from
-products of the generators its class searches stored, with no search;
-the search here stays its oracle.
+ties, and the coordinate key alone decides.  ClassGroup.generator
+(class_unit) picks the same element from products of the generators its
+class searches stored, reduced modulo units, with no search; the search
+here stays its oracle.
 """
 
 from __future__ import annotations
@@ -616,7 +616,8 @@ def _imag_quadratic_norm_matches(a: Ideal, target: int, ceilings: Ceilings) -> l
 
 def _search_constants(K: NumberField, units: Sequence[AlgebraicNumber]) -> mpmath.mpf:
     """The unit-balance scale e^(max spread) * 1.0001 of _lattice_norm_matches,
-    cached on the field per units tuple."""
+    cached on the field per units tuple.  ClassGroup.generator bounds its
+    reduction modulo units with the same scale."""
     key = tuple(u.coords for u in units)
     scale = K._generator_search_cache.get(key)
     if scale is None:
@@ -718,6 +719,25 @@ def principal_test_generator(
 
 
 def _embedding_ranked(K: NumberField, matches: Sequence[Sequence[int]]) -> Sequence[int]:
+    """The match of least max |sigma|, ties to the smaller coordinate key
+    (_mpmath_ranked), after a float pre-screen.
+
+    Only the matches whose float max |sigma|^2 (K.max_embedding_sq) lies
+    within a relative 2e-6 of the least are ranked in mpmath, in their
+    order.  The ranking's result depends only on the matches within a few
+    times 1e-12 of the least magnitude: any farther match is replaced by
+    the first of those and never replaces one.  The margin is far above
+    both that band and the float error, so the choice is the one over all
+    matches.
+    """
+    if len(matches) > 1:
+        tops = [K.max_embedding_sq(coords) for coords in matches]
+        cut = min(tops) * (1 + 2e-6)
+        matches = [coords for coords, top in zip(matches, tops) if top <= cut]
+    return _mpmath_ranked(K, matches)
+
+
+def _mpmath_ranked(K: NumberField, matches: Sequence[Sequence[int]]) -> Sequence[int]:
     """The match of least max |sigma|, from 64-bit mpmath embeddings.
 
     Magnitudes within a relative 1e-12 count as tied, and ties go to the

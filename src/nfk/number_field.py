@@ -280,7 +280,7 @@ class NumberField:
         self._roots_cache: tuple[int, list] | None = None
         self._torsion: tuple[AlgebraicNumber, int] | None = None  # torsion()
         self._zeta_ell: dict[int, AlgebraicNumber | None] = {}  # contains_zeta()
-        self._norm_form: dict[tuple[int, ...], int] | None = None
+        self._norm_terms: list[tuple[int, tuple]] | None = None  # _norm_form_terms()
         self._t2_rows: list[list[float]] | None = None  # _embed()
         self._generator_search_cache: dict[tuple, object] = {}  # units -> scale (ideals.py)
         self._prime_cache: dict[int, list] = {}  # p -> split_prime(K, p) (ideals.py)
@@ -313,14 +313,15 @@ class NumberField:
         self._theta_powers[k] = out
         return out
 
-    def norm_form(self) -> dict[tuple[int, ...], int]:
-        """The norm as an integer form: N(sum x_i theta^i) = sum c_m prod x^m.
+    def _norm_form_terms(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """The norm as an integer form, N(sum x_i theta^i) = sum c prod x_i^e_i,
+        one (c, ((i, e_i), ...)) per monomial with its nonzero exponents only.
 
         Expanded once per field from det of the generic multiplication
         matrix; evaluating the form is far cheaper than fraction-exact
         Gaussian elimination per element.
         """
-        if self._norm_form is None:
+        if self._norm_terms is None:
             import sympy
 
             n = self.degree
@@ -334,18 +335,18 @@ class NumberField:
             ]
             det = sympy.Matrix(rows).det(method="berkowitz")
             poly = sympy.Poly(det, *xs)
-            self._norm_form = {tuple(m): int(c) for m, c in poly.terms()}
-        return self._norm_form
+            self._norm_terms = [
+                (int(c), tuple((i, e) for i, e in enumerate(m) if e)) for m, c in poly.terms()
+            ]
+        return self._norm_terms
 
     def norm_int(self, coords: Sequence[int]) -> int:
         """Exact norm of an integral element given by int coordinates."""
         total = 0
-        for mon, c in self.norm_form().items():
-            t = c
-            for x, e in zip(coords, mon):
-                if e:
-                    t *= x**e
-            total += t
+        for c, factors in self._norm_terms or self._norm_form_terms():
+            for i, e in factors:
+                c *= coords[i] ** e
+            total += c
         return total
 
     def mul_int_coords(self, a: Sequence, b: Sequence) -> tuple:
@@ -467,6 +468,39 @@ class NumberField:
     def t2(self, coords: Sequence) -> float:
         """T2(x) = sum over the n embeddings of |sigma(x)|^2, in floats."""
         return sum(v * v for v in self._embed(coords))
+
+    def _place_sq(self, v: list[float]) -> list[float]:
+        """|sigma(x)|^2 at each of the r1 + r2 places, from v = _embed(x)."""
+        r1 = self.r1
+        sq = [x * x for x in v[:r1]]
+        return sq + [(a * a + b * b) / 2 for a, b in zip(v[r1::2], v[r1 + 1::2])]
+
+    def max_embedding_sq(self, coords: Sequence) -> float:
+        """max over the places of |sigma(x)|^2, in floats."""
+        return max(self._place_sq(self._embed(coords)))
+
+    def log_abs_embeddings(self, coords: Sequence[int]) -> list[float]:
+        """log |sigma(x)| at each of the r1 + r2 places, for nonzero int
+        coordinates, each good to about 1e-9.
+
+        Floats from _embed serve where at every place the terms' magnitudes
+        sum to at most 2^20 |sigma(x)|, so that rounding costs at most a
+        relative 2^-30 or so.  Otherwise mpmath evaluates x at a precision
+        that doubles until the same test holds with 2^-prec for 2^-53.
+        """
+        sq = self._place_sq(self._embed(coords))  # _embed builds _t2_rows
+        sizes = [sum(abs(r * c) for r, c in zip(row, coords)) for row in self._t2_rows]
+        r1 = self.r1
+        bound = sizes[:r1] + [a + b for a, b in zip(sizes[r1::2], sizes[r1 + 1::2])]
+        if all(s > (b * 2.0**-20) ** 2 for s, b in zip(sq, bound)):
+            return [math.log(s) / 2 for s in sq]
+        prec = 128
+        while True:
+            with mpmath.workprec(prec):
+                vals = [abs(v) for v in self.embeddings(self.element(coords), prec)]
+                if all(v * mpmath.mpf(2) ** (prec - 30) > b for v, b in zip(vals, bound)):
+                    return [float(mpmath.log(v)) for v in vals]
+            prec *= 2
 
     def short_vectors(
         self, cols: Iterable[Sequence[int]], radius: float, limit: int | None = None

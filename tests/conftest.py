@@ -31,3 +31,22 @@ def field_cubic9():
 @pytest.fixture(scope="session")
 def field_zeta3():
     return build_field([1, 1, 1], ell=3, label="Q(zeta3)")
+
+
+@pytest.fixture(scope="session")
+def field_q10():
+    # real quadratic with h = 2
+    return build_field([-10, 0, 1], ell=2, label="Q(sqrt(10))")
+
+
+@pytest.fixture(scope="session")
+def field_rank2():
+    # the totally real cubic x^3 - x^2 - 2x + 1: unit rank 2
+    return build_field([1, -2, -1, 1], ell=2, label="x^3-x^2-2x+1")
+
+
+@pytest.fixture(scope="session")
+def field_x4_7x2_13():
+    # ell = 3 with h = 2 and w = 6 (unit rank 1): the one field here whose
+    # Steinitz classes at ell = 3 are not all trivial
+    return build_field([13, 0, 7, 0, 1], ell=3, label="x^4+7x^2+13")

@@ -7,6 +7,7 @@ import random
 import mpmath
 import pytest
 
+from nfk import ideals
 from nfk.class_unit import (
     compute_class_group,
     compute_unit_group,
@@ -108,10 +109,10 @@ def test_short_vector_callers_pinned(coeffs, zeta, w, units):
     assert (ug.zeta.coords, ug.w, [u.coords for u in ug.fundamental]) == (zeta, w, units)
 
 
-@pytest.mark.parametrize("name", ["zeta3", "qi", "cubic9"])
+@pytest.mark.parametrize("name", ["zeta3", "qi", "cubic9", "x4_7x2_13", "rank2"])
 def test_unit_dlog_on_seeded_units(name, request):
-    # the torsion list is built once with the unit group; unit_dlog reads
-    # back the exponents of zeta^a prod eps_i^b_i
+    # the torsion list and the units' log vectors are built once with the
+    # unit group; unit_dlog reads back the exponents of zeta^a prod eps_i^b_i
     K = request.getfixturevalue(f"field_{name}")
     ug = compute_unit_group(K)
     torsion = ug.torsion_elements()
@@ -381,17 +382,10 @@ def _generator_or_none(cg, fa):
         return None
 
 
-@pytest.mark.parametrize("name", ["q", "qi", "qm5", "zeta3"])
-def test_composed_generator_matches_search(name, request):
-    # unit rank 0: the product of stored generators, least torsion multiple,
-    # must be the element the generator search picks, on every integral
-    # ideal of norm <= 400 and on seeded fractional ideals, some of them
-    # holding every prime over one split p; non-principal ideals of
-    # Q(sqrt(-5)) give None on both sides
-    K = request.getfixturevalue(f"field_{name}")
-    cg = compute_class_group(K)
-    units = cg.units.fundamental
-    cases = _integral_ideals_up_to(K, 400)
+def _differential_cases(K, bound):
+    """Every integral ideal of norm <= bound and 40 seeded fractional ones,
+    some of them holding every prime over one split p."""
+    cases = _integral_ideals_up_to(K, bound)
     pool = sorted(primes_of_norm_up_to(K, 50))
     shared = [q for q in pool if len(split_prime(K, q.p)) > 1]
     rng = random.Random(29)
@@ -404,12 +398,47 @@ def test_composed_generator_matches_search(name, request):
         if not fa.is_integral():
             cases.append(fa)
             fractional += 1
+    return cases
+
+
+_RANK_ZERO = ["q", "qi", "qm5", "zeta3"]
+_RANK_POSITIVE = ["qs2", "q10", "cubic9", "x4_7x2_13", "rank2"]
+
+
+@pytest.mark.parametrize("name", _RANK_ZERO + _RANK_POSITIVE)
+def test_composed_generator_matches_search(name, request):
+    # the product of stored generators, brought to the least torsion
+    # multiple (unit rank 0) or reduced modulo units (rank >= 1), must be
+    # the element the generator search picks, on every integral ideal of
+    # norm <= 400 (rank 0) or 300 (rank >= 1) and on seeded fractional
+    # ideals; non-principal ideals (h = 2) give None on both sides
+    K = request.getfixturevalue(f"field_{name}")
+    cg = compute_class_group(K)
+    units = cg.units.fundamental
     verdicts = set()
-    for fa in cases:
+    for fa in _differential_cases(K, 400 if name in _RANK_ZERO else 300):
         want = principal_test_generator(fa, units)
         assert _generator_or_none(cg, fa) == want, fa
         verdicts.add(want is None)
     assert verdicts == ({False, True} if cg.h > 1 else {False})
+
+
+@pytest.mark.parametrize("name", _RANK_POSITIVE)
+def test_embedding_prescreen_matches_full_ranking(name, request):
+    # the float pre-screen of _embedding_ranked hands the mpmath ranking
+    # only the matches near the least max |sigma|; on every match set of
+    # the differential test the choice equals the ranking of all matches
+    K = request.getfixturevalue(f"field_{name}")
+    units = compute_unit_group(K).fundamental
+    screened = 0
+    for fa in _differential_cases(K, 300):
+        num, _den = fa.num_den()
+        matches = ideals.norm_matches(num, units) if not num.is_one() else []
+        if matches:
+            full = ideals._mpmath_ranked(K, matches)
+            assert ideals._embedding_ranked(K, matches) == full, fa
+            screened += len(matches) > 1
+    assert screened
 
 
 def test_generator_is_canonical_generator_in_positive_rank(field_cubic9):
@@ -425,6 +454,27 @@ def test_generator_is_canonical_generator_in_positive_rank(field_cubic9):
             with pytest.raises(NotPrincipalError):
                 cg.generator(fa)
     assert principal
+
+
+def test_composed_generator_honours_search_ceiling_in_positive_rank():
+    # a fresh cubic-9 (unit rank 1): composing (59) = q q'^2 looks up the
+    # classes and generators of q and q' with lattice searches past a
+    # ceiling of one point; once they are stored, the reduction modulo
+    # units counts its box points against the same ceiling
+    K = build_field([-9, -1, 0, 1], ell=2, label="cubic-9-fresh")
+    cg = compute_class_group(K)
+    q, q_sq = split_prime(K, 59)
+    fa = FactoredIdeal(K, {q: q.e, q_sq: q_sq.e})
+    tiny = Ceilings(search_points=1)
+    with pytest.raises(CeilingError):
+        cg.generator(fa, tiny)
+    for prime in (q, q_sq):  # the failed search cached nothing
+        assert prime not in cg.prime_class and prime not in cg.prime_gen
+    assert cg.generator(fa) == K.from_int(59)
+    assert q in cg.prime_gen and q_sq in cg.prime_gen
+    with pytest.raises(CeilingError):
+        cg.generator(fa * fa, tiny)
+    assert cg.generator(fa * fa) == K.from_int(59**2)
 
 
 def test_composed_generator_honours_search_ceiling():

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from nfk import class_unit, ideals, kummer
+from nfk import ideals, kummer
 from nfk.abelian_groups import is_power_class
 from nfk.class_unit import (
     compute_class_group,
@@ -541,15 +541,13 @@ def test_unit_cosets_computed_once_per_enumeration(name, request, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, ell, X, searches",
-    [("qi", 2, 1000, False), ("qm5", 2, 1000, False), ("zeta3", 3, 20000, False),
-     ("cubic9", 2, 100, True)],
+    "name, ell, X",
+    [("qi", 2, 1000), ("qm5", 2, 1000), ("zeta3", 3, 20000), ("cubic9", 2, 100)],
 )
-def test_cells_run_no_generator_search_in_unit_rank_zero(name, ell, X, searches, request,
-                                                         monkeypatch):
-    # once the pool's class lookups are warm, a field with finitely many
-    # units composes every cell generator from stored ones: no norm-match
-    # search and no HNF assembly; unit rank >= 1 still searches
+def test_cells_run_no_generator_search_once_warm(name, ell, X, request, monkeypatch):
+    # once the pool's class lookups are warm, every cell generator is
+    # composed from stored ones, in unit rank 0 and in rank >= 1 (cubic-9):
+    # no norm-match search and no HNF assembly
     K = request.getfixturevalue(f"field_{name}")
     warm = enumerate_extensions(K, ell, X)
     calls = {"norm_matches": 0, "to_ideal": 0}
@@ -566,17 +564,7 @@ def test_cells_run_no_generator_search_in_unit_rank_zero(name, ell, X, searches,
     again = enumerate_extensions(K, ell, X)
     assert [r.sort_key() for r in again] == [r.sort_key() for r in warm]
     assert [r.datum.gamma for r in again] == [r.datum.gamma for r in warm]
-    if searches:
-        assert calls["norm_matches"] and calls["to_ideal"]
-    else:
-        assert calls == {"norm_matches": 0, "to_ideal": 0}
-
-
-@pytest.fixture(scope="module")
-def field_x4_7x2_13():
-    # ell = 3 with h = 2: the one field here whose Steinitz classes at
-    # ell = 3 are not all trivial
-    return build_field([13, 0, 7, 0, 1], ell=3, label="x^4+7x^2+13")
+    assert calls == {"norm_matches": 0, "to_ideal": 0}
 
 
 @pytest.mark.parametrize(
@@ -638,7 +626,8 @@ def test_normalize_hint_matches_factoring(name, X, options, request, monkeypatch
     # the cell loop passes gamma^m O_K = fa^m to normalize_gamma; on every
     # deduped candidate the result equals the one that factors gamma^m O_K
     # itself.  On x^4+7x^2+13 (h = 2, rank 1) the power root moves to a
-    # nontrivial class representative and canonical_generator runs.
+    # nontrivial class representative, and its generator is composed with
+    # no norm-match search.
     K = request.getfixturevalue(f"field_{name}")
     calls = []
     normalize = kummer.normalize_gamma
@@ -652,15 +641,14 @@ def test_normalize_hint_matches_factoring(name, X, options, request, monkeypatch
     records = enumerate_extensions(K, 3, X, **options)
     assert len(calls) > len(records) > 0  # ell = 3 tries m = 2 once per candidate
     searches = []
-    search = class_unit.canonical_generator
-    monkeypatch.setattr(
-        class_unit, "canonical_generator", lambda *a: searches.append(a) or search(*a)
-    )
+    search = ideals.norm_matches
+    monkeypatch.setattr(ideals, "norm_matches", lambda *a: searches.append(a) or search(*a))
     for gamma, fa, got in calls:
         assert fa is not None
         assert normalize(gamma, 3) == got
     if name == "x4_7x2_13":
-        assert any(d.power_root_class for *_, d in calls) and searches
+        assert any(d.power_root_class for *_, d in calls)
+    assert not searches
 
 
 def test_normalize_rejects_a_wrong_hint(field_zeta3, field_x4_7x2_13):

@@ -13,7 +13,7 @@ from nfk.class_unit import compute_unit_group
 from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from nfk.ideals import split_prime
 from nfk.exact_math import IntPolynomial
-from nfk.number_field import NumberField, build_field, dedekind_q_maximal
+from nfk.number_field import NumberField, _det_fraction, build_field, dedekind_q_maximal
 from oracles import inverse_by_fraction_solve
 
 CUBIC = [-9, -1, 0, 1]  # x^3 - x - 9
@@ -113,6 +113,39 @@ def test_inverse_and_division():
 
 
 _SPECS = Path(__file__).resolve().parent.parent / "fieldspecs"
+
+
+@pytest.mark.parametrize(
+    "coeffs", [CUBIC, [1, -2, -1, 1], [13, 0, 7, 0, 1]], ids=["cubic9", "rank2", "x4_7x2_13"]
+)
+def test_log_abs_embeddings_match_high_precision(coeffs):
+    # small elements take the float path; high powers of a unit, with one
+    # embedding far below the coordinates, take the mpmath path
+    K = build_field(coeffs, ell=3 if coeffs[0] == 13 else 2)
+    eps = compute_unit_group(K).fundamental[0]
+    for x in (K.from_int(7), K.element([2, -1] + [1] * (K.degree - 2)), eps, eps**-30, eps**60 * 5):
+        got = K.log_abs_embeddings(x.int_coords())
+        with mpmath.workprec(2000):
+            want = [mpmath.log(abs(v)) for v in K.embeddings(x, 2000)]
+        assert all(abs(g - w) < 1e-9 for g, w in zip(got, want)), x
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [pytest.param(spec["poly"], spec["ell"], id=spec["label"]) for spec in
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))],
+)
+def test_norm_int_matches_exact_determinant(coeffs, ell):
+    # norm_int evaluates the norm form's monomials; the Fraction
+    # determinant of the multiplication matrix (the path of non-integral
+    # elements) is the oracle
+    K = build_field(coeffs, ell=ell)
+    rng = random.Random(7 + K.degree)
+    for trial in range(200):
+        height = 5 if trial < 100 else 10**9
+        coords = [rng.randint(-height, height) for _ in range(K.degree)]
+        x = K.element(coords)
+        assert K.norm_int(coords) == _det_fraction(x.multiplication_matrix()), coords
 
 
 @pytest.mark.parametrize(
