@@ -7,14 +7,16 @@ engine.  Unit group: the roots of unity are the field's own
 (NumberField.torsion, the one roots-of-unity search); fundamental units
 come from the short vectors (NumberField.short_vectors) of balls of
 growing T2 radius, units themselves and ratios of elements generating
-equal ideals, followed by exact Euclidean reduction in log space.  The
-reduction is exact on the units found; that the result is a *fundamental*
-system is certified downstream by the analytic class number formula
-cross-check, as advertised.
+equal ideals, followed by one reduction (_reduce_units) of their float
+log lattice (NumberField.log_abs_embeddings); only the regulator keeps a
+140-bit mpmath determinant.  The reduction is exact on the units found;
+that the result is a *fundamental* system is certified downstream by the
+analytic class number formula cross-check, as advertised.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -56,7 +58,6 @@ class UnitGroup:
     fundamental: list[AlgebraicNumber]
     regulator: object  # mpmath.mpf
     _torsion: list[AlgebraicNumber] = dc_field(init=False, repr=False, compare=False)
-    log_vectors: list = dc_field(init=False, repr=False, compare=False)
     log_rows: list[list[float]] = dc_field(init=False, repr=False, compare=False)
     vertex_inverses: list[list[list[float]]] = dc_field(init=False, repr=False, compare=False)
 
@@ -65,18 +66,17 @@ class UnitGroup:
         self._torsion = [K.one]
         for _ in range(self.w - 1):
             self._torsion.append(self._torsion[-1] * self.zeta)
-        # 160-bit weighted log vectors of the fundamental units (unit_dlog)
-        self.log_vectors = [_log_vector(K, u, prec=160) for u in self.fundamental]
-        # log |sigma_i(eps_j)|, one row per place, in floats (ClassGroup.generator);
-        # for each place m, the float inverse of the rows of the other places
+        # log |sigma_i(eps_j)|, one row per place; for each place m, the
+        # inverse of the rows of the other places (ClassGroup.generator; the
+        # last, of the first r places, serves unit_dlog)
         r = self.rank
-        with mpmath.workprec(160):
-            rows = [[v[i] / (1 if i < K.r1 else 2) for v in self.log_vectors] for i in range(r + 1)]
-            self.log_rows = [[float(x) for x in row] for row in rows]
-            self.vertex_inverses = []
-            for m in range(r + 1 if r else 0):
-                inv = mpmath.inverse(mpmath.matrix(rows[:m] + rows[m + 1:]))
-                self.vertex_inverses.append([[float(x) for x in row] for row in inv.tolist()])
+        cols = [K.log_abs_embeddings(u.int_coords()) for u in self.fundamental]
+        self.log_rows = [[c[i] for c in cols] for i in range(r + 1)]
+        unit = [[float(i == j) for j in range(r)] for i in range(r)]
+        self.vertex_inverses = []
+        for m in range(r + 1 if r else 0):
+            others = list(zip(*(self.log_rows[:m] + self.log_rows[m + 1:])))
+            self.vertex_inverses.append([list(x) for x in zip(*(_solve(others, e) for e in unit))])
 
     @property
     def rank(self) -> int:
@@ -96,107 +96,91 @@ class UnitGroup:
         return self.zeta**w, ell**v
 
 
-def _log_vector(K: NumberField, u: AlgebraicNumber, prec: int = 120) -> list:
-    """Weighted log embeddings (1 for real, 2 for complex); entries sum to 0."""
-    with mpmath.workprec(prec):
-        vals = K.embeddings(u, prec)
-        out = []
-        for i, v in enumerate(vals):
-            weight = 1 if i < K.r1 else 2
-            out.append(weight * mpmath.log(abs(v)))
-        return out
+def _log_vector(K: NumberField, u: AlgebraicNumber) -> list[float]:
+    """Weighted log embeddings (1 for real, 2 for complex) of a unit, in
+    floats; entries sum to 0."""
+    logs = K.log_abs_embeddings(u.int_coords())
+    return [x if i < K.r1 else 2 * x for i, x in enumerate(logs)]
 
 
-def _det2(v1, v2):
-    """Determinant of the first two coordinates of two log vectors."""
-    return v1[0] * v2[1] - v1[1] * v2[0]
+def _det(vectors) -> float:
+    """Determinant of r = 1 or 2 vectors of length r."""
+    if len(vectors) == 1:
+        return vectors[0][0]
+    (a, b), (c, d) = vectors
+    return a * d - b * c
 
 
-def _euclid_reduce_rank_one(K: NumberField, pool: list[AlgebraicNumber]) -> AlgebraicNumber:
-    """Exact gcd of the units' log lattice (rank 1) by Euclid on actual units."""
+def _solve(cols, target) -> list[float]:
+    """x with sum_j x_j cols[j] = target, by Cramer's rule (r = 1 or 2)."""
+    d = _det(cols)
+    return [_det(cols[:j] + [target] + cols[j + 1:]) / d for j in range(len(cols))]
 
-    def ln(u):
-        return _log_vector(K, u)[0]
 
-    g = None
-    for v in pool:
-        if g is None:
-            g = v
+def _first_basis(
+    K: NumberField, units: list[AlgebraicNumber], rank: int
+) -> list[AlgebraicNumber] | None:
+    """The first rank-subset of the units with |det| > 1e-6 on their first
+    rank weighted logs, or None."""
+    logs = [_log_vector(K, u)[:rank] for u in units]
+    for s in itertools.combinations(range(len(units)), rank):
+        if abs(_det([logs[i] for i in s])) > 1e-6:
+            return [units[i] for i in s]
+    return None
+
+
+def _reduce_units(K: NumberField, pool: list[AlgebraicNumber], rank: int) -> list[AlgebraicNumber]:
+    """Normalized units that form a reduced basis, modulo torsion, of the
+    units the pool generates (unit rank 1 or 2).
+
+    From _first_basis, each unit of a work list (first the pool) is divided
+    by the basis powers of its rounded log coordinates; a residual of
+    infinite order replaces the basis unit whose replacement leaves the
+    least nonzero |det|, at most half the old one, and the replaced unit
+    goes back on the list.  That is Euclid's algorithm in rank 1; in rank 2
+    each basis is Gauss reduced (Cohen, GTM 138, 1.3.14), and at a tie
+    (|t| = 1/2 or n1 = n2, within 1e-9) the reduced basis of least
+    _coord_sort_key list wins, so the lattice alone fixes the result.
+    """
+    zeta, w = K.torsion()
+    torsion = [zeta**k for k in range(w)]
+
+    def lv(u: AlgebraicNumber) -> list[float]:
+        return _log_vector(K, u)[:rank]
+
+    def dot(u: AlgebraicNumber, v: AlgebraicNumber) -> float:
+        return sum(map(operator.mul, lv(u), lv(v)))
+
+    def gauss(basis: list[AlgebraicNumber]) -> list[AlgebraicNumber]:
+        pairs = [basis]
+        if rank == 2:
+            b1, b2 = basis
+            while True:
+                n1 = dot(b1, b1)
+                t = dot(b1, b2) / n1
+                if n1 > dot(b2, b2) * (1 + 1e-9):
+                    b1, b2 = b2, b1
+                elif abs(t) > 0.5 + 1e-9:
+                    b2 = b2 * b1 ** -round(t)
+                else:
+                    break
+            short = [b1, b2] + ([b2 / b1 if t > 0 else b2 * b1] if abs(abs(t) - 0.5) <= 1e-9 else [])
+            pairs = [[x, y] for x, y in itertools.permutations(short, 2) if dot(x, x) <= n1 * (1 + 1e-9)]
+        normalized = ([_normalize_unit(K, torsion, u) for u in p] for p in pairs)
+        return min(normalized, key=lambda p: [_coord_sort_key(u.int_coords()) for u in p])
+
+    basis, work = gauss(_first_basis(K, pool, rank)), pool[::-1]
+    while work:
+        v = work.pop()
+        logs = [lv(b) for b in basis]
+        for b, e in zip(basis, map(round, _solve(logs, lv(v)))):
+            v = v * b ** (-e) if e < 0 else v / b**e
+        if (v**w).is_one():
             continue
-        a, b = g, v
-        while True:
-            la, lb = ln(a), ln(b)
-            if abs(lb) < mpmath.mpf("1e-25"):
-                if K.element_order(b, cap=64) is None:
-                    raise ArithmeticError("log collapsed on a non-torsion unit")
-                break
-            q = int(mpmath.nint(la / lb))
-            a, b = b, a * b**-q
-        g = a
-    if g is None:
-        raise ArithmeticError("no non-torsion unit in pool")
-    if _log_vector(K, g)[0] < 0:
-        g = g**-1
-    return g
-
-
-def _gauss_reduce_rank_two(
-    K: NumberField, pool: list[AlgebraicNumber]
-) -> list[AlgebraicNumber]:
-    """Reduce a pool of units of infinite order (log rank 2) to a short basis;
-    exact unit arithmetic."""
-
-    def lv(u):
-        return _log_vector(K, u)[:2]
-
-    basis = None
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            if abs(_det2(lv(pool[i]), lv(pool[j]))) > mpmath.mpf("1e-8"):
-                basis = [pool[i], pool[j]]
-                break
-        if basis:
-            break
-    if not basis:
-        raise ArithmeticError("pool does not span rank 2")
-
-    def pair_reduce(b1, b2):
-        for _ in range(200):
-            v1, v2 = lv(b1), lv(b2)
-            n1 = v1[0] ** 2 + v1[1] ** 2
-            n2 = v2[0] ** 2 + v2[1] ** 2
-            if n1 > n2:
-                b1, b2 = b2, b1
-                continue
-            mu = int(mpmath.nint((v1[0] * v2[0] + v1[1] * v2[1]) / n1))
-            if mu == 0:
-                return [b1, b2]
-            b2 = b2 * b1**-mu
-        raise ArithmeticError("Gauss reduction did not converge")
-
-    basis = pair_reduce(*basis)
-    for v in pool:
-        for _ in range(64):
-            v1, v2 = lv(basis[0]), lv(basis[1])
-            d = _det2(v1, v2)
-            w = lv(v)
-            a = int(mpmath.nint((w[0] * v2[1] - w[1] * v2[0]) / d))
-            b = int(mpmath.nint((v1[0] * w[1] - v1[1] * w[0]) / d))
-            resid = v * basis[0] ** -a * basis[1] ** -b
-            if K.element_order(resid, cap=64) is not None:
-                break
-            # finer lattice: swap in the residual and re-reduce
-            cands = [basis[0], basis[1], resid]
-            best = None
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    dd = abs(_det2(lv(cands[i]), lv(cands[j])))
-                    if dd > mpmath.mpf("1e-8") and (best is None or dd < best[0]):
-                        best = (dd, [cands[i], cands[j]])
-            basis = pair_reduce(*best[1])
-            v = resid
-        else:
-            raise ArithmeticError("basis refinement did not stabilize")
+        lr = lv(v)
+        _, j = min((d, j) for j in range(rank) if (d := abs(_det(logs[:j] + [lr] + logs[j + 1:]))) > 1e-6)
+        work.append(basis[j])
+        basis = gauss(basis[:j] + [v] + basis[j + 1:])
     return basis
 
 
@@ -208,9 +192,8 @@ def _normalize_unit(K: NumberField, torsion: list[AlgebraicNumber], g: Algebraic
     (highest coordinate compared first, |c| before sign).
     """
     ref = K.r1 - 1 if K.r1 > 0 else 0
-    with mpmath.workprec(120):
-        if mpmath.log(abs(K.embeddings(g, 100)[ref])) < 0:
-            g = g**-1
+    if K.log_abs_embeddings(g.int_coords())[ref] < 0:
+        g = g**-1
     return min((g * t for t in torsion), key=lambda x: _coord_sort_key(x.int_coords()))
 
 
@@ -228,15 +211,7 @@ def compute_unit_group(K: NumberField, ceilings: Ceilings | None = None) -> Unit
     if rank > 2:
         raise RankError(f"unit rank {rank} unsupported (max 2)")
 
-    fundamental: list[AlgebraicNumber] = []
-    if rank > 0:
-        pool = _unit_search_pool(K, rank, ceilings)
-        if rank == 1:
-            fundamental = [_euclid_reduce_rank_one(K, pool)]
-        else:
-            fundamental = _gauss_reduce_rank_two(K, pool)
-        torsion = [zeta**k for k in range(w)]
-        fundamental = [_normalize_unit(K, torsion, u) for u in fundamental]
+    fundamental = _reduce_units(K, _unit_search_pool(K, rank, ceilings), rank) if rank else []
 
     for u in fundamental:
         if abs(u.norm()) != 1 or not ideal_from_element(u).is_one():
@@ -271,9 +246,7 @@ def _unit_search_pool(K: NumberField, rank: int, ceilings: Ceilings) -> list[Alg
             pool.append(u)
 
     def log_rank() -> int:
-        logs = [_log_vector(K, u) for u in pool] if rank == 2 else []
-        pairs = ((v1, v2) for i, v1 in enumerate(logs) for v2 in logs[i + 1:])
-        return 2 if any(abs(_det2(*p)) > mpmath.mpf("1e-8") for p in pairs) else min(len(pool), 1)
+        return 2 if rank == 2 and _first_basis(K, pool, 2) else min(len(pool), 1)
 
     ratio_norm_bound = 4**n
     cap = n * ceilings.unit_height**2
@@ -310,16 +283,16 @@ def _regulator(K: NumberField, fundamental: list[AlgebraicNumber]):
             return mpmath.mpf(1)
         m = mpmath.matrix(r, r)
         for j, u in enumerate(fundamental):
-            v = _log_vector(K, u, prec=140)
-            for i in range(r):
-                m[i, j] = v[i]
+            for i, v in enumerate(K.embeddings(u, 140)[:r]):
+                m[i, j] = (1 if i < K.r1 else 2) * mpmath.log(abs(v))
         return abs(mpmath.det(m))
 
 
 def unit_dlog(ug: UnitGroup, u: AlgebraicNumber) -> tuple[int, tuple[int, ...]]:
     """Write a unit as zeta^a * prod fundamental_i^{b_i}; return (a, b).
 
-    The b_i come from the log embedding (they are exact integers, so the
+    The b_i solve the log embedding at the first r places, through the
+    inverse UnitGroup.vertex_inverses[r] (they are exact integers, so the
     float solve only has to land within 1/4 of one); the torsion part is
     then matched exactly and the whole factorization re-verified with
     exact arithmetic.
@@ -330,15 +303,10 @@ def unit_dlog(ug: UnitGroup, u: AlgebraicNumber) -> tuple[int, tuple[int, ...]]:
     r = ug.rank
     b: list[int] = []
     if r:
-        with mpmath.workprec(160):
-            target = _log_vector(K, u, prec=160)
-            m = mpmath.matrix(r, r)
-            for j, col in enumerate(ug.log_vectors):
-                for i in range(r):
-                    m[i, j] = col[i]
-            sol = mpmath.lu_solve(m, mpmath.matrix(target[:r]))
-        for x in sol:
-            n = int(mpmath.nint(x))
+        logs = K.log_abs_embeddings(u.int_coords())[:r]
+        for row in ug.vertex_inverses[r]:
+            x = sum(map(operator.mul, row, logs))
+            n = round(x)
             if abs(x - n) > 0.25:
                 raise ArithmeticError(f"unit dlog: exponent {x} is not near an integer")
             b.append(n)
@@ -438,7 +406,7 @@ class ClassGroup:
         # unit-balance scale (_least_unit_multiple)
         units = self.units.fundamental
         self._unit_coords = [(u.coords, u.inverse().coords) for u in units]
-        self._log_scale = float(mpmath.log(_search_constants(K, units))) if units else 0.0
+        self._log_scale = math.log(_search_constants(K, units)) if units else 0.0
 
     @property
     def h(self) -> int:

@@ -614,21 +614,13 @@ def _imag_quadratic_norm_matches(a: Ideal, target: int, ceilings: Ceilings) -> l
     return out
 
 
-def _search_constants(K: NumberField, units: Sequence[AlgebraicNumber]) -> mpmath.mpf:
+def _search_constants(K: NumberField, units: Sequence[AlgebraicNumber]) -> float:
     """The unit-balance scale e^(max spread) * 1.0001 of _lattice_norm_matches,
-    cached on the field per units tuple.  ClassGroup.generator bounds its
+    in floats from K.log_abs_embeddings.  ClassGroup.generator bounds its
     reduction modulo units with the same scale."""
-    key = tuple(u.coords for u in units)
-    scale = K._generator_search_cache.get(key)
-    if scale is None:
-        with mpmath.workprec(120):
-            spread = [mpmath.mpf(0)] * (K.r1 + K.r2)
-            for u in units:
-                for i, v in enumerate(K.embeddings(u, 80)):
-                    spread[i] += abs(mpmath.log(abs(v))) / 2
-            scale = mpmath.exp(max(spread)) * mpmath.mpf("1.0001")
-        K._generator_search_cache[key] = scale
-    return scale
+    logs = [K.log_abs_embeddings(u.int_coords()) for u in units]
+    spread = max((sum(map(abs, place)) / 2 for place in zip(*logs)), default=0.0)
+    return math.exp(spread) * 1.0001
 
 
 def _lattice_norm_matches(
@@ -656,10 +648,8 @@ def _lattice_norm_matches(
     rank = K.r1 + K.r2 - 1
     if len(units) < rank:
         raise RankError(f"generator search needs {rank} fundamental units, got {len(units)}")
-    scale = _search_constants(K, units)
-    with mpmath.workprec(80):
-        bound = mpmath.mpf(target) ** (mpmath.mpf(1) / n) * scale + mpmath.mpf("1e-9")
-        radius = float(n * bound * bound)
+    bound = math.exp(math.log(target) / n) * _search_constants(K, units) + 1e-9
+    radius = n * bound * bound
     norm_int = K.norm_int
     points = K.short_vectors(a.hnf.columns(), radius, ceilings.search_points)
     found = [coords for coords in points if abs(norm_int(coords)) == target]

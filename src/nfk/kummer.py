@@ -429,7 +429,7 @@ def iter_extensions(
     cg = compute_class_group(K, ceilings)
     ug = cg.units
     u_reps = unit_coset_reps(ug, ell)
-    u_cosets: list[tuple[int, ...]] = []  # unit_coset_coords of u_reps, set by the first cell
+    u_cosets = [unit_coset_coords(ug, u, ell) for u in u_reps]
     group = cg.group
     reps = [cg.ell_free_representative(cls, ell, ceilings) for cls in range(cg.h)]
     # the classes cls with cls^ell = t, ascending, for each class t
@@ -526,11 +526,6 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
         root=rep,
         power_parts={i: FactoredIdeal._of(K, e) for i, e in by_exp.items()},
     )
-    if not u_cosets:
-        # the first cell, always the unit ideal (Q = (1), class 0, I = (1)),
-        # so the trivial coset is computed in the cell that skips it; the
-        # perfbench tracer counts trivial skips from that call
-        u_cosets += [unit_coset_coords(ug, u, ell) for u in u_reps]
     tame_norm = parts.tame_norm
     for u, coset in zip(u_reps, u_cosets):
         if unit_cell and not any(coset):

@@ -105,25 +105,16 @@ class AlgebraicNumber:
             e >>= 1
         return result
 
-    def multiplication_matrix(self) -> list[list[Fraction]]:
-        """Matrix of y -> x*y over the power basis (columns are x*theta^j)."""
-        K = self.field
-        cols = []
-        acc = self
-        for _ in range(K.degree):
-            cols.append(acc.coords)
-            acc = acc * K.theta
-        return [[Fraction(cols[j][i]) for j in range(K.degree)] for i in range(K.degree)]
-
     def trace(self) -> Fraction:
         tr = sum(Fraction(c) * p for c, p in zip(self.coords, self.field.power_traces))
         return Fraction(tr)
 
     def norm(self) -> Fraction:
+        """N(x) from the norm form: N(a) / d^n for x = a/d (_int_scaled)."""
         if all(isinstance(c, int) for c in self.coords):
             return Fraction(self.field.norm_int(self.coords))
-        m = self.multiplication_matrix()
-        return _det_fraction(m)
+        a, d = _int_scaled(self.coords)
+        return Fraction(self.field.norm_int(a), d**self.field.degree)
 
     def inverse(self) -> "AlgebraicNumber":
         """1/x, on the one division path (__truediv__)."""
@@ -153,30 +144,6 @@ def _int_scaled(coords: Sequence) -> tuple[list[int], int]:
     """(a, d) with coords = a/d for int a and d the least common denominator."""
     d = math.lcm(*(c.denominator for c in coords if isinstance(c, Fraction)))
     return [int(c * d) for c in coords], d
-
-
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / Fraction(a[k][k])
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                factor = a[i][k] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def _solve_int(m: list[list[int]], rhs: Sequence[int], den: int = 1) -> list:
@@ -282,7 +249,6 @@ class NumberField:
         self._zeta_ell: dict[int, AlgebraicNumber | None] = {}  # contains_zeta()
         self._norm_terms: list[tuple[int, tuple]] | None = None  # _norm_form_terms()
         self._t2_rows: list[list[float]] | None = None  # _embed()
-        self._generator_search_cache: dict[tuple, object] = {}  # units -> scale (ideals.py)
         self._prime_cache: dict[int, list] = {}  # p -> split_prime(K, p) (ideals.py)
         self._zeta_constants_cache: dict[tuple[int, int], object] = {}  # (ell, bound) (density.py)
         self._unit_group = None  # compute_unit_group (class_unit.py)

@@ -11,6 +11,8 @@
   mpf operators, which density._euler_products runs on raw mpmath.libmp.
 - inverse_by_fraction_solve is the Fraction Gauss-Jordan inverse that
   AlgebraicNumber.inverse replaced by fraction-free elimination.
+- det_fraction of multiplication_matrix is the Fraction determinant that
+  NumberField.norm_int and AlgebraicNumber.norm replaced by the norm form.
 """
 
 from __future__ import annotations
@@ -188,4 +190,40 @@ def _solve_fraction(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 def inverse_by_fraction_solve(x: AlgebraicNumber) -> AlgebraicNumber:
     """1/x by Fraction Gauss-Jordan on the multiplication matrix of x."""
     one = [Fraction(int(i == 0)) for i in range(x.field.degree)]
-    return x.field.element(_solve_fraction(x.multiplication_matrix(), one))
+    return x.field.element(_solve_fraction(multiplication_matrix(x), one))
+
+
+def multiplication_matrix(x: AlgebraicNumber) -> list[list[Fraction]]:
+    """Matrix of y -> x*y over the power basis (columns are x*theta^j)."""
+    K = x.field
+    cols = []
+    acc = x
+    for _ in range(K.degree):
+        cols.append(acc.coords)
+        acc = acc * K.theta
+    return [[Fraction(cols[j][i]) for j in range(K.degree)] for i in range(K.degree)]
+
+
+def det_fraction(m: list[list[Fraction]]) -> Fraction:
+    """Determinant of a Fraction matrix by Gaussian elimination."""
+    n = len(m)
+    a = [row[:] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        piv = None
+        for i in range(k, n):
+            if a[i][k] != 0:
+                piv = i
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / Fraction(a[k][k])
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                factor = a[i][k] * inv
+                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve checks, one printed pass/fail line each.
+"""Acceptance gate: thirteen checks, one printed pass/fail line each.
 
 Run with -s (or read captured stdout) for the lines; every check asserts
 both its tolerance and its runtime budget.
@@ -19,7 +19,7 @@ from nfk.abelian_groups import (
     unit_group_mod_ideal,
 )
 from nfk.class_unit import compute_class_group
-from nfk.density import enumerate_R, identity_check, rho
+from nfk.density import density_report, enumerate_R, identity_check, rho
 from nfk.harness import run_count_asymptotic_check
 from nfk.ideals import (
     decompose_parts,
@@ -322,4 +322,50 @@ def test_criterion_12_ideal_properties(field_q, field_qi, field_qm5, field_zeta3
         f"{cases} randomized cases over 5 fields, {failures} failed checks",
         time.perf_counter() - t0,
         120,
+    )
+
+
+def test_criterion_13_ell3_steinitz_classes(field_x4_7x2_13):
+    # odd ell with h > 1, where equidistribution is not vacuous: ell = 3
+    # over x^4 + 7x^2 + 13 (h = 2, two wild primes over 3), ordered by the
+    # ell-free part to X = 3000.  Every realizable class (all of Cl(K) at
+    # ell = 3) and every ell-part row, rows of equal norm summed, must lie
+    # within 4 binomial standard deviations of its expected count.
+    t0 = time.perf_counter()
+    K = field_x4_7x2_13
+    records = list(iter_extensions(K, 3, 3000, order_by="ell_free"))
+    cg = compute_class_group(K)
+    violations = 0
+    for rec in records:
+        parts = rec.datum.parts
+        den = (parts.ell_part * parts.root**3 * parts.power_parts[2]) ** 2
+        st = (rec.ell_part * den.inverse()).sqrt()
+        if st * st * den != rec.ell_part or cg.index_of(st) != rec.steinitz:
+            violations += 1
+    total = len(records)
+
+    def sds(count, p):
+        return abs(count - total * p) / math.sqrt(total * p * (1 - p))
+
+    by_class = Counter(rec.steinitz for rec in records)
+    class_dev = max(sds(by_class[c], 1 / cg.h) for c in range(cg.h))
+    rho_by_norm = density_report(K, 3).rho_by_norm()
+    by_norm = Counter(int(rec.ell_part.norm()) for rec in records)
+    row_dev = max(sds(by_norm[n], float(r)) for n, r in rho_by_norm.items())
+    ok = (
+        cg.h == 2
+        and violations == 0
+        and set(by_norm) <= set(rho_by_norm)
+        and class_dev <= 4
+        and row_dev <= 4
+    )
+    _report(
+        13,
+        "ell = 3, h = 2",
+        ok,
+        f"X=3000 (ell-free): {total} extensions, {violations} Steinitz violations, "
+        f"classes {sorted(by_class.values())}, class dev {class_dev:.2f} sd (<=4), "
+        f"row dev {row_dev:.2f} sd (<=4)",
+        time.perf_counter() - t0,
+        30,
     )

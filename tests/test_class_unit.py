@@ -9,6 +9,8 @@ import pytest
 
 from nfk import ideals
 from nfk.class_unit import (
+    _reduce_units,
+    _unit_search_pool,
     compute_class_group,
     compute_unit_group,
     unit_coset_reps,
@@ -98,6 +100,11 @@ _PINNED_UNITS = [
     ([13, 0, 7, 0, 1], (4, 0, 1, 0), 6, [(7, -1, 2, 0)]),
     ([21, 0, -9, 0, 1], (5, 0, -1, 0), 6, [(-2, 1, 0, 0)]),
     ([1] * 7, (1,) * 6, 14, [(1, 0, 0, 1, 0, 0), (1, 0, 1, 0, 1, 0)]),  # Q(zeta7)
+    # signature (2, 1) quartics: ties in the rank-2 reduction
+    ([-7, 0, 0, 0, 1], (-1, 0, 0, 0), 2, [(8, 0, 3, 0), (-1, 1, 1, 0)]),
+    ([-2, 0, -2, 0, 1], (-1, 0, 0, 0), 2, [(1, 0, 1, 0), (-1, 1, 1, 0)]),
+    ([-2, 0, 0, 0, 1], (-1, 0, 0, 0), 2, [(1, 0, 1, 0), (1, 1, 0, 0)]),
+    ([-5, 0, 9, 0, 1], (-1, 0, 0, 0), 2, [(19, 0, 2, 0), (14, 19, 1, 2)]),  # |t| = 1/2
 ]
 
 
@@ -122,6 +129,42 @@ def test_unit_dlog_on_seeded_units(name, request):
     for _ in range(40):
         a = rng.randrange(ug.w)
         b = tuple(rng.randint(-6, 6) for _ in ug.fundamental)
+        u = ug.zeta**a
+        for f, e in zip(ug.fundamental, b):
+            u = u * f**e
+        assert unit_dlog(ug, u) == (a, b)
+
+
+_REDUCTION_FIELDS = [
+    [-7, 0, 0, 0, 1],
+    [-2, 0, -2, 0, 1],
+    [-2, 0, 0, 0, 1],
+    [-5, 0, 9, 0, 1],
+    [-1, -3, 0, 1],
+    [1, -2, -1, 1],
+    [-9, -1, 0, 1],
+]
+
+
+@pytest.mark.parametrize("coeffs", _REDUCTION_FIELDS, ids=str)
+def test_unit_reduction_depends_only_on_the_lattice(coeffs):
+    # the reduced basis spans every unit of the search pool, is the same
+    # for every order of the pool, and unit_dlog reads back large exponents
+    K = build_field(coeffs, ell=2)
+    ug = compute_unit_group(K)
+    pool = _unit_search_pool(K, ug.rank, Ceilings())
+    for u in pool:
+        unit_dlog(ug, u)  # raises unless u is zeta^a prod eps_i^b_i exactly
+    rng = random.Random(31)
+    for _ in range(6):
+        assert _reduce_units(K, rng.sample(pool, len(pool)), ug.rank) == ug.fundamental
+    # on these powers Euclid's steps drop units that the basis then no
+    # longer spans, so the dropped units must be reduced again
+    powers = [f**k for k in (5, 3) for f in ug.fundamental]
+    assert _reduce_units(K, powers, ug.rank) == ug.fundamental
+    for _ in range(10):
+        a = rng.randrange(ug.w)
+        b = tuple(rng.randint(-40, 40) for _ in ug.fundamental)
         u = ug.zeta**a
         for f, e in zip(ug.fundamental, b):
             u = u * f**e

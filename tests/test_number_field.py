@@ -13,8 +13,8 @@ from nfk.class_unit import compute_unit_group
 from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from nfk.ideals import split_prime
 from nfk.exact_math import IntPolynomial
-from nfk.number_field import NumberField, _det_fraction, build_field, dedekind_q_maximal
-from oracles import inverse_by_fraction_solve
+from nfk.number_field import NumberField, build_field, dedekind_q_maximal
+from oracles import det_fraction, inverse_by_fraction_solve, multiplication_matrix
 
 CUBIC = [-9, -1, 0, 1]  # x^3 - x - 9
 
@@ -145,7 +145,24 @@ def test_norm_int_matches_exact_determinant(coeffs, ell):
         height = 5 if trial < 100 else 10**9
         coords = [rng.randint(-height, height) for _ in range(K.degree)]
         x = K.element(coords)
-        assert K.norm_int(coords) == _det_fraction(x.multiplication_matrix()), coords
+        assert K.norm_int(coords) == det_fraction(multiplication_matrix(x)), coords
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [pytest.param(spec["poly"], spec["ell"], id=spec["label"]) for spec in
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))],
+)
+def test_norm_of_non_integral_matches_exact_determinant(coeffs, ell):
+    # x = a/d has N(x) = norm_int(a) / d^n; the Fraction determinant of the
+    # multiplication matrix of x is the oracle
+    K = build_field(coeffs, ell=ell)
+    rng = random.Random(11 + K.degree)
+    for trial in range(100):
+        height = 5 if trial < 50 else 10**6
+        coords = [Fraction(rng.randint(-height, height), rng.randint(1, 12)) for _ in range(K.degree)]
+        x = K.element(coords)
+        assert x.norm() == det_fraction(multiplication_matrix(x)), coords
 
 
 @pytest.mark.parametrize(
