@@ -36,7 +36,7 @@ from .ideals import (
     _search_constants,
     as_factored,
     ideal_from_element,
-    principal_test_generator,
+    norm_matches,
     primes_of_norm_up_to,
     split_prime,
 )
@@ -380,9 +380,10 @@ class ClassGroup:
     products[(i, j)] = (k, g) with reps[i] reps[j] = (g) reps[k], the times
     table that group.op reads; prime_class[q] = c and prime_gen[q] = g with
     q = (g) reps[c].  Each g is an int coordinate tuple over one positive
-    int denominator.  generator() multiplies them into a generator of an
-    ideal and picks the canonical one among its torsion and unit
-    multiples, with no search.
+    int denominator, the first generator a class search found.  generator()
+    multiplies them into a generator of an ideal and picks the canonical one
+    among its torsion and unit multiples, whichever g it started from, with
+    no search.
     """
 
     field: NumberField
@@ -427,8 +428,8 @@ class ClassGroup:
 
     def class_of_prime(self, q: PrimeIdeal, ceilings: Ceilings | None = None) -> int:
         """Class index of a prime, by principal tests against the census
-        representatives under the caller's ceilings.  Only the class is
-        cached: it is a fact about the field, not about a search budget."""
+        representatives under the caller's ceilings; the class and the
+        generator found are cached, facts about the field, not a budget."""
         got = self.prime_class.get(q)
         if got is not None:
             return got
@@ -448,9 +449,9 @@ class ClassGroup:
         class_of_prime under the caller's ceilings.  Raises
         NotPrincipalError when the class does not end at 0.  Every
         generator of num is t g eps^k for a root of unity t and a unit
-        eps^k, and the canonical one is picked among them: in unit rank 0
-        the torsion multiple of least key (_least_torsion_multiple), in
-        rank >= 1 the least of the unit multiples the search would see
+        eps^k, and the canonical one is picked among them, whatever g is:
+        in rank 0 the torsion multiple of least key (_least_torsion_multiple),
+        in rank >= 1 the least of the unit multiples the search would see
         (_least_unit_multiple).  It is divided by den.  In degree 1 the
         generators are +-N(fa) and the key takes N(fa), a product of prime
         powers.
@@ -593,11 +594,12 @@ class ClassGroup:
         unit ideal ((), 0), and carries the class through the group
         operation.  Exponent a at q charges N(q)^a against the bound, which
         bounds the ideal norm; with radical=True it charges N(q) for every
-        a, which bounds the norm of the radical.
+        a, which bounds the norm of the radical.  When h = 1 every class is
+        0 and no prime is looked up.
         """
         pool = sorted((q for q in pool if q.norm <= bound), key=PrimeIdeal.sort_key)
         norms = [q.norm for q in pool]
-        cls_of = [self.class_of_prime(q, ceilings) for q in pool]
+        cls_of = [self.class_of_prime(q, ceilings) for q in pool] if self.h > 1 else [0] * len(pool)
         op = self.group.op
 
         def walk(j0: int, support: tuple, cls: int, rem: int):
@@ -659,13 +661,16 @@ def _find_class(
     fa: FactoredIdeal, reps: list[FactoredIdeal], units: UnitGroup, ceilings: Ceilings | None
 ) -> tuple[int, tuple[tuple[int, ...], int]] | None:
     """(i, g) for the first representative r = reps[i] with fa * r^-1
-    principal, g its generator from principal_test_generator as (int
-    coordinates, denominator); None when there is no such r."""
+    principal, g the first generator the search finds (norm_matches on the
+    cleared numerator, unranked) as (int coordinates, denominator); None
+    when there is no such r."""
     for i, rep in enumerate(reps):
-        gen = principal_test_generator(fa * rep.inverse(), units.fundamental, ceilings)
-        if gen is not None:
-            den = math.lcm(*(Fraction(c).denominator for c in gen.coords))
-            return i, (tuple(int(c * den) for c in gen.coords), den)
+        num, den = (fa * rep.inverse()).num_den()
+        if num.is_one():
+            return i, (fa.field.one.coords, den)
+        matches = norm_matches(num, units.fundamental, ceilings)
+        if matches:
+            return i, (tuple(matches[0]), den)
     return None
 
 
@@ -691,28 +696,27 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
             found = len(reps) - 1, one
         prime_class[q], prime_gen[q] = found
 
-    # close the class list under multiplication
-    changed = True
-    while changed:
-        changed = False
+    # close the class list and fill the times table in one pass: each round
+    # tests once each product reps[i] reps[j], 1 <= i <= j, new since the
+    # last round; a product in no listed class is the next representative
+    products: dict[tuple[int, int], tuple] = {}
+    done = 1
+    while done < len(reps):
         h = len(reps)
         if h > 64:
             raise ArithmeticError(f"class census runaway at {h} classes")
         for i in range(1, h):
-            for j in range(i, h):
+            for j in range(max(i, done), h):
                 prod = reps[i] * reps[j]
-                if _find_class(prod, reps, units, ceilings) is None:
+                found = _find_class(prod, reps, units, ceilings)
+                if found is None:
                     reps.append(prod)
-                    changed = True
-
+                    found = len(reps) - 1, one
+                products[i, j] = products[j, i] = found
+        done = h
     h = len(reps)
-    products: dict[tuple[int, int], tuple] = {}
-    for i in range(h):
-        for j in range(i, h):
-            found = _find_class(reps[i] * reps[j], reps, units, ceilings)
-            if found is None:
-                raise ArithmeticError("class table not closed")
-            products[i, j] = products[j, i] = found
+    for j in range(h):
+        products[0, j] = products[j, 0] = j, one
 
     group = FiniteAbelianGroup(list(range(h)), lambda a, b: products[a, b][0], 0)
     return ClassGroup(

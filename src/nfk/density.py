@@ -157,7 +157,10 @@ def density_report(
     K: NumberField, ell: int, ceilings: Ceilings | None = None
 ) -> DensityReport:
     """The full (Q, N(Q), rho_Q) table with zero-density candidates dropped,
-    plus the closed identity when ell = 2.  Total mass is checked exactly."""
+    plus the closed identity when ell = 2, read off the rows (a dropped row
+    has rho = 0): (2^(r1+r2) #Z) (prod_q N(q)/(1+N(q))) (sum_Q rho_Q/N(Q))
+    over the primes q above 2, #Z the squarefree products of those primes;
+    its value is 1/2^r2.  Total mass is checked exactly."""
     rows = []
     total = Fraction(0)
     for Q in enumerate_R(K, ell):
@@ -167,8 +170,14 @@ def density_report(
             rows.append((Q, int(Q.norm()), r))
     if total != 1:
         raise ArithmeticError(f"rho masses sum to {total}, not 1")
-    ident = identity_check(K, ceilings) if ell == 2 else None
-    expected = Fraction(1, 2**K.r2) if ell == 2 else None
+    ident = expected = None
+    if ell == 2:
+        wild = split_prime(K, 2)
+        ident = Fraction(2 ** (K.r1 + K.r2) * 2 ** len(wild))
+        for q in wild:
+            ident *= Fraction(q.norm, 1 + q.norm)
+        ident *= sum(r / n for _, n, r in rows)
+        expected = Fraction(1, 2**K.r2)
     return DensityReport(
         field_label=K.label,
         ell=ell,
@@ -193,18 +202,8 @@ def density_report_json_dict(report: DensityReport) -> dict:
 
 
 def identity_check(K: NumberField, ceilings: Ceilings | None = None) -> Fraction:
-    """(2^(r1+r2) #Z) (prod_q N(q)/(1+N(q))) (sum_Q rho_Q/N(Q)) over primes
-    above 2, exactly; #Z counts the squarefree products of those primes.
-    Consistency of the quadratic counting machinery means the value is
-    1/2^r2 -- the caller compares."""
-    wild = split_prime(K, 2)
-    lhs = Fraction(2 ** (K.r1 + K.r2) * 2 ** len(wild))
-    for q in wild:
-        lhs *= Fraction(q.norm, 1 + q.norm)
-    total = Fraction(0)
-    for Q in enumerate_R(K, 2):
-        total += rho(K, 2, Q, ceilings) / int(Q.norm())
-    return lhs * total
+    """The ell = 2 identity of density_report, exactly; its value is 1/2^r2."""
+    return density_report(K, 2, ceilings).identity
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ correct norm exactly: closed-form in degree 1, a positive-definite binary
 form solve for imaginary quadratics, and otherwise the field's
 short-vector enumeration (NumberField.short_vectors, Fincke-Pohst on an
 LLL-reduced basis of the ideal) of an ellipsoid that holds a unit
-multiple of every generator.  The canonical generator — the
-F-map used throughout the Kummer layer — is the match minimizing the
-largest embedding magnitude, ties broken by smallest coordinate key (|c|
-before sign, so 2 beats -2).  In imaginary quadratic fields every match
-ties, and the coordinate key alone decides.  ClassGroup.generator
-(class_unit) picks the same element from products of the generators its
-class searches stored, reduced modulo units, with no search; the search
-here stays its oracle.
+multiple of every generator.  The class lookups (class_unit._find_class)
+take the first match of norm_matches, unranked.  The canonical generator
+— the F-map used throughout the Kummer layer — is the generator
+minimizing the largest embedding magnitude, ties broken by smallest
+coordinate key (|c| before sign, so 2 beats -2); in imaginary quadratic
+fields every generator ties, and the coordinate key alone decides.
+ClassGroup.generator (class_unit) picks it from products of the stored
+generators, reduced modulo torsion and units, with no search;
+principal_test_generator, which ranks every match, stays its oracle.
 """
 
 from __future__ import annotations

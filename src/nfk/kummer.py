@@ -48,7 +48,8 @@ class KummerDatum:
 
     gamma is integral, its ell-power root is the fixed class
     representative of its ideal class, its ell-part is ell-power-free,
-    and unit_coordinate = gamma / canonical_generator(gamma O_K).
+    and unit_coordinate = gamma / alpha for alpha the canonical generator
+    of gamma O_K (ClassGroup.generator).
     """
 
     field: NumberField
@@ -70,11 +71,6 @@ class KummerDatum:
             self.parts.ell_part.sort_key(),
             self.parts.ell_free_ell_power_free().sort_key(),
         )
-
-
-def _lf(fa: FactoredIdeal, ell: int) -> FactoredIdeal:
-    """The ell-power-free part: every exponent reduced mod ell."""
-    return FactoredIdeal(fa.field, {q: e % ell for q, e in fa.exps.items()})
 
 
 def _power_root(fa: FactoredIdeal, ell: int) -> FactoredIdeal:
@@ -323,44 +319,6 @@ def realizable_class_subgroup(cg: ClassGroup, ell: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing
-# ---------------------------------------------------------------------------
-
-
-def is_isomorphic(
-    d1: KummerDatum, d2: KummerDatum, ceilings: Ceilings | None = None
-) -> bool:
-    """True iff the data cut out the same extension: gamma2 lies in
-    gamma1^m (K*)^ell for some 1 <= m <= ell-1."""
-    if d1.field is not d2.field or d1.ell != d2.ell:
-        raise ValueError("data must share a field and a degree")
-    K, ell = d1.field, d1.ell
-    cg = compute_class_group(K, ceilings)
-    ug = cg.units
-    fa2 = d2.gamma_ideal()
-    lf2 = _lf(fa2, ell)
-    root2 = _power_root(fa2, ell)
-    cls2 = cg.index_of(root2, ceilings)
-    fa1 = d1.gamma_ideal()
-    for m in range(1, ell):
-        fam = fa1**m
-        if _lf(fam, ell) != lf2:
-            continue
-        rootm = _power_root(fam, ell)
-        if cg.index_of(rootm, ceilings) != cls2:
-            continue
-        quo = root2 * rootm.inverse()
-        if quo.is_unit_ideal():
-            c0 = K.one
-        else:
-            c0 = cg.generator(quo, ceilings)
-        v = _as_unit(K, d2.gamma / (d1.gamma**m * c0**ell))
-        if all(c == 0 for c in unit_coset_coords(ug, v, ell)):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
@@ -480,24 +438,13 @@ def enumerate_extensions(
     order_by: str = "disc",
     dedup: bool = True,
     ceilings: Ceilings | None = None,
-    verify: bool = False,
 ) -> list[ExtensionRecord]:
     """All extensions up to X, sorted by (discriminant norm, parameter tuple).
 
-    Same stream as iter_extensions, materialized and sorted; verify=True
-    additionally re-checks pairwise non-isomorphism of the emitted
-    records (quadratic cost, for modest X only).
+    Same stream as iter_extensions, materialized and sorted.
     """
     records = list(iter_extensions(K, ell, X, order_by, dedup, ceilings))
     records.sort(key=ExtensionRecord.sort_key)
-    if verify and dedup:
-        for i, r in enumerate(records):
-            for s in records[i + 1 :]:
-                if is_isomorphic(r.datum, s.datum, ceilings):
-                    raise ArithmeticError(
-                        "orbit dedup missed an isomorphic pair: "
-                        f"{r.datum.gamma!r} vs {s.datum.gamma!r}"
-                    )
     return records
 
 

@@ -13,6 +13,9 @@
   AlgebraicNumber.inverse replaced by fraction-free elimination.
 - det_fraction of multiplication_matrix is the Fraction determinant that
   NumberField.norm_int and AlgebraicNumber.norm replaced by the norm form.
+- is_isomorphic decides whether two Kummer data cut out the same extension;
+  assert_pairwise_non_isomorphic runs it on every pair of enumerated
+  records, the check of the orbit dedup in kummer.iter_extensions.
 """
 
 from __future__ import annotations
@@ -23,10 +26,18 @@ from typing import Sequence
 import mpmath
 import sympy
 
+from nfk.class_unit import compute_class_group, unit_coset_coords
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, RankError
 from nfk.ideals import FactoredIdeal, Ideal, PrimeIdeal, residue_degrees, split_prime
-from nfk.kummer import KummerDatum, _congruence_depth, wild_saturation_depth
+from nfk.kummer import (
+    ExtensionRecord,
+    KummerDatum,
+    _as_unit,
+    _congruence_depth,
+    _power_root,
+    wild_saturation_depth,
+)
 from nfk.number_field import AlgebraicNumber, NumberField
 
 
@@ -74,6 +85,53 @@ def steinitz_class_from_parts(d: KummerDatum, cg, ceilings: Ceilings | None = No
     if st * st * den_pow != ell_part:
         raise ArithmeticError("Steinitz square does not reassemble the ell-part")
     return cg.index_of(st, ceilings)
+
+
+def _lf(fa: FactoredIdeal, ell: int) -> FactoredIdeal:
+    """The ell-power-free part: every exponent reduced mod ell."""
+    return FactoredIdeal(fa.field, {q: e % ell for q, e in fa.exps.items()})
+
+
+def is_isomorphic(
+    d1: KummerDatum, d2: KummerDatum, ceilings: Ceilings | None = None
+) -> bool:
+    """True iff the data cut out the same extension: gamma2 lies in
+    gamma1^m (K*)^ell for some 1 <= m <= ell-1."""
+    if d1.field is not d2.field or d1.ell != d2.ell:
+        raise ValueError("data must share a field and a degree")
+    K, ell = d1.field, d1.ell
+    cg = compute_class_group(K, ceilings)
+    fa2 = d2.gamma_ideal()
+    lf2 = _lf(fa2, ell)
+    root2 = _power_root(fa2, ell)
+    cls2 = cg.index_of(root2, ceilings)
+    fa1 = d1.gamma_ideal()
+    for m in range(1, ell):
+        fam = fa1**m
+        if _lf(fam, ell) != lf2:
+            continue
+        rootm = _power_root(fam, ell)
+        if cg.index_of(rootm, ceilings) != cls2:
+            continue
+        quo = root2 * rootm.inverse()
+        c0 = K.one if quo.is_unit_ideal() else cg.generator(quo, ceilings)
+        v = _as_unit(K, d2.gamma / (d1.gamma**m * c0**ell))
+        if all(c == 0 for c in unit_coset_coords(cg.units, v, ell)):
+            return True
+    return False
+
+
+def assert_pairwise_non_isomorphic(
+    records: Sequence[ExtensionRecord], ceilings: Ceilings | None = None
+) -> None:
+    """Raise AssertionError on the first isomorphic pair of records (quadratic
+    cost, for modest bounds only)."""
+    for i, r in enumerate(records):
+        for s in records[i + 1 :]:
+            if is_isomorphic(r.datum, s.datum, ceilings):
+                raise AssertionError(
+                    f"orbit dedup missed an isomorphic pair: {r.datum.gamma!r} vs {s.datum.gamma!r}"
+                )
 
 
 def euler_products_mpf(K: NumberField, ell: int, prime_bound: int) -> tuple[tuple, tuple]:

@@ -7,8 +7,9 @@ import random
 import mpmath
 import pytest
 
-from nfk import ideals
+from nfk import class_unit, ideals
 from nfk.class_unit import (
+    ClassGroup,
     _reduce_units,
     _unit_search_pool,
     compute_class_group,
@@ -18,6 +19,7 @@ from nfk.class_unit import (
 )
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, MissingRootOfUnityError, NotPrincipalError
+from nfk.harness import run_count_asymptotic_check
 from nfk.ideals import (
     FactoredIdeal,
     canonical_generator,
@@ -325,6 +327,20 @@ def test_index_of_is_zero_when_h_is_one(coeffs):
         assert cg.index_of(num, tiny) == 0
 
 
+def test_count_check_over_q_looks_up_no_class(monkeypatch):
+    # h = 1 over Q: the ell-free walk puts every pool prime in class 0 and
+    # the degree-1 generator is N(fa), so nothing reads a prime's class
+    calls = []
+    lookup = ClassGroup.class_of_prime
+    monkeypatch.setattr(
+        ClassGroup, "class_of_prime", lambda cg, *a: calls.append(a) or lookup(cg, *a)
+    )
+    K = build_field([0, 1], ell=2, label="Q-fresh")
+    check = run_count_asymptotic_check(K, 2000, prime_bound=1000)
+    assert check.count > 0 and check.identity == 1
+    assert calls == []
+
+
 def test_imaginary_quadratic_class_of_prime_honours_search_ceiling():
     # a fresh Q(sqrt(-5)): the binary-form solve for a prime of norm 10007
     # scans 89 values of t, past a ceiling of one point
@@ -377,6 +393,35 @@ def test_ell_free_ideals_match_brute_force(name, bound, ell, radical, request):
 def test_class_number_fresh_qm5():
     K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
     assert compute_class_group(K).h == 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell, lookups, reps, classes",
+    [
+        (
+            [-9, -1, 0, 1], 2, 7, [{}, {"3,1,1,0": 1}],
+            {"2,3,1": 0, "3,1,1,0": 1, "3,1,1,1": 0, "3,1,1,2": 1, "5,1,1": 1, "11,1,1": 1},
+        ),
+        ([5, 0, 1], 2, 2, [{}, {"2,1,2": 1}], {"2,1,2": 1}),
+        (
+            [13, 0, 7, 0, 1], 3, 4, [{}, {"3,1,2,0": 1}],
+            {"2,2,2": 1, "3,1,2,0": 1, "3,1,2,1": 1},
+        ),
+    ],
+    ids=["cubic9", "qm5", "x4_7x2_13"],
+)
+def test_census_tests_each_product_once(coeffs, ell, lookups, reps, classes, monkeypatch):
+    # a fresh census looks up each census prime once and each product of
+    # nontrivial representatives reps[i] reps[j], i <= j, once; products
+    # with reps[0] need no lookup.  Representatives and classes are pinned.
+    calls = []
+    find = class_unit._find_class
+    monkeypatch.setattr(class_unit, "_find_class", lambda *a: calls.append(a) or find(*a))
+    cg = compute_class_group(build_field(coeffs, ell=ell))
+    assert len(calls) == lookups
+    assert [{q.label(): e for q, e in r.exps.items()} for r in cg.reps] == reps
+    assert {q.label(): c for q, c in cg.prime_class.items()} == classes
+    assert {k: v[0] for k, v in cg.products.items()} == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
 
 def test_class_census_honours_search_ceiling():
@@ -482,6 +527,45 @@ def test_embedding_prescreen_matches_full_ranking(name, request):
             assert ideals._embedding_ranked(K, matches) == full, fa
             screened += len(matches) > 1
     assert screened
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [
+        ([1, 0, 1], 2),
+        ([5, 0, 1], 2),
+        ([1, 1, 1], 3),
+        ([-2, 0, 1], 2),
+        ([-9, -1, 0, 1], 2),
+        ([13, 0, 7, 0, 1], 3),
+        ([1, -2, -1, 1], 2),
+    ],
+    ids=["qi", "qm5", "zeta3", "qs2", "cubic9", "x4_7x2_13", "rank2"],
+)
+def test_generator_does_not_depend_on_stored_generators(coeffs, ell):
+    # the class lookups store whichever generator their search meets first;
+    # replacing every stored generator by a seeded unit multiple
+    # zeta^a eps^b (|b_j| <= 2) must leave every composed generator as is
+    K = build_field(coeffs, ell=ell)
+    cg = compute_class_group(K)
+    cases = _differential_cases(K, 100)
+    want = [_generator_or_none(cg, fa) for fa in cases]  # stores every prime used
+    ug, rng = cg.units, random.Random(31)
+
+    def twist(g):
+        u = ug.torsion_elements()[rng.randrange(ug.w)]
+        for eps in ug.fundamental:
+            u = u * eps ** rng.randint(-2, 2)
+        coords, den = g
+        return tuple(K.mul_int_coords(coords, u.int_coords())), den
+
+    before = (dict(cg.prime_gen), dict(cg.products))
+    for q, g in cg.prime_gen.items():
+        cg.prime_gen[q] = twist(g)
+    for key, (k, g) in cg.products.items():
+        cg.products[key] = k, twist(g)
+    assert (cg.prime_gen, cg.products) != before
+    assert [_generator_or_none(cg, fa) for fa in cases] == want
 
 
 def test_generator_is_canonical_generator_in_positive_rank(field_cubic9):

@@ -30,7 +30,6 @@ from nfk.kummer import (
     KummerDatum,
     _int_nth_root,
     enumerate_extensions,
-    is_isomorphic,
     iter_extensions,
     normalize_gamma,
     realizable_class_subgroup,
@@ -42,7 +41,9 @@ from nfk.kummer import (
 )
 from nfk.number_field import build_field
 from oracles import (
+    assert_pairwise_non_isomorphic,
     discriminant_split_from_ideal,
+    is_isomorphic,
     steinitz_class_from_parts,
     steinitz_denominator,
 )
@@ -338,7 +339,8 @@ def test_isomorphic_requires_same_field(field_q, field_qi):
 
 def test_census_over_q(field_q):
     # quadratic fields counted by |disc|: classical values
-    recs = enumerate_extensions(field_q, 2, 100, verify=True)
+    recs = enumerate_extensions(field_q, 2, 100)
+    assert_pairwise_non_isomorphic(recs)
     assert len(recs) == 61
     recs = enumerate_extensions(field_q, 2, 300)
     assert len(recs) == 184
@@ -369,7 +371,8 @@ def test_smallest_discriminants_over_q(field_q):
 
 
 def test_census_qm5(field_qm5):
-    recs = enumerate_extensions(field_qm5, 2, 50, verify=True)
+    recs = enumerate_extensions(field_qm5, 2, 50)
+    assert_pairwise_non_isomorphic(recs)
     assert len(recs) == 13
     by_class = {0: 0, 1: 0}
     for r in recs:
@@ -382,7 +385,8 @@ def test_census_qm5(field_qm5):
 
 def test_census_zeta3_multiplicity(field_zeta3):
     # each isomorphism class comes from exactly ell-1 = 2 parameter tuples
-    dedup = enumerate_extensions(field_zeta3, 3, 1000, verify=True)
+    dedup = enumerate_extensions(field_zeta3, 3, 1000)
+    assert_pairwise_non_isomorphic(dedup)
     raw = enumerate_extensions(field_zeta3, 3, 1000, dedup=False)
     assert len(dedup) == 5
     assert len(raw) == 10

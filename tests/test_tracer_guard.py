@@ -104,7 +104,7 @@ def test_traced_identities_hold(name, ell, X, options, request):
 
 def test_traced_identities_hold_x4_7x2_13():
     # ell = 3 over x^4+7x^2+13 (h = 2, unit rank 1): orbit dedup moves power
-    # roots to a nontrivial class representative and runs canonical_generator
+    # roots to a nontrivial class representative and runs ClassGroup.generator
     # inside normalize_gamma, whose calls the tracer counts as dedup rejects
     K = build_field([13, 0, 7, 0, 1], ell=3, label="x^4+7x^2+13")
     tracer = _tracer().Tracer()
