@@ -16,6 +16,7 @@ such products sweep the group uniformly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -291,20 +292,9 @@ def product_distribution_check(
         e = i + 2
         pow_tables.append({x: g.power(x, e) for x in g.elements})
     counts = {x: 0 for x in g.elements}
-    idx = [0] * n
-    m = g.order
-    elems = g.elements
-    while True:
-        prod = pow_tables[0][elems[idx[0]]]
-        for i in range(1, n):
-            prod = g.op(prod, pow_tables[i][elems[idx[i]]])
+    for xs in itertools.product(g.elements, repeat=n):
+        prod = pow_tables[0][xs[0]]
+        for table, x in zip(pow_tables[1:], xs[1:]):
+            prod = g.op(prod, table[x])
         counts[prod] += 1
-        i = 0
-        while i < n:
-            idx[i] += 1
-            if idx[i] < m:
-                break
-            idx[i] = 0
-            i += 1
-        if i == n:
-            return counts
+    return counts

@@ -345,23 +345,13 @@ def unit_coset_reps(ug: UnitGroup, ell: int) -> list[AlgebraicNumber]:
         raise MissingRootOfUnityError(f"field has no primitive {ell}-th root of unity")
     zl, _order = ug.zeta_ell_part(ell)
     reps = []
-    exps = [0] * (1 + len(ug.fundamental))
     gens = [zl] + list(ug.fundamental)
-    while True:
+    for exps in itertools.product(range(ell), repeat=len(gens)):
         acc = K.one
-        for g, e in zip(gens, exps):
+        for g, e in zip(gens, reversed(exps)):  # zeta's exponent varies fastest
             for _ in range(e):
                 acc = acc * g
         reps.append(acc)
-        i = 0
-        while i < len(exps):
-            exps[i] += 1
-            if exps[i] < ell:
-                break
-            exps[i] = 0
-            i += 1
-        if i == len(exps):
-            break
     expected = ell ** (K.r1 + K.r2)
     if len(reps) != expected:
         raise ArithmeticError(f"{len(reps)} coset reps != {expected}")

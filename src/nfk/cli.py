@@ -223,6 +223,14 @@ _COMMANDS = {
 }
 
 
+def _bound(text: str) -> int:
+    """--bound as an int of at least 1 (argparse turns errors into exit 2)."""
+    bound = int(text)
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"bound must be at least 1, got {bound}")
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nfk", description="Kummer extension enumeration and Steinitz statistics"
@@ -236,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv", "table"], default="table")
         sp.add_argument("--ceiling", type=int, default=None, help="override all search ceilings")
         if needs_bound:
-            sp.add_argument("--bound", type=int, required=True, metavar="N")
-        if name == "field":
-            sp.add_argument("action", nargs="?", choices=["info"], default="info")
+            sp.add_argument("--bound", type=_bound, required=True, metavar="N")
     return parser
 
 

@@ -8,7 +8,8 @@ Conventions fixed project-wide:
 * HNF is column-style (column operations only; H = M @ U with U unimodular),
   upper triangular on the rightmost columns, pivots positive, and every
   entry to the right of a pivot reduced into [0, pivot).
-* Determinants use the Bareiss fraction-free elimination (exact division).
+* Discriminants, factorizations mod p and the irreducibility tests call
+  sympy's exact dense-polynomial routines (coefficients highest-first).
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from sympy import ZZ, Poly, Symbol, sieve
+from sympy.polys.euclidtools import dup_discriminant
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
 
 from .errors import FieldConstructionError
-
-# Arbitrary-precision rational type used across the package.
-BigRational = Fraction
 
 
 def frac_str(x: Fraction) -> str:
@@ -91,33 +90,6 @@ class IntMatrix:
 
     def diagonal(self) -> list[int]:
         return [self.rows[i][i] for i in range(min(self.nrows, self.ncols))]
-
-
-def det_int(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _combine_columns(rows: list[list[int]], j: int, k: int, row: int) -> None:
@@ -260,27 +232,10 @@ class IntPolynomial:
 
 
 def polynomial_discriminant(f: IntPolynomial) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), via a Sylvester determinant."""
-    n = f.degree
-    if n < 1:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f); 1 in degree 1."""
+    if f.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return 1
-    fp = f.derivative()
-    m = n + fp.degree
-    rows = []
-    fd = f.descending()
-    fpd = fp.descending()
-    for i in range(fp.degree):  # n-1 shifted copies of f
-        rows.append([0] * i + fd + [0] * (m - n - 1 - i))
-    for i in range(n):  # n shifted copies of f'
-        rows.append([0] * i + fpd + [0] * (m - fp.degree - 1 - i))
-    res = det_int(IntMatrix(rows))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    disc = sign * res
-    if disc % f.coeffs[-1] != 0:
-        raise ArithmeticError("resultant not divisible by leading coefficient")
-    return disc // f.coeffs[-1]
+    return int(dup_discriminant(f.descending(), ZZ))
 
 
 def _sturm_chain(f: IntPolynomial) -> list[list[Fraction]]:

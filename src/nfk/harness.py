@@ -37,14 +37,20 @@ def load_field_spec(path) -> NumberField:
     """Field from a JSON spec {"poly": [c0,...,1], "ell": 2, "label": "..."}.
 
     Coefficients ascending, monic; "ell" defaults to 2 and "label" to the
-    file stem.  Validation (irreducibility, monogenicity, zeta_ell) is the
-    same as for directly constructed fields.
+    file stem.  "poly" must be a nonempty list of JSON integers and "ell"
+    a JSON integer (bools and floats raise ValueError).  Validation
+    (irreducibility, monogenicity, zeta_ell) is the same as for directly
+    constructed fields.
     """
     data = json.loads(Path(path).read_text())
-    if "poly" not in data:
+    if not isinstance(data, dict) or "poly" not in data:
         raise KeyError(f"{path}: field spec needs a 'poly' entry")
-    label = data.get("label") or Path(path).stem
-    return build_field(data["poly"], ell=int(data.get("ell", 2)), label=label)
+    poly, ell = data["poly"], data.get("ell", 2)
+    if not isinstance(poly, list) or not poly or any(type(c) is not int for c in poly):
+        raise ValueError(f"{path}: 'poly' must be a nonempty list of integers")
+    if type(ell) is not int:
+        raise ValueError(f"{path}: 'ell' must be an integer")
+    return build_field(poly, ell=ell, label=data.get("label") or Path(path).stem)
 
 
 def ideal_label(fa: FactoredIdeal) -> str:

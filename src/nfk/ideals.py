@@ -26,6 +26,7 @@ principal_test_generator, which ranks every match, stays its oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,21 +93,10 @@ class Ideal:
         return tuple(hnf_reduce(self.hnf, coords))
 
     def residues(self) -> Iterator[tuple[int, ...]]:
-        """All canonical residue representatives (norm of them)."""
-        diag = self.hnf.diagonal()
-        n = self.field.degree
-        idx = [0] * n
-        while True:
-            yield self.reduce(idx)
-            i = 0
-            while i < n:
-                idx[i] += 1
-                if idx[i] < diag[i]:
-                    break
-                idx[i] = 0
-                i += 1
-            if i == n:
-                return
+        """All canonical residue representatives (norm of them), the first
+        coordinate varying fastest."""
+        for idx in itertools.product(*(range(d) for d in reversed(self.hnf.diagonal()))):
+            yield self.reduce(idx[::-1])
 
     def basis_elements(self) -> list[AlgebraicNumber]:
         return [self.field.element(col) for col in self.hnf.columns()]

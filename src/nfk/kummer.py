@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from sympy import integer_nthroot
+
 from .abelian_groups import is_power_class
 from .class_unit import ClassGroup, compute_class_group, unit_coset_coords, unit_coset_reps
 from .config import Ceilings
@@ -343,22 +345,6 @@ def _int_norm(fa: FactoredIdeal) -> int:
     return math.prod(q.norm**e for q, e in fa.exps.items())
 
 
-def _int_nth_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) by integer Newton iteration (exact at any size)."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if k == 1 or n == 0:
-        return n
-    # 2^ceil(bits/k) >= n^(1/k); from above, Newton's steps decrease
-    # strictly until they reach the floor of the root
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def iter_extensions(
     K: NumberField,
     ell: int,
@@ -407,9 +393,9 @@ def iter_extensions(
         if order_by == "disc":
             if lmin_norm > X:
                 continue
-            s_bound = _int_nth_root(X // lmin_norm, ell - 1)
+            s_bound = integer_nthroot(X // lmin_norm, ell - 1)[0]
         else:
-            s_bound = _int_nth_root(X, ell - 1)
+            s_bound = integer_nthroot(X, ell - 1)[0]
         if s_bound < 1:
             continue
         pool = [q for q in primes_of_norm_up_to(K, s_bound) if q.p != ell]

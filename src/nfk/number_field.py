@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Sequence
 
 import mpmath
 from sympy import ZZ, factorint, isprime
-from sympy.polys.galoistools import gf_gcd
+from sympy.polys.densearith import dup_mul, dup_sub
+from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_mul, gf_pow
 
 from .errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from .exact_math import (
@@ -104,10 +105,6 @@ class AlgebraicNumber:
             base = base * base
             e >>= 1
         return result
-
-    def trace(self) -> Fraction:
-        tr = sum(Fraction(c) * p for c, p in zip(self.coords, self.field.power_traces))
-        return Fraction(tr)
 
     def norm(self) -> Fraction:
         """N(x) from the norm form: N(a) / d^n for x = a/d (_int_scaled)."""
@@ -238,7 +235,6 @@ class NumberField:
         self.r1 = count_real_roots(poly)
         self.r2 = (self.degree - self.r1) // 2
         self._theta_powers: dict[int, tuple[int, ...]] = {}
-        self.power_traces = self._newton_power_traces()
         self.zero = AlgebraicNumber(self, [0] * self.degree)
         self.one = AlgebraicNumber(self, [1] + [0] * (self.degree - 1))
         self.theta = AlgebraicNumber(
@@ -338,26 +334,6 @@ class NumberField:
                 for i in range(n):
                     out[i] += ck * tp[i]
         return tuple(out)
-
-    def _newton_power_traces(self) -> list[int]:
-        """Tr(theta^k) for k = 0..2n-2 via Newton's identities (exact).
-
-        For monic f = x^n + a_{n-1}x^{n-1} + ... + a_0:
-          p_k = -(sum_{i=1}^{min(k-1,n)} a_{n-i} p_{k-i}) - k*a_{n-k}   (k <= n)
-          p_k = -(sum_{i=1}^{n} a_{n-i} p_{k-i})                        (k > n)
-        """
-        n = self.degree
-        a = self.poly.coeffs
-        p = [0] * (2 * n - 1 if n > 1 else 1)
-        p[0] = n
-        for k in range(1, len(p)):
-            s = 0
-            for i in range(1, min(k - 1, n) + 1):
-                s += a[n - i] * p[k - i]
-            if k <= n:
-                s += k * a[n - k]
-            p[k] = -s
-        return p
 
     def element(self, coords: Sequence) -> AlgebraicNumber:
         return AlgebraicNumber(self, coords)
@@ -567,47 +543,15 @@ def dedekind_q_maximal(f: IntPolynomial, q: int) -> bool:
     lifts), F = (g*h - f)/q.  Z[theta] is q-maximal iff gcd(F, g, h) = 1
     in F_q[x].
     """
-    factors = factor_mod_p(f, q)
-    g = [1]
-    for gi, _ in factors:
-        g = _poly_mul_mod(g, list(gi.coeffs), q)
-    h = [1]
-    for gi, ei in factors:
-        for _ in range(ei - 1):
-            h = _poly_mul_mod(h, list(gi.coeffs), q)
-    # integer lift product minus f, divided by q
-    gh = _poly_mul_int(g, h)
-    n = max(len(gh), len(f.coeffs))
-    diff = [(gh[i] if i < len(gh) else 0) - (f.coeffs[i] if i < len(f.coeffs) else 0) for i in range(n)]
+    g = h = [1]
+    for gi, ei in factor_mod_p(f, q):
+        g = gf_mul(g, gi.descending(), q, ZZ)
+        h = gf_mul(h, gf_pow(gi.descending(), ei - 1, q, ZZ), q, ZZ)
+    diff = dup_sub(dup_mul(g, h, ZZ), f.descending(), ZZ)  # integer lifts, coefficients in [0, q)
     if any(d % q for d in diff):
         raise ArithmeticError("g*h != f mod q; factorization inconsistent")
-    F = [(d // q) % q for d in diff]
-    # gcd over F_q via sympy (descending order, zero poly = [])
-    def desc(c):
-        c = [x % q for x in c]
-        while c and c[-1] == 0:
-            c.pop()
-        return list(reversed(c))
-
-    d1 = gf_gcd(desc(F), desc(g), q, ZZ)
-    d2 = gf_gcd(d1, desc(h), q, ZZ)
-    return len(d2) == 1  # constant gcd
-
-
-def _poly_mul_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return out
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    F = gf_from_int_poly([d // q for d in diff], q)
+    return len(gf_gcd(gf_gcd(F, g, q, ZZ), h, q, ZZ)) == 1  # constant gcd
 
 
 def build_field(coeffs: Sequence[int], ell: int = 2, label: str = "") -> NumberField:

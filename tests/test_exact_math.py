@@ -9,7 +9,6 @@ from nfk.exact_math import (
     IntMatrix,
     IntPolynomial,
     count_real_roots,
-    det_int,
     factor_mod_p,
     has_rational_root,
     hnf,
@@ -21,18 +20,7 @@ from nfk.exact_math import (
     xgcd,
 )
 from nfk.errors import FieldConstructionError
-
-
-def det_cofactor(rows):
-    """Independent determinant oracle: cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * det_cofactor(minor)
-    return total
+from oracles import det_fraction
 
 
 def lattice_points_2d(cols, bound):
@@ -55,22 +43,6 @@ def test_xgcd():
             assert a % g == 0 and b % g == 0
 
 
-def test_det_matches_cofactor_oracle():
-    random.seed(11)
-    for n in (1, 2, 3, 4):
-        for _ in range(40):
-            rows = [[random.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert det_int(IntMatrix(rows)) == det_cofactor(rows)
-
-
-def test_det_multiplicative():
-    random.seed(12)
-    for _ in range(60):
-        a = IntMatrix([[random.randint(-6, 6) for _ in range(3)] for _ in range(3)])
-        b = IntMatrix([[random.randint(-6, 6) for _ in range(3)] for _ in range(3)])
-        assert det_int(a @ b) == det_int(a) * det_int(b)
-
-
 def test_hnf_small_example_against_lattice_oracle():
     # Oracle first: the lattice spanned by (4,0) and (2,2) contains (0,4),
     # so the canonical staircase has pivots 4 (row 0) and 2 (row 1) with the
@@ -78,7 +50,7 @@ def test_hnf_small_example_against_lattice_oracle():
     m = IntMatrix([[4, 2], [0, 2]])
     h, u = hnf(m)
     assert m @ u == h
-    assert abs(det_int(u)) == 1
+    assert abs(det_fraction(u.rows)) == 1
     assert h.rows == [[4, 2], [0, 2]]
     # same lattice, point for point, inside a window
     assert lattice_points_2d([h.column(0), h.column(1)], 6) == lattice_points_2d(
@@ -107,11 +79,11 @@ def test_hnf_canonical_form_conditions():
     for _ in range(50):
         while True:
             m = IntMatrix([[random.randint(-8, 8) for _ in range(3)] for _ in range(3)])
-            if det_int(m) != 0:
+            if det_fraction(m.rows) != 0:
                 break
         h = hnf_square(m)
-        d = abs(det_int(m))
-        assert det_int(h) == d  # pivots positive, product = |det|
+        d = abs(det_fraction(m.rows))
+        assert det_fraction(h.rows) == d  # pivots positive, product = |det|
         for i in range(3):
             assert h.rows[i][i] > 0
             for j in range(i + 1, 3):
@@ -124,7 +96,7 @@ def test_hnf_zero_matrix():
     m = IntMatrix.zero(2, 3)
     h, u = hnf(m)
     assert h.rows == [[0, 0, 0], [0, 0, 0]]
-    assert abs(det_int(u)) == 1
+    assert abs(det_fraction(u.rows)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -12,6 +12,7 @@ import pytest
 import nfk
 from nfk.cli import cli_main
 from nfk.density import density_report, density_report_json_dict
+from nfk.errors import NfkError
 from nfk.harness import (
     ideal_label,
     load_field_spec,
@@ -47,6 +48,26 @@ def test_load_field_spec_label_defaults_to_stem(tmp_path):
     spec = tmp_path / "gauss.json"
     spec.write_text('{"poly": [1, 0, 1]}')
     assert load_field_spec(spec).label == "gauss"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"poly": [1, 0, 1.5]}',  # would truncate to x^2 + 1
+        '{"poly": [true, 0, 1]}',
+        '{"poly": ["1", 0, 1]}',
+        '{"poly": 5}',
+        '{"poly": []}',
+        '{"poly": [1, 0, 1], "ell": 2.9}',  # would truncate to 2
+    ],
+)
+def test_malformed_field_spec_is_usage_error(text, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    with pytest.raises((ValueError, NfkError)):
+        load_field_spec(spec)
+    assert cli_main(["field", "--spec", str(spec)]) == 2
+    capsys.readouterr()
 
 
 def test_ideal_label(field_qm5):
@@ -304,6 +325,13 @@ def test_cli_usage_errors(capsys):
     for ell in ("1", "4"):  # --ell must be prime
         assert cli_main(["rho", "--spec", str(SPECS / "qi.json"), "--ell", ell]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["enumerate", "steinitz", "experiment", "count-check"])
+def test_cli_bound_below_one_is_usage_error(command, capsys):
+    for bound in ("-5", "0"):
+        assert cli_main([command, "--spec", str(SPECS / "q.json"), "--bound", bound]) == 2
+        assert "bound must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_ell_without_zeta_is_usage_error(capsys):

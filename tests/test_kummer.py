@@ -28,7 +28,6 @@ from nfk.ideals import (
 from nfk.kummer import (
     ExtensionRecord,
     KummerDatum,
-    _int_nth_root,
     enumerate_extensions,
     iter_extensions,
     normalize_gamma,
@@ -680,15 +679,19 @@ def test_normalize_rejects_a_wrong_hint(field_zeta3, field_x4_7x2_13):
 
 
 def test_int_nth_root_beyond_float_range():
-    # a float seed overflows past 1e308, and 2^106 - 1 rounds up to 2^106
-    # as a double, so a float seed lands one above its root
-    assert _int_nth_root(10**400, 2) == 10**200
-    assert _int_nth_root(10**400 - 1, 2) == 10**200 - 1
-    assert _int_nth_root(2**106 - 1, 2) == 2**53 - 1
-    assert _int_nth_root(2**106, 2) == 2**53
+    # the cell loop's bound floor(X^(1/(ell-1))) comes from the integer root
+    # kummer calls; a float seed overflows past 1e308, and 2^106 - 1 rounds
+    # up to 2^106 as a double, so a float seed lands one above its root
+    def root(n, k):
+        return kummer.integer_nthroot(n, k)[0]
+
+    assert root(10**400, 2) == 10**200
+    assert root(10**400 - 1, 2) == 10**200 - 1
+    assert root(2**106 - 1, 2) == 2**53 - 1
+    assert root(2**106, 2) == 2**53
     rng = random.Random(5)
     for _ in range(500):
         k = rng.randint(1, 6)
         n = rng.randint(0, 10 ** rng.randint(0, 400))
-        x = _int_nth_root(n, k)
+        x = root(n, k)
         assert x**k <= n < (x + 1) ** k

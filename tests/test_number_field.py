@@ -8,15 +8,21 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from sympy import factorint
 
 from nfk.class_unit import compute_unit_group
 from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from nfk.ideals import split_prime
-from nfk.exact_math import IntPolynomial
+from nfk.exact_math import IntPolynomial, irreducibility_certificate, polynomial_discriminant
 from nfk.number_field import NumberField, build_field, dedekind_q_maximal
 from oracles import det_fraction, inverse_by_fraction_solve, multiplication_matrix
 
 CUBIC = [-9, -1, 0, 1]  # x^3 - x - 9
+
+
+def _trace(x):
+    """Tr(x) as the trace of its multiplication matrix (oracle)."""
+    return sum(row[i] for i, row in enumerate(multiplication_matrix(x)))
 
 
 def test_build_cubic_field():
@@ -53,6 +59,18 @@ def test_dedekind_criterion_directly():
     assert dedekind_q_maximal(IntPolynomial([5, 0, 1]), 2)  # Z[sqrt(-5)] maximal at 2
     assert not dedekind_q_maximal(IntPolynomial([3, 0, 1]), 2)
     assert dedekind_q_maximal(IntPolynomial([-2, 0, 1]), 2)  # Z[sqrt 2] maximal at 2
+    # x^2 + bx + c has D = b^2 - 4c = f^2 d with f the index of Z[theta].
+    # At odd q, q^2 | D means q | f; at q = 2 with 4 | D, 2 | f exactly when
+    # D/4 = 0, 1 (mod 4), since d = 0, 1 (mod 4) and 4 | d gives d/4 = 2, 3.
+    cases = 0
+    for b, c in itertools.product(range(-20, 21), repeat=2):
+        D = b * b - 4 * c
+        for q, e in factorint(abs(D)).items() if D else ():
+            if e >= 2:
+                maximal = q == 2 and (D // 4) % 4 in (2, 3)
+                assert dedekind_q_maximal(IntPolynomial([c, b, 1]), q) == maximal, (b, c, q)
+                cases += 1
+    assert cases == 1148
 
 
 def test_element_arithmetic_cubic():
@@ -72,14 +90,14 @@ def test_norm_trace_examples():
     K = build_field(CUBIC, 2)
     t = K.theta
     assert t.norm() == 9  # N(theta) = -f(0) for odd degree: 9
-    assert t.trace() == 0
+    assert _trace(t) == 0
     assert (t - K.from_int(2)).norm() == 3
     assert (t + K.from_int(1)).norm() == 9
     Ki = build_field([1, 0, 1], 2)
     i = Ki.theta
     assert (Ki.from_int(1) + i).norm() == 2
     assert (Ki.from_int(3) + Ki.element([0, 2])).norm() == 13
-    assert (Ki.from_int(3)).trace() == 6
+    assert _trace(Ki.from_int(3)) == 6
 
 
 def test_norm_multiplicative_trace_additive():
@@ -90,7 +108,7 @@ def test_norm_multiplicative_trace_additive():
             x = K.element([random.randint(-9, 9) for _ in range(K.degree)])
             y = K.element([random.randint(-9, 9) for _ in range(K.degree)])
             assert (x * y).norm() == x.norm() * y.norm()
-            assert (x + y).trace() == x.trace() + y.trace()
+            assert _trace(x + y) == _trace(x) + _trace(y)
         # norm against embeddings (floating cross-check)
         x = K.element([random.randint(-9, 9) for _ in range(K.degree)])
         if not x.is_zero():
@@ -351,21 +369,24 @@ def test_short_vectors_degree_one_and_ceiling():
         list(K.short_vectors([[1]], 10, limit=6))
 
 
-def test_power_traces_against_embeddings():
-    K = build_field(CUBIC, 2)
-    rts = K.roots(200)
-    with mpmath.workprec(200):
-        for k in range(5):
-            numeric = rts[0] ** k + 2 * mpmath.re(rts[1] ** k)
-            assert abs(numeric - K.power_traces[k]) < mpmath.mpf(2) ** -80
-
-
 def test_trace_form_gram_determinant_is_disc():
-    # det Tr(theta^i theta^j) = disc(K) for the power basis
-    from nfk.exact_math import IntMatrix, det_int
-
+    # det Tr(theta^i theta^j) = disc(f) for the power basis, on the Fraction
+    # oracles: pinned fields, then a seeded sweep of monic irreducibles
     for coeffs, d in (([1, 0, 1], -4), ([5, 0, 1], -20), (CUBIC, -2183)):
-        K = build_field(coeffs, 2)
+        assert polynomial_discriminant(IntPolynomial(coeffs)) == d
+    rng = random.Random(17)
+    polys = [[1, 0, 1], [5, 0, 1], CUBIC]
+    while len(polys) < 63:
+        n = rng.randint(2, 5)
+        f = IntPolynomial([rng.randint(-6, 6) for _ in range(n)] + [1])
+        try:
+            irreducibility_certificate(f)
+        except FieldConstructionError:
+            continue
+        polys.append(list(f.coeffs))
+    for coeffs in polys:
+        f = IntPolynomial(coeffs)
+        K = NumberField(f)
         n = K.degree
-        gram = [[int((K.theta ** (i + j)).trace()) for j in range(n)] for i in range(n)]
-        assert det_int(IntMatrix(gram)) == d
+        gram = [[_trace(K.theta ** (i + j)) for j in range(n)] for i in range(n)]
+        assert det_fraction(gram) == polynomial_discriminant(f), coeffs
