@@ -454,7 +454,7 @@ class ClassGroup:
                     num *= q.p**e
                 else:
                     den *= q.p**-e
-            return K.element([num if den == 1 else Fraction(num, den)])
+            return AlgebraicNumber._of(K, (num,)) if den == 1 else K.element([Fraction(num, den)])
         mul = K.mul_int_coords
         num, den = fa.cleared()
         coords = one = K.one.coords
@@ -477,7 +477,9 @@ class ClassGroup:
             best = self._least_unit_multiple(coords, target, ceilings)
         else:
             best = self._least_torsion_multiple(coords)
-        return K.element(best if den == 1 else [Fraction(c, den) for c in best])
+        if den == 1:
+            return AlgebraicNumber._of(K, tuple(best))
+        return K.element([Fraction(c, den) for c in best])
 
     def _least_unit_multiple(
         self, coords: list[int], target: int, ceilings: Ceilings | None

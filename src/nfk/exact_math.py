@@ -308,10 +308,10 @@ def irreducibility_certificate(f: IntPolynomial, prime_bound: int = 1000) -> int
     factorization over Z decides: an irreducible quartic with Galois group
     V4, such as x^4 - x^2 + 1, is reducible mod every prime.
     """
+    if f.degree < 1:  # before is_monic, which reads the leading coefficient
+        raise FieldConstructionError("defining polynomial must have degree >= 1")
     if not f.is_monic():
         raise FieldConstructionError("defining polynomial must be monic")
-    if f.degree < 1:
-        raise FieldConstructionError("defining polynomial must have degree >= 1")
     if f.degree == 1:
         return 0
     if has_rational_root(f):

@@ -37,8 +37,9 @@ def load_field_spec(path) -> NumberField:
     """Field from a JSON spec {"poly": [c0,...,1], "ell": 2, "label": "..."}.
 
     Coefficients ascending, monic; "ell" defaults to 2 and "label" to the
-    file stem.  "poly" must be a nonempty list of JSON integers and "ell"
-    a JSON integer (bools and floats raise ValueError).  Validation
+    file stem.  "poly" must be a nonempty list of JSON integers, "ell"
+    a JSON integer (bools and floats raise ValueError) and "label" a JSON
+    string.  Validation
     (irreducibility, monogenicity, zeta_ell) is the same as for directly
     constructed fields.
     """
@@ -50,7 +51,10 @@ def load_field_spec(path) -> NumberField:
         raise ValueError(f"{path}: 'poly' must be a nonempty list of integers")
     if type(ell) is not int:
         raise ValueError(f"{path}: 'ell' must be an integer")
-    return build_field(poly, ell=ell, label=data.get("label") or Path(path).stem)
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"{path}: 'label' must be a string")
+    return build_field(poly, ell=ell, label=label or Path(path).stem)
 
 
 def ideal_label(fa: FactoredIdeal) -> str:

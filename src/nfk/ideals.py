@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -483,57 +482,43 @@ class FactoredIdeal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PartsDecomposition:
     """A = ell_part * root^ell * prod_i power_parts[i]^i.
 
     ell_part carries the full exponent of every prime over ell; root is
     coprime to ell; each power_parts[i] (1 <= i < ell) is squarefree,
     pairwise coprime with the others, coprime to ell, and consists of the
-    primes whose exponent is congruent to i mod ell.
+    primes whose exponent is congruent to i mod ell.  Two decompositions
+    are equal when these four are.  The other fields are what the Kummer
+    layer needs of the parts alone, set once and shared by every unit
+    twist alpha*u of a cell (kummer._discriminant_split,
+    kummer.steinitz_class).
     """
 
     ell: int
     ell_part: FactoredIdeal
     root: FactoredIdeal
     power_parts: dict[int, FactoredIdeal]
+    # the ell-free part of the relative discriminant: exponent ell - 1 at
+    # every prime of the power parts; and its norm as an int
+    tame_part: FactoredIdeal = dc_field(compare=False)
+    tame_norm: int = dc_field(compare=False)
+    # (ell_part * root^ell * prod_i power_parts[i]^(i-1))^(ell-1), the
+    # denominator of St^2 in the Steinitz formula
+    steinitz_den_pow: FactoredIdeal = dc_field(compare=False)
+    # the enumeration's memo of the ell-part row (kummer._Row), or None
+    # outside the cell loop
+    row: object = dc_field(default=None, compare=False, repr=False)
 
     def reconstruct(self) -> FactoredIdeal:
-        out = self.ell_part * self.root**self.ell
-        for i, part in self.power_parts.items():
-            out = out * part**i
-        return out
+        return self.ell_part * self.root**self.ell * self.ell_free_ell_power_free()
 
     def ell_free_ell_power_free(self) -> FactoredIdeal:
         out = FactoredIdeal.unit(self.ell_part.field)
         for i, part in self.power_parts.items():
             out = out * part**i
         return out
-
-    # What the Kummer layer needs of the parts alone, computed once and shared
-    # by every unit twist alpha*u of a cell (kummer._discriminant_split,
-    # kummer.steinitz_class).
-
-    @cached_property
-    def tame_part(self) -> FactoredIdeal:
-        """The ell-free part of the relative discriminant: exponent ell - 1
-        at every prime of the power parts."""
-        exps = {q: self.ell - 1 for part in self.power_parts.values() for q in part.exps}
-        return FactoredIdeal._of(self.ell_part.field, exps)
-
-    @cached_property
-    def tame_norm(self) -> int:
-        """N(tame_part) as an int."""
-        return math.prod(q.norm for q in self.tame_part.exps) ** (self.ell - 1)
-
-    @cached_property
-    def steinitz_den_pow(self) -> FactoredIdeal:
-        """(ell_part * root^ell * prod_i power_parts[i]^(i-1))^(ell-1), the
-        denominator of St^2 in the Steinitz formula."""
-        den = self.ell_part * self.root**self.ell
-        for i in range(2, self.ell):
-            den = den * self.power_parts[i] ** (i - 1)
-        return den ** (self.ell - 1)
 
 
 def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
@@ -542,6 +527,7 @@ def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
     ell_part: dict[PrimeIdeal, int] = {}
     root: dict[PrimeIdeal, int] = {}
     parts: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
+    tame: dict[PrimeIdeal, int] = {}
     for q, e in fa.exps.items():
         if q.p == ell:
             ell_part[q] = e
@@ -551,11 +537,20 @@ def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
             root[q] = k
         if r:
             parts[r][q] = 1
+            tame[q] = ell - 1
+    lpart, rpart = FactoredIdeal._of(K, ell_part), FactoredIdeal._of(K, root)
+    power_parts = {i: FactoredIdeal._of(K, parts[i]) for i in range(1, ell)}
+    den = lpart * rpart**ell
+    for i in range(2, ell):
+        den = den * power_parts[i] ** (i - 1)
     return PartsDecomposition(
-        ell=ell,
-        ell_part=FactoredIdeal._of(K, ell_part),
-        root=FactoredIdeal._of(K, root),
-        power_parts={i: FactoredIdeal._of(K, parts[i]) for i in range(1, ell)},
+        ell,
+        lpart,
+        rpart,
+        power_parts,
+        FactoredIdeal._of(K, tame),
+        math.prod(q.norm for q in tame) ** (ell - 1),
+        den ** (ell - 1),
     )
 
 
@@ -570,25 +565,39 @@ def _coord_sort_key(coords: Sequence[int]) -> tuple:
     return tuple((abs(c), 0 if c >= 0 else 1) for c in reversed(coords))
 
 
-def _imag_quadratic_norm_matches(a: Ideal, target: int, ceilings: Ceilings) -> list[list[int]]:
-    """All x in the ideal lattice with N(x) = target (imaginary quadratic K).
+def _imag_quadratic_norm_matches(a: Ideal, ceilings: Ceilings) -> list[list[int]]:
+    """All x in the ideal lattice with N(x) = N(a) (imaginary quadratic K).
 
-    Solves the positive-definite binary form of the HNF basis exactly, one
-    quadratic in s per t with |t| <= tmax; the 2 tmax + 1 values of t count
-    against ceilings.search_points.
+    N(s w1 + t w2) = A s^2 + B s t + C t^2 is a positive-definite binary
+    form on a basis (w1, w2) of the lattice.  Lagrange-Gauss reduction
+    (Cohen, GTM 138, 5.4.2) carries the HNF basis along to one with
+    |B| <= A <= C, so that A^2 <= |D|/3 for D = B^2 - 4AC.  An x with
+    N(x) = N(a) has t^2 <= 4 A N(a)/|D|, and A >= N(a) (A is the norm of an
+    element of a), so |t| <= 1.  Each of the three values of t leaves one
+    quadratic in s, solved exactly; they count against
+    ceilings.search_points.
     """
-    v1, v2 = a.basis_elements()
-    A = int(v1.norm())
-    C = int(v2.norm())
-    B = int((v1 + v2).norm()) - A - C
-    D = B * B - 4 * A * C  # < 0
+    if 3 > ceilings.search_points:
+        raise CeilingError("generator search over 3 values of t", ceilings.search_points)
+    K = a.field
+    target = a.norm()
+    w1, w2 = a.hnf.column(0), a.hnf.column(1)
+    A, C = K.norm_int(w1), K.norm_int(w2)
+    B = K.norm_int([x + y for x, y in zip(w1, w2)]) - A - C
+    while True:
+        # s -> s - k t puts B in (-A, A]; then swap while A > C
+        k = (B + A - 1) // (2 * A)
+        if k:
+            C += A * k * k - B * k
+            B -= 2 * A * k
+            w2 = [y - k * x for x, y in zip(w1, w2)]
+        if A <= C:
+            break
+        A, B, C = C, -B, A
+        w1, w2 = w2, [-x for x in w1]
+    D = B * B - 4 * A * C
     out = []
-    tmax = math.isqrt((4 * A * target) // (-D))
-    if 2 * tmax + 1 > ceilings.search_points:
-        raise CeilingError(
-            f"generator search over {2 * tmax + 1} values of t", ceilings.search_points
-        )
-    for t in range(-tmax, tmax + 1):
+    for t in (-1, 0, 1):
         disc_t = D * t * t + 4 * A * target
         if disc_t < 0:
             continue
@@ -597,11 +606,9 @@ def _imag_quadratic_norm_matches(a: Ideal, target: int, ceilings: Ceilings) -> l
             continue
         for sgn in ((1,) if r == 0 else (1, -1)):
             num = -B * t + sgn * r
-            if num % (2 * A):
-                continue
-            s = num // (2 * A)
-            x = [s * c1 + t * c2 for c1, c2 in zip(a.hnf.column(0), a.hnf.column(1))]
-            out.append(x)
+            if num % (2 * A) == 0:
+                s = num // (2 * A)
+                out.append([s * x + t * y for x, y in zip(w1, w2)])
     return out
 
 
@@ -659,7 +666,7 @@ def norm_matches(
     if K.degree == 1:
         return [[target], [-target]]
     if K.degree == 2 and K.r1 == 0:
-        return _imag_quadratic_norm_matches(a, target, ceilings)
+        return _imag_quadratic_norm_matches(a, ceilings)
     return _lattice_norm_matches(a, target, units, ceilings)
 
 

@@ -11,6 +11,10 @@ and the survivor is the lexicographically least tuple of its orbit.
 The stream runs over the ell-part rows Q in sort-key order, and within a
 row in the order of ClassGroup.ell_free_ideals; when h > 1 the cells of
 different classes interleave.  The first cell is always the unit ideal.
+Work that depends only on the row Q (the wild ell-part of each residue of
+gamma mod ell^2, the Steinitz square check of each ell-part) is done once
+per row of an enumeration (_Row), and work that depends on the cell alone
+once per cell.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .number_field import AlgebraicNumber, NumberField
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KummerDatum:
     """A normalized generator of L = K(gamma^(1/ell)).
 
@@ -142,15 +146,7 @@ def normalize_gamma(
         raise DegenerateExtensionError(
             f"{gamma!r} is an {ell}-th power; the extension is trivial"
         )
-    return KummerDatum(
-        field=K,
-        ell=ell,
-        gamma=alpha * u,
-        parts=parts,
-        unit_coordinate=u,
-        power_root_class=cls,
-        unit_coset=coset,
-    )
+    return KummerDatum(K, ell, alpha * u, parts, u, cls, coset)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +196,10 @@ def _congruence_depth(
     raise ArithmeticError(f"no congruence depth at {q!r}; residue logic broken")
 
 
-def _discriminant_split(
-    d: KummerDatum, ceilings: Ceilings | None = None
-) -> tuple[FactoredIdeal, FactoredIdeal, FactoredIdeal]:
-    """(Delta, ell-part, ell-free part) of the relative discriminant.
-
-    The ell-free part depends only on the parts of gamma O_K
-    (PartsDecomposition.tame_part); the exponents at the primes over ell
-    come from gamma itself, through the congruence depth.
-    """
+def _wild_part(d: KummerDatum, ceilings: Ceilings | None) -> FactoredIdeal:
+    """The ell-part of the relative discriminant: exponent (ell-1) + ell e at
+    each prime of the datum's ell-part, and (ell-1)(B - s + 1) at every other
+    prime over ell whose congruence depth s is below B."""
     K, ell = d.field, d.ell
     lexps = d.parts.ell_part.exps
     wild: dict[PrimeIdeal, int] = {}
@@ -223,8 +214,34 @@ def _discriminant_split(
         s = _congruence_depth(d.gamma, q, ell, ceilings)
         if s < bound:
             wild[q] = (ell - 1) * (bound - s + 1)
-    fpart = d.parts.tame_part
-    lpart = FactoredIdeal._of(K, wild)
+    return FactoredIdeal._of(K, wild)
+
+
+def _discriminant_split(
+    d: KummerDatum, ceilings: Ceilings | None = None
+) -> tuple[FactoredIdeal, FactoredIdeal, FactoredIdeal]:
+    """(Delta, ell-part, ell-free part) of the relative discriminant.
+
+    The ell-free part depends only on the parts of gamma O_K
+    (PartsDecomposition.tame_part).  The ell-part (_wild_part) depends only
+    on the row Q = parts.ell_part and, through the congruence depths, on
+    gamma mod q^B at each prime q over ell, with B = ell e/(ell-1) <= 2e.
+    Since O_K = Z[theta] and ell^2 O_K lies in every such q^B, gamma's
+    coordinates mod ell^2 decide it, as they key _congruence_depth's memo.
+    In the cell loop the parts carry the row's memo (_Row), and each residue
+    is worked out once per row.
+    """
+    parts = d.parts
+    row = parts.row
+    if row is None:
+        lpart = _wild_part(d, ceilings)
+    else:
+        mod = d.ell * d.ell
+        key = tuple(c % mod for c in d.gamma.coords)
+        lpart = row.wild.get(key)
+        if lpart is None:
+            lpart = row.add(key, _wild_part(d, ceilings))
+    fpart = parts.tame_part
     return fpart * lpart, lpart, fpart
 
 
@@ -305,11 +322,15 @@ def steinitz_class(
     """
     if ell_part is None:
         ell_part = _discriminant_split(d, ceilings)[1]
-    den_pow = d.parts.steinitz_den_pow
+    return cg.index_of(_steinitz_root(ell_part, d.parts.steinitz_den_pow), ceilings)
+
+
+def _steinitz_root(ell_part: FactoredIdeal, den_pow: FactoredIdeal) -> FactoredIdeal:
+    """The square root of ell_part / den_pow, checked to square back."""
     st = (ell_part / den_pow).sqrt()
     if st * st * den_pow != ell_part:
         raise ArithmeticError("Steinitz square does not reassemble the ell-part")
-    return cg.index_of(st, ceilings)
+    return st
 
 
 def realizable_class_subgroup(cg: ClassGroup, ell: int) -> list[int]:
@@ -325,7 +346,7 @@ def realizable_class_subgroup(cg: ClassGroup, ell: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtensionRecord:
     """One isomorphism class of degree-ell extensions with its invariants."""
 
@@ -340,9 +361,31 @@ class ExtensionRecord:
         return (self.disc_norm, self.datum.key())
 
 
-def _int_norm(fa: FactoredIdeal) -> int:
-    """N(fa) as an int product, for fa integral."""
-    return math.prod(q.norm**e for q, e in fa.exps.items())
+class _Row:
+    """What the cells of one ell-part row Q share within one enumeration.
+
+    wild maps gamma's coordinates mod ell^2 to the wild ell-part L they
+    decide (_discriminant_split), with one object per distinct L.  info
+    maps the id of each such object, which wild keeps alive, to [N(L) as an
+    int, the class of sqrt(L / Q^(ell-1)) or None until a record needs it].
+    """
+
+    __slots__ = ("q_pow", "wild", "info", "_distinct")
+
+    def __init__(self, Q: FactoredIdeal, ell: int):
+        self.q_pow = Q ** (ell - 1)
+        self.wild: dict[tuple[int, ...], FactoredIdeal] = {}
+        self.info: dict[int, list] = {}
+        self._distinct: dict[tuple, FactoredIdeal] = {}
+
+    def add(self, key: tuple[int, ...], lpart: FactoredIdeal) -> FactoredIdeal:
+        """Memoize lpart under the residue key; returns the row's object equal to it."""
+        # _wild_part lists the primes over ell in split_prime order
+        got = self._distinct.setdefault(tuple(lpart.exps.items()), lpart)
+        if got is lpart:
+            self.info[id(lpart)] = [math.prod(q.norm**e for q, e in lpart.exps.items()), None]
+        self.wild[key] = got
+        return got
 
 
 def iter_extensions(
@@ -373,7 +416,7 @@ def iter_extensions(
     cg = compute_class_group(K, ceilings)
     ug = cg.units
     u_reps = unit_coset_reps(ug, ell)
-    u_cosets = [unit_coset_coords(ug, u, ell) for u in u_reps]
+    units = [(u, unit_coset_coords(ug, u, ell)) for u in u_reps]
     group = cg.group
     reps = [cg.ell_free_representative(cls, ell, ceilings) for cls in range(cg.h)]
     # the classes cls with cls^ell = t, ascending, for each class t
@@ -406,14 +449,14 @@ def iter_extensions(
             ell_roots.get(group.power(group.op(c, q_class), group.exponent - 1), [])
             for c in range(cg.h)
         ]
+        row = _Row(Q, ell)
         for support, c in cg.ell_free_ideals(pool, s_bound, ell, ceilings, radical=True):
             if not cells_of[c]:
                 continue
             I = FactoredIdeal._of(K, dict(support))
             for cls in cells_of[c]:
                 yield from _cell_records(
-                    K, ell, X, order_by, dedup, ceilings,
-                    ug, cg, u_reps, u_cosets, reps[cls], cls, Q, I,
+                    K, ell, X, order_by, dedup, ceilings, cg, units, row, reps[cls], cls, Q, I
                 )
 
 
@@ -434,48 +477,50 @@ def enumerate_extensions(
     return records
 
 
-def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets, rep, cls, Q, I):
+def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls, Q, I):
     """The records of one cell: gamma = alpha * u for the cell generator alpha
-    and each unit coset representative u.
+    and each (u, coset) of units, the unit coset representatives.
 
-    Everything that depends on the cell alone (its generator and parts,
-    the ell-free discriminant and its norm, the Steinitz denominator) is
-    computed once, the last three on the PartsDecomposition the candidates
-    share; each candidate pays for its congruence depths at the primes over
-    ell.  For odd ell, orbit dedup makes one normalize_gamma call per power
-    gamma^m tried, passing it fa^m, the ideal of gamma^m in factored form.
+    The cell computes its generator once and reads its parts off rep, Q and
+    I (rep is coprime to ell, Q lies over ell, I is ell-power-free), with
+    the tame part, its norm and the Steinitz denominator Q^(ell-1) off^2,
+    off = rep^(ell(ell-1)/2) prod_{i>=2} P_i^((i-1)(ell-1)/2).  Through the
+    parts its candidates share the row's memo of the wild ell-part L.  A
+    record's Steinitz class is that of sqrt(L / Q^(ell-1)), checked and
+    looked up once per (row, L), minus that of off, once per cell.  For odd
+    ell, orbit dedup makes one normalize_gamma call per power gamma^m tried,
+    passing it fa^m, the ideal of gamma^m in factored form.
     """
     fa = rep**ell * Q * I
     unit_cell = fa.is_unit_ideal()
     alpha = K.one if unit_cell else cg.generator(fa, ceilings)
-    # rep is coprime to ell, Q lies over ell and I is ell-power-free, so the
-    # parts of fa (decompose_parts) are read off the three factors
-    by_exp: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
-    for q, a in I.exps.items():
-        by_exp[a][q] = 1
+    if ell == 2:  # I is squarefree: its own one power part, and the tame part
+        power_parts, tame, off = {1: I}, I, rep
+    else:
+        by_exp: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
+        for q, a in I.exps.items():
+            by_exp[a][q] = 1
+        power_parts = {i: FactoredIdeal._of(K, e) for i, e in by_exp.items()}
+        tame = FactoredIdeal._of(K, dict.fromkeys(I.exps, ell - 1))
+        off = rep ** (ell * (ell - 1) // 2)
+        for i in range(2, ell):
+            off = off * power_parts[i] ** ((i - 1) * (ell - 1) // 2)
+    tame_norm = math.prod(q.norm for q in I.exps) ** (ell - 1)
     parts = PartsDecomposition(
-        ell=ell,
-        ell_part=Q,
-        root=rep,
-        power_parts={i: FactoredIdeal._of(K, e) for i, e in by_exp.items()},
+        ell, Q, rep, power_parts, tame, tame_norm, row.q_pow * off * off, row
     )
-    tame_norm = parts.tame_norm
-    for u, coset in zip(u_reps, u_cosets):
+    off_cls = cg.index_of(off.inverse(), ceilings)
+    info, mul = row.info, K.mul_int_coords
+    by_disc = order_by == "disc"
+    for u, coset in units:
         if unit_cell and not any(coset):
             continue  # gamma is the trivial ell-th power
-        gamma = alpha if u.is_one() else alpha * u
-        datum = KummerDatum(
-            field=K,
-            ell=ell,
-            gamma=gamma,
-            parts=parts,
-            unit_coordinate=u,
-            power_root_class=cls,
-            unit_coset=coset,
-        )
+        gamma = alpha if u.is_one() else AlgebraicNumber._of(K, mul(alpha.coords, u.coords))
+        datum = KummerDatum(K, ell, gamma, parts, u, cls, coset)
         delta, lpart, fpart = _discriminant_split(datum, ceilings)
-        disc_norm = tame_norm * _int_norm(lpart)
-        if (disc_norm if order_by == "disc" else tame_norm) > X:
+        entry = info[id(lpart)]
+        disc_norm = tame_norm * entry[0]
+        if (disc_norm if by_disc else tame_norm) > X:
             continue
         if dedup and ell > 2:
             key = datum.key()
@@ -487,15 +532,12 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, ug, cg, u_reps, u_cosets
                     break
             if smaller:
                 continue
-        st = steinitz_class(datum, cg, ell_part=lpart, ceilings=ceilings)
-        yield ExtensionRecord(
-            datum=datum,
-            discriminant=delta,
-            ell_part=lpart,
-            ell_free_part=fpart,
-            steinitz=st,
-            disc_norm=disc_norm,
-        )
+        st = entry[1]
+        if st is None:
+            st = entry[1] = cg.index_of(_steinitz_root(lpart, row.q_pow), ceilings)
+        if off_cls:
+            st = cg.group.op(st, off_cls)
+        yield ExtensionRecord(datum, delta, lpart, fpart, st, disc_norm)
 
 
 def record_json_dict(record: ExtensionRecord, cg: ClassGroup) -> dict:

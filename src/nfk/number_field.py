@@ -51,6 +51,14 @@ class AlgebraicNumber:
         if len(self.coords) != field.degree:
             raise ValueError("coordinate length != field degree")
 
+    @classmethod
+    def _of(cls, field: "NumberField", coords: tuple[int, ...]) -> "AlgebraicNumber":
+        """The element of a tuple of field.degree ints, taken as is."""
+        out = object.__new__(cls)
+        out.field = field
+        out.coords = coords
+        return out
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AlgebraicNumber)

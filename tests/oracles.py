@@ -3,6 +3,9 @@
 - _box_norm_matches is the coordinate-box generator search that
   ideals._lattice_norm_matches replaced; tests compare the two and can
   monkeypatch it in for the lattice search.
+- imag_quadratic_norm_matches_unreduced is the t-scan on the raw HNF
+  basis that ideals._imag_quadratic_norm_matches replaced by a scan on the
+  Gauss-reduced basis.
 - discriminant_split_from_ideal and steinitz_class_from_parts are the
   per-candidate relative discriminant and Steinitz class, rebuilt from the
   whole ideal gamma O_K, that the Kummer cell loop replaced by work shared
@@ -20,6 +23,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -222,6 +226,32 @@ def _box_norm_matches(
             i += 1
         if i == n:
             return out
+
+
+def imag_quadratic_norm_matches_unreduced(a: Ideal, target: int) -> list[list[int]]:
+    """All x in the ideal with N(x) = target (imaginary quadratic K), one
+    quadratic in s for each |t| <= sqrt(4 A target/|D|) of the form
+    A s^2 + B s t + C t^2 on the HNF basis, with no ceiling."""
+    v1, v2 = a.basis_elements()
+    A = int(v1.norm())
+    C = int(v2.norm())
+    B = int((v1 + v2).norm()) - A - C
+    D = B * B - 4 * A * C
+    out = []
+    tmax = math.isqrt((4 * A * target) // (-D))
+    for t in range(-tmax, tmax + 1):
+        disc_t = D * t * t + 4 * A * target
+        if disc_t < 0:
+            continue
+        r = math.isqrt(disc_t)
+        if r * r != disc_t:
+            continue
+        for sgn in ((1,) if r == 0 else (1, -1)):
+            num = -B * t + sgn * r
+            if num % (2 * A) == 0:
+                s = num // (2 * A)
+                out.append([s * c1 + t * c2 for c1, c2 in zip(a.hnf.column(0), a.hnf.column(1))])
+    return out
 
 
 def _solve_fraction(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -343,7 +343,7 @@ def test_count_check_over_q_looks_up_no_class(monkeypatch):
 
 def test_imaginary_quadratic_class_of_prime_honours_search_ceiling():
     # a fresh Q(sqrt(-5)): the binary-form solve for a prime of norm 10007
-    # scans 89 values of t, past a ceiling of one point
+    # scans three values of t, past a ceiling of one point
     K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
     cg = compute_class_group(K)
     q = min(split_prime(K, 10007))

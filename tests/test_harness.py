@@ -59,6 +59,7 @@ def test_load_field_spec_label_defaults_to_stem(tmp_path):
         '{"poly": 5}',
         '{"poly": []}',
         '{"poly": [1, 0, 1], "ell": 2.9}',  # would truncate to 2
+        '{"poly": [1, 0, 1], "label": 5}',  # `nfk field` would print a JSON number
     ],
 )
 def test_malformed_field_spec_is_usage_error(text, tmp_path, capsys):

@@ -31,7 +31,7 @@ from nfk.ideals import (
     valuation,
 )
 from nfk.number_field import build_field
-from oracles import _box_norm_matches
+from oracles import _box_norm_matches, imag_quadratic_norm_matches_unreduced
 
 
 def elem(K, *coords):
@@ -493,6 +493,32 @@ def test_lattice_search_matches_box_oracle(name, bound, request, monkeypatch):
         assert (fast and fast.coords) == (slow and slow.coords), fa
     # the cubic (h = 3) exercises non-principal ideals as well
     assert verdicts == ({True, False} if name == "cubic9" else {True})
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1, 0, 1], [5, 0, 1], [1, 1, 1], [2, 0, 1], [6, 1, 1]],
+    ids=["Q(i)", "Q(sqrt(-5))", "Q(zeta3)", "Q(sqrt(-2))", "x^2+x+6"],
+)
+def test_reduced_imag_quadratic_scan_matches_oracle(coeffs):
+    # the scan of |t| <= 1 on the Gauss-reduced basis finds the same set of
+    # matches as the scan on the raw HNF basis.  The ideals are every product
+    # of primes up to norm 300 and products of two split primes over
+    # 2000 < p < 2300.
+    K = build_field(coeffs, ell=2)
+    rng = random.Random(7)
+    big = [q for p in primerange(2000, 2300) for q in split_prime(K, p) if q.f == 1]
+    pairs = [rng.sample(big, 2) for _ in range(40)]
+    verdicts = set()
+    for fa in _integral_ideals(K, 300) + [FactoredIdeal(K, {q: 1, r: 1}) for q, r in pairs]:
+        a = fa.to_ideal()
+        target = a.norm()
+        fast = ideals._imag_quadratic_norm_matches(a, Ceilings())
+        slow = imag_quadratic_norm_matches_unreduced(a, target)
+        assert sorted(map(tuple, fast)) == sorted(map(tuple, slow)), fa
+        verdicts.add(bool(fast))
+    # Q(sqrt(-5)) (h = 2) and x^2+x+6 (h = 3) have non-principal ideals too
+    assert verdicts == ({True, False} if coeffs in ([5, 0, 1], [6, 1, 1]) else {True})
 
 
 def _hnf_coefficients(h, v):

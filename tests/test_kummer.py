@@ -621,6 +621,50 @@ def test_cell_loop_matches_per_candidate_oracle(name, ell, X, options, request, 
 
 
 @pytest.mark.parametrize(
+    "name, ell, X", [("q", 2, 5000), ("qm5", 2, 2000), ("x4_7x2_13", 3, 200000)]
+)
+def test_row_memo_counts(name, ell, X, request, monkeypatch):
+    # within one enumeration the wild ell-part is worked out once per
+    # (row Q, gamma mod ell^2) and the Steinitz square check runs once per
+    # (row Q, ell-part L) of a record, not once per candidate or record
+    K = request.getfixturevalue(f"field_{name}")
+    cg = compute_class_group(K)
+    calls = {"_wild_part": 0, "_steinitz_root": 0}
+    candidates = []
+
+    def counting(fn_name):
+        fn = getattr(kummer, fn_name)
+
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(kummer, fn_name, wrapper)
+
+    def recording(d, ceilings=None):
+        candidates.append(d)
+        return split(d, ceilings)
+
+    counting("_wild_part")
+    counting("_steinitz_root")
+    split = kummer._discriminant_split
+    monkeypatch.setattr(kummer, "_discriminant_split", recording)
+    records = enumerate_extensions(K, ell, X)
+    monkeypatch.undo()
+    residues = {
+        (d.parts.ell_part.sort_key(), tuple(c % ell**2 for c in d.gamma.int_coords()))
+        for d in candidates
+    }
+    pairs = {(r.datum.parts.ell_part.sort_key(), r.ell_part.sort_key()) for r in records}
+    assert calls == {"_wild_part": len(residues), "_steinitz_root": len(pairs)}
+    assert len(pairs) <= len(residues) <= len(candidates)
+    if ell == 2:  # a handful of residues mod 4 per row, against 3040 records over Q
+        assert len(residues) < len(records) == {"q": 3040, "qm5": 737}[name]
+    for r in records:
+        assert r.steinitz == steinitz_class(r.datum, cg)
+
+
+@pytest.mark.parametrize(
     "name, X, options",
     [("zeta3", 100000, {}), ("x4_7x2_13", 20, {"order_by": "ell_free"})],
     ids=["zeta3", "x4_7x2_13-ell_free"],

@@ -52,6 +52,9 @@ def test_build_field_rejections():
         build_field([-2, 0, 1], 3)  # zeta_3 not in Q(sqrt 2)
     with pytest.raises(FieldConstructionError):
         build_field([1, 0, 1], 4)  # ell must be prime
+    for coeffs in ([], [0], [1]):  # no polynomial of degree >= 1
+        with pytest.raises(FieldConstructionError):
+            build_field(coeffs, 2)
 
 
 def test_dedekind_criterion_directly():
