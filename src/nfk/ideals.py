@@ -490,26 +490,39 @@ class PartsDecomposition:
     coprime to ell; each power_parts[i] (1 <= i < ell) is squarefree,
     pairwise coprime with the others, coprime to ell, and consists of the
     primes whose exponent is congruent to i mod ell.  Two decompositions
-    are equal when these four are.  The other fields are what the Kummer
-    layer needs of the parts alone, set once and shared by every unit
-    twist alpha*u of a cell (kummer._discriminant_split,
-    kummer.steinitz_class).
+    are equal when these four are.
     """
 
     ell: int
     ell_part: FactoredIdeal
     root: FactoredIdeal
     power_parts: dict[int, FactoredIdeal]
-    # the ell-free part of the relative discriminant: exponent ell - 1 at
-    # every prime of the power parts; and its norm as an int
-    tame_part: FactoredIdeal = dc_field(compare=False)
-    tame_norm: int = dc_field(compare=False)
-    # (ell_part * root^ell * prod_i power_parts[i]^(i-1))^(ell-1), the
-    # denominator of St^2 in the Steinitz formula
-    steinitz_den_pow: FactoredIdeal = dc_field(compare=False)
     # the enumeration's memo of the ell-part row (kummer._Row), or None
     # outside the cell loop
     row: object = dc_field(default=None, compare=False, repr=False)
+    # What the Kummer layer needs of the parts alone, shared by every unit
+    # twist alpha*u of a cell: tame_part, the ell-free part of the relative
+    # discriminant (exponent ell - 1 at every prime of the power parts);
+    # tame_norm, its norm as an int; steinitz_den_pow, (ell_part * root^ell
+    # * prod_i power_parts[i]^(i-1))^(ell-1), the denominator of St^2.  The
+    # cell loop sets them; otherwise the first read computes all three
+    # (__getattr__ runs only for an unset slot).
+    tame_part: FactoredIdeal = dc_field(init=False, compare=False, repr=False)
+    tame_norm: int = dc_field(init=False, compare=False, repr=False)
+    steinitz_den_pow: FactoredIdeal = dc_field(init=False, compare=False, repr=False)
+
+    def __getattr__(self, name: str):
+        if name not in ("tame_part", "tame_norm", "steinitz_den_pow"):
+            raise AttributeError(name)
+        ell, parts = self.ell, self.power_parts
+        tame = {q: ell - 1 for part in parts.values() for q in part.exps}
+        self.tame_part = FactoredIdeal._of(self.ell_part.field, tame)
+        self.tame_norm = math.prod(q.norm for q in tame) ** (ell - 1)
+        den = self.ell_part * self.root**ell
+        for i in range(2, ell):
+            den = den * parts[i] ** (i - 1)
+        self.steinitz_den_pow = den ** (ell - 1)
+        return getattr(self, name)
 
     def reconstruct(self) -> FactoredIdeal:
         return self.ell_part * self.root**self.ell * self.ell_free_ell_power_free()
@@ -527,7 +540,6 @@ def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
     ell_part: dict[PrimeIdeal, int] = {}
     root: dict[PrimeIdeal, int] = {}
     parts: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
-    tame: dict[PrimeIdeal, int] = {}
     for q, e in fa.exps.items():
         if q.p == ell:
             ell_part[q] = e
@@ -537,20 +549,11 @@ def decompose_parts(a: FactoredIdeal | Ideal, ell: int) -> PartsDecomposition:
             root[q] = k
         if r:
             parts[r][q] = 1
-            tame[q] = ell - 1
-    lpart, rpart = FactoredIdeal._of(K, ell_part), FactoredIdeal._of(K, root)
-    power_parts = {i: FactoredIdeal._of(K, parts[i]) for i in range(1, ell)}
-    den = lpart * rpart**ell
-    for i in range(2, ell):
-        den = den * power_parts[i] ** (i - 1)
     return PartsDecomposition(
         ell,
-        lpart,
-        rpart,
-        power_parts,
-        FactoredIdeal._of(K, tame),
-        math.prod(q.norm for q in tame) ** (ell - 1),
-        den ** (ell - 1),
+        FactoredIdeal._of(K, ell_part),
+        FactoredIdeal._of(K, root),
+        {i: FactoredIdeal._of(K, parts[i]) for i in range(1, ell)},
     )
 
 

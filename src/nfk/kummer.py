@@ -240,7 +240,7 @@ def _discriminant_split(
         key = tuple(c % mod for c in d.gamma.coords)
         lpart = row.wild.get(key)
         if lpart is None:
-            lpart = row.add(key, _wild_part(d, ceilings))
+            lpart = row.wild[key] = row.entry(_wild_part(d, ceilings))[0]
     fpart = parts.tame_part
     return fpart * lpart, lpart, fpart
 
@@ -365,26 +365,27 @@ class _Row:
     """What the cells of one ell-part row Q share within one enumeration.
 
     wild maps gamma's coordinates mod ell^2 to the wild ell-part L they
-    decide (_discriminant_split), with one object per distinct L.  info
-    maps the id of each such object, which wild keeps alive, to [N(L) as an
-    int, the class of sqrt(L / Q^(ell-1)) or None until a record needs it].
+    decide (_discriminant_split), one object per distinct L.  info maps
+    the id of each such L to its entry [L, N(L) as an int, the class of
+    sqrt(L / Q^(ell-1)) or None until a record needs it]; the entry keeps
+    L alive, so the id stays L's.
     """
 
-    __slots__ = ("q_pow", "wild", "info", "_distinct")
+    __slots__ = ("q_pow", "wild", "info")
 
     def __init__(self, Q: FactoredIdeal, ell: int):
         self.q_pow = Q ** (ell - 1)
         self.wild: dict[tuple[int, ...], FactoredIdeal] = {}
         self.info: dict[int, list] = {}
-        self._distinct: dict[tuple, FactoredIdeal] = {}
 
-    def add(self, key: tuple[int, ...], lpart: FactoredIdeal) -> FactoredIdeal:
-        """Memoize lpart under the residue key; returns the row's object equal to it."""
-        # _wild_part lists the primes over ell in split_prime order
-        got = self._distinct.setdefault(tuple(lpart.exps.items()), lpart)
-        if got is lpart:
-            self.info[id(lpart)] = [math.prod(q.norm**e for q, e in lpart.exps.items()), None]
-        self.wild[key] = got
+    def entry(self, lpart: FactoredIdeal) -> list:
+        """The entry of the L equal to lpart, made on first sight."""
+        got = self.info.get(id(lpart))
+        if got is None:
+            got = next((e for e in self.info.values() if e[0] == lpart), None)
+        if got is None:
+            norm = math.prod(q.norm**e for q, e in lpart.exps.items())
+            got = self.info[id(lpart)] = [lpart, norm, None]
         return got
 
 
@@ -495,6 +496,7 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
     unit_cell = fa.is_unit_ideal()
     alpha = K.one if unit_cell else cg.generator(fa, ceilings)
     if ell == 2:  # I is squarefree: its own one power part, and the tame part
+        # (the general construction builds equal objects, more slowly)
         power_parts, tame, off = {1: I}, I, rep
     else:
         by_exp: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
@@ -506,11 +508,11 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
         for i in range(2, ell):
             off = off * power_parts[i] ** ((i - 1) * (ell - 1) // 2)
     tame_norm = math.prod(q.norm for q in I.exps) ** (ell - 1)
-    parts = PartsDecomposition(
-        ell, Q, rep, power_parts, tame, tame_norm, row.q_pow * off * off, row
-    )
+    parts = PartsDecomposition(ell, Q, rep, power_parts, row)
+    parts.tame_part, parts.tame_norm = tame, tame_norm
+    parts.steinitz_den_pow = row.q_pow * off * off
     off_cls = cg.index_of(off.inverse(), ceilings)
-    info, mul = row.info, K.mul_int_coords
+    mul = K.mul_int_coords
     by_disc = order_by == "disc"
     for u, coset in units:
         if unit_cell and not any(coset):
@@ -518,8 +520,8 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
         gamma = alpha if u.is_one() else AlgebraicNumber._of(K, mul(alpha.coords, u.coords))
         datum = KummerDatum(K, ell, gamma, parts, u, cls, coset)
         delta, lpart, fpart = _discriminant_split(datum, ceilings)
-        entry = info[id(lpart)]
-        disc_norm = tame_norm * entry[0]
+        entry = row.entry(lpart)
+        disc_norm = tame_norm * entry[1]
         if (disc_norm if by_disc else tame_norm) > X:
             continue
         if dedup and ell > 2:
@@ -532,9 +534,9 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
                     break
             if smaller:
                 continue
-        st = entry[1]
+        st = entry[2]
         if st is None:
-            st = entry[1] = cg.index_of(_steinitz_root(lpart, row.q_pow), ceilings)
+            st = entry[2] = cg.index_of(_steinitz_root(lpart, row.q_pow), ceilings)
         if off_cls:
             st = cg.group.op(st, off_cls)
         yield ExtensionRecord(datum, delta, lpart, fpart, st, disc_norm)

@@ -664,6 +664,20 @@ def test_row_memo_counts(name, ell, X, request, monkeypatch):
         assert r.steinitz == steinitz_class(r.datum, cg)
 
 
+def test_row_entry_takes_an_equal_ell_part_built_elsewhere(field_qm5, monkeypatch):
+    # the cell finds a record's N(L) and Steinitz term by the row's own L
+    # object; an equal L built elsewhere reaches the same entry
+    expected = enumerate_extensions(field_qm5, 2, 2000)
+    split = kummer._discriminant_split
+
+    def copying(d, ceilings=None):
+        delta, lpart, fpart = split(d, ceilings)
+        return delta, FactoredIdeal(lpart.field, dict(lpart.exps)), fpart
+
+    monkeypatch.setattr(kummer, "_discriminant_split", copying)
+    assert enumerate_extensions(field_qm5, 2, 2000) == expected
+
+
 @pytest.mark.parametrize(
     "name, X, options",
     [("zeta3", 100000, {}), ("x4_7x2_13", 20, {"order_by": "ell_free"})],
