@@ -435,16 +435,13 @@ class ClassGroup:
 
         fa is cleared to num/den (FactoredIdeal.cleared), and one generator
         g of num is carried prime by prime through the stored generators and
-        the times table; a prime not yet looked up goes through
-        class_of_prime under the caller's ceilings.  Raises
-        NotPrincipalError when the class does not end at 0.  Every
-        generator of num is t g eps^k for a root of unity t and a unit
-        eps^k, and the canonical one is picked among them, whatever g is:
-        in rank 0 the torsion multiple of least key (_least_torsion_multiple),
-        in rank >= 1 the least of the unit multiples the search would see
-        (_least_unit_multiple).  It is divided by den.  In degree 1 the
-        generators are +-N(fa) and the key takes N(fa), a product of prime
-        powers.
+        the times table (class_of_prime, under the caller's ceilings, looks
+        up a new prime); NotPrincipalError when the class does not end at 0.
+        Every generator of num is t g eps^k (t a root of unity, eps^k a
+        unit); whatever g is, the canonical one, divided by den, is the
+        torsion multiple of least key in rank 0 (_least_torsion_multiple),
+        else the least unit multiple the search would see
+        (_least_unit_multiple).  In degree 1 the generators are +-N(fa).
         """
         K = self.field
         if K.degree == 1:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 import sympy
-from mpmath.libmp import fone, from_int, mpf_div, mpf_pow_int, mpf_sub, round_nearest, to_float
+from mpmath.libmp import from_man_exp, round_nearest, to_float
 
 from .abelian_groups import quotient_by_powers, unit_group_mod_ideal
 from .class_unit import ClassGroup, compute_class_group
@@ -219,31 +219,65 @@ class ZetaConstants:
     tail_bound: float  # relative truncation bound of the Euler products
 
 
+def _rn(m: int, e: int, bits: int) -> tuple[int, int]:
+    """m 2^e rounded to `bits` bits, to nearest with ties to even as libmp's
+    normalize rounds: a mantissa of at most 2^bits, not normalized."""
+    n = m.bit_length() - bits
+    if n <= 0:
+        return m, e
+    h = m >> (n - 1)  # the kept bits and the guard bit
+    if h & 1 and (h & 2 or m != h << (n - 1)):
+        h += 2
+    return h >> 1, e + n
+
+
+def _quotient(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x/y of (mantissa, exponent) pairs at 80 bits as mpf_div rounds it: a
+    quotient of at least 82 bits, a sticky bit for the remainder, one _rn."""
+    (a, ea), (b, eb) = x, y
+    k = 82 + b.bit_length() - a.bit_length()
+    q, r = divmod(a << k, b)
+    return _rn(q << 1 | (r != 0), ea - eb - k - 1, 80)
+
+
+def _factor(n: int, s: int) -> tuple[int, int] | None:
+    """1 - n^-s (s >= 2) as from_int, mpf_pow_int (n^s at 85 bits, then 1
+    over it) and mpf_sub round it at 80 bits; None when that is exactly 1.
+
+    n >= 2^b with b s >= 81 makes n' = from_int(n) have n'^s >= 2^81, so
+    1/n'^s rounds to at most 2^-81, 1 minus that ties or rounds to 1, and
+    libmp divides by 1 exactly.  That covers every n that from_int rounds
+    and every input of mpf_pow_int's truncating binary powering (mantissa
+    of bc >= 2 bits, bc s >= 1000, so b s >= 500), so no libmp fallback is
+    needed: below, n' = n and n^s is exact before its one rounding.
+    """
+    if (n.bit_length() - 1) * s >= 81:
+        return None
+    xm, xe = _quotient((1, 0), _rn(n**s, 0, 85))
+    return _rn((1 << -xe) - xm, xe, 80)
+
+
 def _euler_products(K: NumberField, ell: int, prime_bound: int) -> tuple[tuple, tuple]:
     """prod 1/(1 - N(q)^-2) and prod 1/(1 - N(q)^-ell) over the primes q
-    above p <= prime_bound, as raw 80-bit mpmath.libmp values.
-
-    Each factor runs the operations of `z /= 1 - mpf(p**f) ** -s` at 80
-    bits, round to nearest, in the same order, straight on mpmath.libmp:
-    the values are bit for bit those of the mpf operators, without their
-    object layer.  Primes above p of equal degree (adjacent, as
-    residue_degrees ascends) share one factor.  For ell = 2 both products
-    are the same value.
+    above p <= prime_bound, as raw 80-bit mpmath.libmp values, bit for bit
+    those of `z /= 1 - mpf(p**f) ** -s` on mpf operators (80 bits, round to
+    nearest): each libmp step rounds once, correctly, so it runs here as
+    exact integers and one _rn.  Factors equal to 1 are skipped; primes
+    above p of equal degree (adjacent, as residue_degrees ascends) share
+    one factor, and factors multiply in order of p, then f.
     """
-    prec, rnd = 80, round_nearest
-    z2 = zl = fone
+    z2 = zl = (1, 0)
     for p in sympy.sieve.primerange(2, prime_bound + 1):
         last = 0
         for f in residue_degrees(K, p):
             if f != last:
-                last, n = f, from_int(p**f, prec, rnd)
-                d2 = mpf_sub(fone, mpf_pow_int(n, -2, prec, rnd), prec, rnd)
-                if ell != 2:
-                    dl = mpf_sub(fone, mpf_pow_int(n, -ell, prec, rnd), prec, rnd)
-            z2 = mpf_div(z2, d2, prec, rnd)
-            if ell != 2:
-                zl = mpf_div(zl, dl, prec, rnd)
-    return z2, (z2 if ell == 2 else zl)
+                last, n = f, p**f
+                d2, dl = _factor(n, 2), (None if ell == 2 else _factor(n, ell))
+            if d2:
+                z2 = _quotient(z2, d2)
+            if dl:
+                zl = _quotient(zl, dl)
+    return from_man_exp(*z2), from_man_exp(*(z2 if ell == 2 else zl))
 
 
 def zeta_constants(
@@ -256,18 +290,16 @@ def zeta_constants(
     """Residue via 2^r1 (2pi)^r2 h R / (w sqrt|d|); zeta_K(2) and zeta_K(ell)
     by Euler products over rational primes up to prime_bound.
 
-    The Euler factors need only the residue degrees f of the primes above
-    each p: unramified p get them from a distinct-degree factorization of
-    the defining polynomial mod p (residue_degrees), which builds no prime
-    ideal; the finitely many ramified p still go through split_prime.
-    Factors multiply in order of p, then f, ascending.
-
-    The products' relative truncation error is below degree/prime_bound
-    (sum of N(q)^-2 over omitted primes); when a precision is requested
-    and that bound exceeds it, the call fails stating what is achievable.
-    Degree 1 short-circuits to the Riemann zeta values, which carry no
-    truncation error.
+    The factors need only the residue degrees of the primes above each p
+    (residue_degrees, which builds no prime ideal for unramified p).  The
+    products' relative truncation error is below degree/prime_bound (sum
+    of N(q)^-2 over omitted primes); a requested precision beyond that
+    fails, stating what is achievable, and a prime_bound below 1 fails
+    before anything is cached.  Degree 1 short-circuits to the Riemann zeta
+    values, which carry no truncation error.
     """
+    if prime_bound < 1:
+        raise ValueError(f"prime bound {prime_bound} is below 1")
     ceilings = ceilings or Ceilings()
     cache = K._zeta_constants_cache
     got = cache.get((ell, prime_bound))
@@ -275,13 +307,8 @@ def zeta_constants(
         cg = compute_class_group(K, ceilings)
         ug = cg.units
         with mpmath.workprec(80):
-            residue = (
-                mpmath.mpf(2**K.r1)
-                * (2 * mpmath.pi) ** K.r2
-                * cg.h
-                * ug.regulator
-                / (ug.w * mpmath.sqrt(abs(K.disc)))
-            )
+            residue = mpmath.mpf(2**K.r1) * (2 * mpmath.pi) ** K.r2 * cg.h * ug.regulator
+            residue /= ug.w * mpmath.sqrt(abs(K.disc))
             if K.degree == 1:
                 z2, zl, tail = float(mpmath.zeta(2)), float(mpmath.zeta(ell)), 0.0
             else:
@@ -289,12 +316,7 @@ def zeta_constants(
                 z2, zl = (
                     to_float(z, rnd=round_nearest) for z in _euler_products(K, ell, prime_bound)
                 )
-            got = ZetaConstants(
-                residue=float(residue),
-                zeta_at_2=z2,
-                zeta_at_ell=zl,
-                tail_bound=float(tail),
-            )
+            got = ZetaConstants(float(residue), z2, zl, float(tail))
         cache[(ell, prime_bound)] = got
     if precision is not None and precision < got.tail_bound:
         raise ValueError(

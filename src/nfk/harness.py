@@ -37,11 +37,10 @@ def load_field_spec(path) -> NumberField:
     """Field from a JSON spec {"poly": [c0,...,1], "ell": 2, "label": "..."}.
 
     Coefficients ascending, monic; "ell" defaults to 2 and "label" to the
-    file stem.  "poly" must be a nonempty list of JSON integers, "ell"
-    a JSON integer (bools and floats raise ValueError) and "label" a JSON
-    string.  Validation
-    (irreducibility, monogenicity, zeta_ell) is the same as for directly
-    constructed fields.
+    file stem.  "poly" must be a nonempty list of JSON integers, "ell" a
+    JSON integer (bools and floats raise ValueError) and "label" a JSON
+    string.  Validation (irreducibility, monogenicity, zeta_ell) is the
+    same as for directly constructed fields.
     """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "poly" not in data:

@@ -8,20 +8,17 @@ generator search sees one as num/den (FactoredIdeal.num_den, the HNF form
 of FactoredIdeal.cleared), an integral numerator over the least positive
 integer denominator.
 
-Generator searches (principality tests) enumerate lattice elements of the
-correct norm exactly: closed-form in degree 1, a positive-definite binary
-form solve for imaginary quadratics, and otherwise the field's
-short-vector enumeration (NumberField.short_vectors, Fincke-Pohst on an
-LLL-reduced basis of the ideal) of an ellipsoid that holds a unit
-multiple of every generator.  The class lookups (class_unit._find_class)
-take the first match of norm_matches, unranked.  The canonical generator
-— the F-map used throughout the Kummer layer — is the generator
-minimizing the largest embedding magnitude, ties broken by smallest
-coordinate key (|c| before sign, so 2 beats -2); in imaginary quadratic
-fields every generator ties, and the coordinate key alone decides.
-ClassGroup.generator (class_unit) picks it from products of the stored
-generators, reduced modulo torsion and units, with no search;
-principal_test_generator, which ranks every match, stays its oracle.
+Generator searches (principality tests) enumerate the lattice elements of
+the right norm exactly: closed form in degree 1, a reduced binary form for
+imaginary quadratics, else NumberField.short_vectors on an ellipsoid that
+holds a unit multiple of every generator.  The class lookups
+(class_unit._find_class) take the first match of norm_matches, unranked.
+The canonical generator, the F-map of the Kummer layer, minimizes the
+largest embedding magnitude, ties to the least coordinate key (|c| before
+sign, so 2 beats -2; in imaginary quadratic fields every generator ties).
+ClassGroup.generator (class_unit) composes it from the stored generators
+with no search; principal_test_generator, which ranks every match, stays
+its oracle.
 """
 
 from __future__ import annotations
@@ -244,14 +241,12 @@ def _prime_hnf(K: NumberField, p: int, gpoly: IntPolynomial) -> IntMatrix:
 def split_prime(K: NumberField, p: int) -> list[PrimeIdeal]:
     """Primes above p via factorization of the defining polynomial mod p.
 
-    Valid at every p because the field is monogenic.  Result is cached and
-    canonically ordered by (degree, ascending coefficient tuple) of the
-    factor, the order of factor_mod_p.  In a quadratic field x^2 + bx + c
-    with p odd and unramified, Euler's criterion on the discriminant
-    decides instead: if it is a square mod p the factors are x - r for the
-    two roots r = (-b +- s)/2 mod p, s a square root mod p (Tonelli-Shanks),
-    and otherwise the polynomial stays irreducible.  Every other p goes
-    through factor_mod_p.
+    Valid at every p because the field is monogenic; cached, and ordered
+    by (degree, ascending coefficient tuple) of the factor, as factor_mod_p
+    orders them.  In a quadratic field x^2 + bx + c with p odd and
+    unramified, Euler's criterion on the discriminant decides instead: the
+    factors x - r for r = (-b +- s)/2 mod p, s a square root of it mod p
+    (Tonelli-Shanks), or the polynomial itself.
     """
     cache = K._prime_cache
     got = cache.get(p)
@@ -289,18 +284,21 @@ def residue_degrees(K: NumberField, p: int) -> list[int]:
     Ramified p (dividing disc, where f mod p has repeated factors) and p
     already split go through split_prime.  Otherwise f mod p is squarefree,
     so by Dedekind-Kummer the degrees of its irreducible factors are the
-    residue degrees, found without building or caching a PrimeIdeal: in a
-    quadratic field with p odd, f splits mod p iff disc is a square mod p
-    (Euler's criterion); otherwise a distinct-degree factorization finds
-    the degrees without the equal-degree split.
+    residue degrees, found without building or caching a PrimeIdeal.  For
+    p odd in degree n <= 3, Stickelberger's (disc/p) = (-1)^(n-r) for the
+    number r of factors fixes the degrees, except for a square disc in a
+    cubic; there, as everywhere else, a distinct-degree factorization
+    finds them without the equal-degree split.
     """
     if K.degree == 1:
         return [1]
     if K.disc % p == 0 or p in K._prime_cache:
         return [q.f for q in split_prime(K, p)]
-    if K.degree == 2 and p != 2:
-        # Euler's criterion: an odd unramified p splits iff disc is a square mod p
-        return [1, 1] if pow(K.disc, (p - 1) // 2, p) == 1 else [2]
+    if K.degree < 4 and p != 2:
+        if pow(K.disc, (p - 1) // 2, p) != 1:  # Euler's criterion: r = n - 1
+            return [1, 2][3 - K.degree :]
+        if K.degree == 2:
+            return [1, 1]
     out = []
     for g, d in gf_ddf_zassenhaus([c % p for c in K.poly.descending()], p, ZZ):
         out += [d] * ((len(g) - 1) // d)

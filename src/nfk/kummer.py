@@ -7,11 +7,8 @@ exponent from the congruence depth s), the trace-form discriminant
 an explicit fractional ideal.  The enumeration walks the parameter
 tuples (unit coset, ideal class, ell-part, ell-free part) and filters
 by discriminant norm; each extension arises from exactly ell-1 tuples,
-and the survivor is the lexicographically least tuple of its orbit.
-The stream runs over the ell-part rows Q in sort-key order, and within a
-row in the order of ClassGroup.ell_free_ideals; when h > 1 the cells of
-different classes interleave.  The first cell is always the unit ideal.
-Work that depends only on the row Q (the wild ell-part of each residue of
+and the survivor is the lexicographically least tuple of its orbit
+(iter_extensions gives the stream's order).  Work that depends only on the row Q (the wild ell-part of each residue of
 gamma mod ell^2, the Steinitz square check of each ell-part) is done once
 per row of an enumeration (_Row), and work that depends on the cell alone
 once per cell.

@@ -7,13 +7,10 @@ over the power basis 1, theta, ..., theta^(n-1)); floats appear only in
 the embedding routines, which carry explicit working precision, and in
 placing the ellipsoids of short_vectors.
 
-NumberField.short_vectors is the package's one lattice-point enumerator:
-Fincke-Pohst on an LLL-reduced basis, for the points with
-T2(x) = sum |sigma(x)|^2 at most a radius.  It has three callers: torsion
-(T2 <= n on the power basis), the unit search (class_unit) and the
-generator searches (ideals).  The roots of unity are found once per
-field; zeta_ell lies in K exactly when ell divides their number w, which
-is all contains_zeta and the unit group read.
+NumberField.short_vectors (Fincke-Pohst on an LLL-reduced basis) is the
+package's one lattice-point enumerator.  Its callers are torsion (the
+roots of unity, found once per field), the unit search (class_unit) and
+the generator searches (ideals).
 """
 
 from __future__ import annotations

@@ -2,16 +2,20 @@
 the residue/zeta constants, and the two empirical census checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
-from mpmath.libmp import round_nearest, to_float
+from mpmath.libmp import fone, from_int, from_man_exp, mpf_div, mpf_pow_int, mpf_sub, round_nearest, to_float
 
 from nfk.config import Ceilings
 from nfk.density import (
     _euler_products,
+    _factor,
+    _quotient,
+    _rn,
     allowed_wild_exponents,
     count_squarefree_ideals_in_class,
     density_report,
@@ -291,6 +295,71 @@ def test_euler_products_bit_identical_to_mpf_operators(coeffs, ell):
     zc = zeta_constants(K, ell=ell, prime_bound=10**5)
     z2, zl = (to_float(z, rnd=round_nearest) for z in want)
     assert (zc.zeta_at_2, zc.zeta_at_ell) == (z2, zl)
+
+
+def _libmp(x):
+    return fone if x is None else from_man_exp(*x)
+
+
+def _libmp_factor(n, s, rnd=round_nearest):
+    return mpf_sub(fone, mpf_pow_int(from_int(n, 80, rnd), -s, 80, rnd), 80, rnd)
+
+
+def test_euler_kernel_matches_libmp_steps():
+    # _rn, _factor and _quotient against from_int, the factor of
+    # mpf_sub/mpf_pow_int and mpf_div, at 80 bits, round to nearest
+    cases = [(2**80 + 1, 2), (2**80 + 3, 2), (2**81 - 1, 2), (2**81 - 1, 3)]
+    cases += [(2**k, s) for k in (1, 2, 27, 40, 41, 79, 80, 81) for s in (2, 3, 13)]
+    cases += [(2**80 - 1, 13), (2**79 + 1, 13), (3**50, 13)]  # binary powering
+    for n, s in [(math.isqrt(2**81), 2), (2**27, 3), (2**20, 4)]:  # n^s near 2^81
+        cases += [(n - 1, s), (n, s), (n + 1, s)]
+    rng = random.Random(20261019)
+    for b in (rng.randint(2, 100) for _ in range(3000)):
+        cases.append((rng.getrandbits(b) | 1 << (b - 1), rng.randint(2, 17)))
+    z, w = fone, (1, 0)
+    for n, s in cases:
+        assert from_man_exp(*_rn(n, 0, 80)) == from_int(n, 80, round_nearest), n
+        d = _libmp_factor(n, s)
+        assert _libmp(_factor(n, s)) == d, (n, s)
+        if d != fone:
+            z = mpf_div(z, d, 80, round_nearest)
+            w = _quotient(w, _factor(n, s))
+            assert from_man_exp(*w) == z, (n, s)
+    # z crossing 2, as over a cubic field in which 2 splits completely
+    z, w = fone, (1, 0)
+    for _ in range(3):
+        z = mpf_div(z, _libmp_factor(2, 2), 80, round_nearest)
+        w = _quotient(w, _factor(2, 2))
+        assert from_man_exp(*w) == z
+    assert to_float(z) > 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell, bound",
+    [
+        pytest.param([5, 0, 1], 2, 10**5, id="qm5"),
+        pytest.param([-2, 0, 1], 2, 10**5, id="qs2"),
+        pytest.param([-9, -1, 0, 1], 2, 3000, id="cubic9"),
+        pytest.param([-9, -1, 0, 1], 3, 3000, id="cubic9-ell3"),
+        pytest.param([13, 0, 7, 0, 1], 3, 3000, id="x4_7x2_13-ell3"),
+    ],
+)
+def test_euler_products_bit_identical_on_more_fields(coeffs, ell, bound):
+    K = build_field(coeffs, ell=2)
+    want = euler_products_mpf(K, ell, bound)
+    assert _euler_products(K, ell, bound) == want
+    zc = zeta_constants(K, ell=ell, prime_bound=bound)
+    assert (zc.zeta_at_2, zc.zeta_at_ell) == tuple(to_float(z, rnd=round_nearest) for z in want)
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_zeta_constants_prime_bound_below_one_rejected(bound):
+    for K in (build_field([1, 0, 1], ell=2), build_field([0, 1], ell=2)):
+        with pytest.raises(ValueError, match="below 1"):
+            zeta_constants(K, prime_bound=bound)
+        assert not K._zeta_constants_cache
+        zc = zeta_constants(K, prime_bound=1)  # no prime: empty products
+        assert zc.zeta_at_2 == (1.0 if K.degree > 1 else float(mpmath.zeta(2)))
 
 
 def test_zeta_constants_caches_no_prime_above_1000():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from sympy import primerange
+from sympy import ZZ, primerange
+from sympy.polys.galoistools import gf_ddf_zassenhaus
 
 from nfk import ideals
 from nfk.class_unit import compute_unit_group
@@ -153,6 +154,28 @@ def test_residue_degrees_match_split_prime(coeffs, ell):
             assert p not in K._prime_cache  # nothing built, nothing cached
         assert got == [q.f for q in split_prime(K, p)], p
         assert residue_degrees(K, p) == got  # now through the cache
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        pytest.param([-9, -1, 0, 1], id="x3-x-9"),
+        pytest.param([1, -2, -1, 1], id="x3-x2-2x+1"),
+        pytest.param([-2, 0, 0, 1], id="x3-2"),
+        pytest.param([1, 1, 0, 1], id="x3+x+1"),
+    ],
+)
+def test_cubic_residue_degrees_match_ddf(coeffs):
+    # Stickelberger's parity decides a non-square disc; a distinct-degree
+    # factorization of f mod p is the oracle at every unramified p
+    K = build_field(coeffs, ell=2)
+    desc = list(reversed(coeffs))
+    for p in primerange(3, 2 * 10**4):
+        if K.disc % p:
+            want = []
+            for g, d in gf_ddf_zassenhaus([c % p for c in desc], p, ZZ):
+                want += [d] * ((len(g) - 1) // d)
+            assert residue_degrees(K, p) == want, p
 
 
 @pytest.mark.parametrize("coeffs, ell", _SPLITTING_FIELDS)
