@@ -14,6 +14,7 @@ power congruence lifts to the completion, so depth B means exponent 0.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,15 +94,15 @@ def _coerce_ell_part(K: NumberField, ell: int, ell_part) -> FactoredIdeal:
 # ---------------------------------------------------------------------------
 
 
-def _depth_unit_counts(
+def _local_factor(
     K: NumberField, q: PrimeIdeal, ell: int, ceilings: Ceilings | None
-) -> tuple[dict[int, int], int]:
-    """Units of (O_K/q^B)^x counted by exact congruence depth, with total.
-
-    The depth of a residue is the largest m <= B for which it is an ell-th
-    power mod q^m; depth is constant on classes mod ell-th powers, so the
-    per-depth unit counts divided by the total give the class proportions.
-    """
+) -> dict[int, Fraction]:
+    """rho's factor at q above ell by discriminant exponent at q, from one
+    depth census of (O_K/q^B)^x: (ell-1)/ell at the valuation exponent, and
+    at the exponent of congruence depth s (0 for s = B) 1/ell times the
+    share of units at depth s.  The depth of a residue is the largest m <= B
+    for which it is an ell-th power mod q^m; it is constant on classes mod
+    ell-th powers, so unit shares are class shares."""
     b = wild_saturation_depth(q, ell)
     rug = unit_group_mod_ideal(K, q.power(b), ceilings)
     counts = Counter(
@@ -109,32 +110,26 @@ def _depth_unit_counts(
     )
     if sum(counts.values()) != rug.order:
         raise ArithmeticError("depth census lost residues")
-    return counts, rug.order
+    out = {(ell - 1) + ell * q.e: Fraction(ell - 1, ell)}
+    for s, c in counts.items():
+        out[(ell - 1) * (b - s + 1) if s < b else 0] = Fraction(c, ell * rug.order)
+    return out
+
+
+def _rho_of(fa: FactoredIdeal, factors: dict[PrimeIdeal, dict[int, Fraction]]) -> Fraction:
+    return math.prod((f.get(fa.exps.get(q, 0), 0) for q, f in factors.items()), start=Fraction(1))
 
 
 def rho(K: NumberField, ell: int, ell_part, ceilings: Ceilings | None = None) -> Fraction:
     """Limiting proportion of degree-ell Kummer extensions whose
-    discriminant has the given ell-part, under tame-conductor ordering.
-
-    Independent local factors: (ell-1)/ell at a valuation prime, and
-    (1/ell) times the proportion of unit classes at the exact congruence
-    depth at a congruence prime.  Exponents outside the allowed set raise;
-    allowed exponents may still get density 0 when no class sits at the
-    corresponding depth.
+    discriminant has the given ell-part, under tame-conductor ordering: the
+    product of independent local factors (_local_factor).  Exponents
+    outside the allowed set raise; allowed exponents may still get density
+    0 when no class sits at the corresponding depth.
     """
     fa = _coerce_ell_part(K, ell, ell_part)
     ceilings = ceilings or Ceilings()
-    acc = Fraction(1)
-    for q in split_prime(K, ell):
-        e = fa.exps.get(q, 0)
-        if e == (ell - 1) + ell * q.e:
-            acc *= Fraction(ell - 1, ell)
-            continue
-        b = wild_saturation_depth(q, ell)
-        s = b if e == 0 else b + 1 - e // (ell - 1)
-        counts, total = _depth_unit_counts(K, q, ell, ceilings)
-        acc *= Fraction(counts.get(s, 0), ell * total)
-    return acc
+    return _rho_of(fa, {q: _local_factor(K, q, ell, ceilings) for q in split_prime(K, ell)})
 
 
 @dataclass(frozen=True)
@@ -161,10 +156,12 @@ def density_report(
     has rho = 0): (2^(r1+r2) #Z) (prod_q N(q)/(1+N(q))) (sum_Q rho_Q/N(Q))
     over the primes q above 2, #Z the squarefree products of those primes;
     its value is 1/2^r2.  Total mass is checked exactly."""
+    ceilings = ceilings or Ceilings()
+    factors = {q: _local_factor(K, q, ell, ceilings) for q in split_prime(K, ell)}
     rows = []
     total = Fraction(0)
     for Q in enumerate_R(K, ell):
-        r = rho(K, ell, Q, ceilings)
+        r = _rho_of(Q, factors)
         total += r
         if r:
             rows.append((Q, int(Q.norm()), r))

@@ -8,8 +8,9 @@ Conventions fixed project-wide:
 * HNF is column-style (column operations only; H = M @ U with U unimodular),
   upper triangular on the rightmost columns, pivots positive, and every
   entry to the right of a pivot reduced into [0, pivot).
-* Discriminants, factorizations mod p and the irreducibility tests call
-  sympy's exact dense-polynomial routines (coefficients highest-first).
+* Discriminants, real-root counts, factorizations mod p and the
+  irreducibility tests call sympy's exact dense-polynomial routines
+  (coefficients highest-first).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterator, Sequence
 from sympy import ZZ, Poly, Symbol, sieve
 from sympy.polys.euclidtools import dup_discriminant
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p
+from sympy.polys.rootisolation import dup_count_real_roots
 
 from .errors import FieldConstructionError
 
@@ -221,11 +223,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial([0])
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def descending(self) -> list[int]:
         """Coefficient list highest-degree-first (sympy galoistools order)."""
         return list(reversed(self.coeffs))
@@ -238,51 +235,9 @@ def polynomial_discriminant(f: IntPolynomial) -> int:
     return int(dup_discriminant(f.descending(), ZZ))
 
 
-def _sturm_chain(f: IntPolynomial) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in f.coeffs]
-    p1 = [Fraction(c) for c in f.derivative().coeffs]
-    chain = [p0, p1]
-    while True:
-        a, b = chain[-2], chain[-1]
-        if len(b) == 1 and b[0] == 0:
-            chain.pop()
-            break
-        # polynomial remainder a mod b
-        r = list(a)
-        while len(r) >= len(b) and any(x != 0 for x in r):
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            q = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[i + shift] -= q * bc
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-        neg = [-x for x in r]
-        if all(x == 0 for x in neg):
-            break
-        chain.append(neg)
-    return chain
-
-
 def count_real_roots(f: IntPolynomial) -> int:
-    """Number of distinct real roots of f, by Sturm's theorem (exact)."""
-
-    def sign_changes(at_plus_infinity: bool) -> int:
-        signs = []
-        for p in _sturm_chain(f):
-            lead = p[-1]
-            if lead == 0:
-                continue
-            s = 1 if lead > 0 else -1
-            if not at_plus_infinity and (len(p) - 1) % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return sign_changes(False) - sign_changes(True)
+    """Number of distinct real roots of f, by sympy's exact Sturm count."""
+    return dup_count_real_roots(f.descending(), ZZ)
 
 
 def has_rational_root(f: IntPolynomial) -> bool:

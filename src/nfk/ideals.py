@@ -6,7 +6,8 @@ are FactoredIdeal, {prime: exponent} with negative exponents allowed,
 which does group-like arithmetic without any lattice inversions; a
 generator search sees one as num/den (FactoredIdeal.num_den, the HNF form
 of FactoredIdeal.cleared), an integral numerator over the least positive
-integer denominator.
+integer denominator.  decompose_parts gives the four parts of a Kummer
+datum (PartsDecomposition); kummer derives from them what a cell shares.
 
 Generator searches (principality tests) enumerate the lattice elements of
 the right norm exactly: closed form in degree 1, a reduced binary form for
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -159,7 +160,7 @@ class PrimeIdeal:
     """Prime over p in two-element representation (p, g(theta))."""
 
     __slots__ = (
-        "field", "p", "gpoly", "e", "f", "ideal", "index", "ambiguous", "_powers", "_depths", "_hash"
+        "field", "p", "gpoly", "e", "f", "ideal", "index", "ambiguous", "_powers", "_hash"
     )
 
     def __init__(self, field: NumberField, p: int, gpoly: IntPolynomial, e: int, index: int):
@@ -173,7 +174,6 @@ class PrimeIdeal:
         self._hash = hash((p, gpoly.coeffs))  # primes key the hot dicts
         self.ideal = Ideal(field, _prime_hnf(field, p, gpoly))
         self._powers = [Ideal.one(field), self.ideal]
-        self._depths: dict[tuple[int, ...], int] = {}  # residue -> congruence depth (kummer.py)
 
     @property
     def norm(self) -> int:
@@ -487,40 +487,13 @@ class PartsDecomposition:
     ell_part carries the full exponent of every prime over ell; root is
     coprime to ell; each power_parts[i] (1 <= i < ell) is squarefree,
     pairwise coprime with the others, coprime to ell, and consists of the
-    primes whose exponent is congruent to i mod ell.  Two decompositions
-    are equal when these four are.
+    primes whose exponent is congruent to i mod ell.
     """
 
     ell: int
     ell_part: FactoredIdeal
     root: FactoredIdeal
     power_parts: dict[int, FactoredIdeal]
-    # the enumeration's memo of the ell-part row (kummer._Row), or None
-    # outside the cell loop
-    row: object = dc_field(default=None, compare=False, repr=False)
-    # What the Kummer layer needs of the parts alone, shared by every unit
-    # twist alpha*u of a cell: tame_part, the ell-free part of the relative
-    # discriminant (exponent ell - 1 at every prime of the power parts);
-    # tame_norm, its norm as an int; steinitz_den_pow, (ell_part * root^ell
-    # * prod_i power_parts[i]^(i-1))^(ell-1), the denominator of St^2.  The
-    # cell loop sets them; otherwise the first read computes all three
-    # (__getattr__ runs only for an unset slot).
-    tame_part: FactoredIdeal = dc_field(init=False, compare=False, repr=False)
-    tame_norm: int = dc_field(init=False, compare=False, repr=False)
-    steinitz_den_pow: FactoredIdeal = dc_field(init=False, compare=False, repr=False)
-
-    def __getattr__(self, name: str):
-        if name not in ("tame_part", "tame_norm", "steinitz_den_pow"):
-            raise AttributeError(name)
-        ell, parts = self.ell, self.power_parts
-        tame = {q: ell - 1 for part in parts.values() for q in part.exps}
-        self.tame_part = FactoredIdeal._of(self.ell_part.field, tame)
-        self.tame_norm = math.prod(q.norm for q in tame) ** (ell - 1)
-        den = self.ell_part * self.root**ell
-        for i in range(2, ell):
-            den = den * parts[i] ** (i - 1)
-        self.steinitz_den_pow = den ** (ell - 1)
-        return getattr(self, name)
 
     def reconstruct(self) -> FactoredIdeal:
         return self.ell_part * self.root**self.ell * self.ell_free_ell_power_free()

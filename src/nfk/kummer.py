@@ -8,17 +8,17 @@ an explicit fractional ideal.  The enumeration walks the parameter
 tuples (unit coset, ideal class, ell-part, ell-free part) and filters
 by discriminant norm; each extension arises from exactly ell-1 tuples,
 and the survivor is the lexicographically least tuple of its orbit
-(iter_extensions gives the stream's order).  Work that depends only on the row Q (the wild ell-part of each residue of
-gamma mod ell^2, the Steinitz square check of each ell-part) is done once
-per row of an enumeration (_Row), and work that depends on the cell alone
-once per cell.
+(iter_extensions gives the stream's order).  A datum's discriminant and
+Steinitz class come from its _Cell, shared by the unit twists of its cell,
+and the _Cell's _Row, shared by the cells of its ell-part Q; a datum from
+normalize_gamma gets its own on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
 from sympy import integer_nthroot
@@ -52,7 +52,7 @@ class KummerDatum:
     gamma is integral, its ell-power root is the fixed class
     representative of its ideal class, its ell-part is ell-power-free,
     and unit_coordinate = gamma / alpha for alpha the canonical generator
-    of gamma O_K (ClassGroup.generator).
+    of gamma O_K (ClassGroup.generator).  cell is None until _cell_of.
     """
 
     field: NumberField
@@ -62,6 +62,7 @@ class KummerDatum:
     unit_coordinate: AlgebraicNumber
     power_root_class: int
     unit_coset: tuple[int, ...]
+    cell: _Cell | None = dc_field(default=None, compare=False, repr=False)
 
     def gamma_ideal(self) -> FactoredIdeal:
         return self.parts.reconstruct()
@@ -175,20 +176,10 @@ def _congruence_depth(
     gamma must be integral and coprime to q.  Power classes are monotone in
     m, so the first success walking down is the maximum.  m = 1 always
     succeeds: the residue field has order prime to ell, so x -> x^ell is
-    onto.  The depth depends only on gamma mod q^B, and since O_K = Z[theta]
-    the ideal p^k O_K (p = q.p, k = ceil(B/e)) lies in q^B, so the
-    coordinates mod p^k are a sound key: the depth found is memoized under
-    them on q (PrimeIdeal._depths).  A walk that raises stores nothing.
+    onto.
     """
-    bound = wild_saturation_depth(q, ell)
-    mod = q.p ** -(-bound // q.e)
-    key = tuple(c % mod for c in gamma.int_coords())
-    got = q._depths.get(key)
-    if got is not None:
-        return got
-    for m in range(bound, 0, -1):
+    for m in range(wild_saturation_depth(q, ell), 0, -1):
         if is_power_class(gamma, q.power(m), ell, ceilings):
-            q._depths[key] = m
             return m
     raise ArithmeticError(f"no congruence depth at {q!r}; residue logic broken")
 
@@ -219,27 +210,21 @@ def _discriminant_split(
 ) -> tuple[FactoredIdeal, FactoredIdeal, FactoredIdeal]:
     """(Delta, ell-part, ell-free part) of the relative discriminant.
 
-    The ell-free part depends only on the parts of gamma O_K
-    (PartsDecomposition.tame_part).  The ell-part (_wild_part) depends only
-    on the row Q = parts.ell_part and, through the congruence depths, on
-    gamma mod q^B at each prime q over ell, with B = ell e/(ell-1) <= 2e.
-    Since O_K = Z[theta] and ell^2 O_K lies in every such q^B, gamma's
-    coordinates mod ell^2 decide it, as they key _congruence_depth's memo.
-    In the cell loop the parts carry the row's memo (_Row), and each residue
-    is worked out once per row.
+    The ell-free part is the cell's tame part.  The ell-part (_wild_part)
+    depends only on the row Q = parts.ell_part and, through the congruence
+    depths, on gamma mod q^B at each prime q over ell, with
+    B = ell e/(ell-1) <= 2e.  Since O_K = Z[theta] and ell^2 O_K lies in
+    every such q^B, gamma's coordinates mod ell^2 decide it: the row
+    memoizes it under them, so each residue is worked out once per row.
     """
-    parts = d.parts
-    row = parts.row
-    if row is None:
-        lpart = _wild_part(d, ceilings)
-    else:
-        mod = d.ell * d.ell
-        key = tuple(c % mod for c in d.gamma.coords)
-        lpart = row.wild.get(key)
-        if lpart is None:
-            lpart = row.wild[key] = row.entry(_wild_part(d, ceilings))[0]
-    fpart = parts.tame_part
-    return fpart * lpart, lpart, fpart
+    cell = _cell_of(d)
+    row = cell.row
+    mod = d.ell * d.ell
+    key = tuple(c % mod for c in d.gamma.coords)
+    lpart = row.wild.get(key)
+    if lpart is None:
+        lpart = row.wild[key] = row.entry(_wild_part(d, ceilings))[0]
+    return cell.tame * lpart, lpart, cell.tame
 
 
 def relative_discriminant(d: KummerDatum, ceilings: Ceilings | None = None):
@@ -306,20 +291,16 @@ def trace_form_discriminant(d: KummerDatum) -> AlgebraicNumber:
 # ---------------------------------------------------------------------------
 
 
-def steinitz_class(
-    d: KummerDatum,
-    cg: ClassGroup,
-    ell_part: FactoredIdeal | None = None,
-    ceilings: Ceilings | None = None,
-) -> int:
+def steinitz_class(d: KummerDatum, cg: ClassGroup, ceilings: Ceilings | None = None) -> int:
     """Class index of St(O_L), via St^2 = L-part / (Q N^ell prod I_i^(i-1))^(ell-1).
 
-    The division is exact on factored ideals and the quotient is a
-    perfect square; both facts are verified en route.
+    The denominator is Q^(ell-1) off^2 (_Cell), so St = sqrt(L-part /
+    Q^(ell-1)) off^-1; the square root is verified to square back.
     """
-    if ell_part is None:
-        ell_part = _discriminant_split(d, ceilings)[1]
-    return cg.index_of(_steinitz_root(ell_part, d.parts.steinitz_den_pow), ceilings)
+    cell = _cell_of(d)
+    lpart = _discriminant_split(d, ceilings)[1]
+    st = cg.index_of(_steinitz_root(lpart, cell.row.q_pow), ceilings)
+    return cg.group.op(st, cg.index_of(cell.off.inverse(), ceilings))
 
 
 def _steinitz_root(ell_part: FactoredIdeal, den_pow: FactoredIdeal) -> FactoredIdeal:
@@ -384,6 +365,34 @@ class _Row:
             norm = math.prod(q.norm**e for q, e in lpart.exps.items())
             got = self.info[id(lpart)] = [lpart, norm, None]
         return got
+
+
+class _Cell:
+    """What the unit twists of one cell share: the row of Q; the tame part
+    (the ell-free discriminant part, exponent ell-1 on the power parts P_i)
+    and its norm; off = rep^(ell(ell-1)/2) prod_{i>=2} P_i^((i-1)(ell-1)/2),
+    so that Q^(ell-1) off^2 is the Steinitz denominator."""
+
+    __slots__ = ("row", "tame", "tame_norm", "off")
+
+    def __init__(self, parts: PartsDecomposition, row: _Row):
+        ell, power_parts = parts.ell, parts.power_parts
+        self.row = row
+        self.tame = power_parts[1] if ell == 2 else FactoredIdeal._of(  # P_1 is squarefree
+            row.q_pow.field, {q: ell - 1 for part in power_parts.values() for q in part.exps}
+        )
+        self.tame_norm = math.prod(q.norm for q in self.tame.exps) ** (ell - 1)
+        off = parts.root ** (ell * (ell - 1) // 2)
+        for i in range(2, ell):
+            off = off * power_parts[i] ** ((i - 1) * (ell - 1) // 2)
+        self.off = off
+
+
+def _cell_of(d: KummerDatum) -> _Cell:
+    """d's cell, made on a throwaway row for a datum from normalize_gamma."""
+    if d.cell is None:
+        d.cell = _Cell(d.parts, _Row(d.parts.ell_part, d.ell))
+    return d.cell
 
 
 def iter_extensions(
@@ -480,42 +489,35 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
     and each (u, coset) of units, the unit coset representatives.
 
     The cell computes its generator once and reads its parts off rep, Q and
-    I (rep is coprime to ell, Q lies over ell, I is ell-power-free), with
-    the tame part, its norm and the Steinitz denominator Q^(ell-1) off^2,
-    off = rep^(ell(ell-1)/2) prod_{i>=2} P_i^((i-1)(ell-1)/2).  Through the
-    parts its candidates share the row's memo of the wild ell-part L.  A
-    record's Steinitz class is that of sqrt(L / Q^(ell-1)), checked and
-    looked up once per (row, L), minus that of off, once per cell.  For odd
-    ell, orbit dedup makes one normalize_gamma call per power gamma^m tried,
-    passing it fa^m, the ideal of gamma^m in factored form.
+    I (rep is coprime to ell, Q lies over ell, I is ell-power-free); its
+    candidates share one _Cell and, through it, the row's memo of the wild
+    ell-part L.  A record's Steinitz class is that of sqrt(L / Q^(ell-1)),
+    checked and looked up once per (row, L), minus that of the cell's off,
+    once per cell.  For odd ell, orbit dedup makes one normalize_gamma call
+    per power gamma^m tried, passing it fa^m, the ideal of gamma^m in
+    factored form.
     """
     fa = rep**ell * Q * I
     unit_cell = fa.is_unit_ideal()
     alpha = K.one if unit_cell else cg.generator(fa, ceilings)
-    if ell == 2:  # I is squarefree: its own one power part, and the tame part
-        # (the general construction builds equal objects, more slowly)
-        power_parts, tame, off = {1: I}, I, rep
+    if ell == 2:  # I is squarefree: its own one power part
+        power_parts = {1: I}
     else:
         by_exp: dict[int, dict[PrimeIdeal, int]] = {i: {} for i in range(1, ell)}
         for q, a in I.exps.items():
             by_exp[a][q] = 1
         power_parts = {i: FactoredIdeal._of(K, e) for i, e in by_exp.items()}
-        tame = FactoredIdeal._of(K, dict.fromkeys(I.exps, ell - 1))
-        off = rep ** (ell * (ell - 1) // 2)
-        for i in range(2, ell):
-            off = off * power_parts[i] ** ((i - 1) * (ell - 1) // 2)
-    tame_norm = math.prod(q.norm for q in I.exps) ** (ell - 1)
-    parts = PartsDecomposition(ell, Q, rep, power_parts, row)
-    parts.tame_part, parts.tame_norm = tame, tame_norm
-    parts.steinitz_den_pow = row.q_pow * off * off
-    off_cls = cg.index_of(off.inverse(), ceilings)
+    parts = PartsDecomposition(ell, Q, rep, power_parts)
+    cell = _Cell(parts, row)
+    tame_norm = cell.tame_norm
+    off_cls = cg.index_of(cell.off.inverse(), ceilings)
     mul = K.mul_int_coords
     by_disc = order_by == "disc"
     for u, coset in units:
         if unit_cell and not any(coset):
             continue  # gamma is the trivial ell-th power
         gamma = alpha if u.is_one() else AlgebraicNumber._of(K, mul(alpha.coords, u.coords))
-        datum = KummerDatum(K, ell, gamma, parts, u, cls, coset)
+        datum = KummerDatum(K, ell, gamma, parts, u, cls, coset, cell)
         delta, lpart, fpart = _discriminant_split(datum, ceilings)
         entry = row.entry(lpart)
         disc_norm = tame_norm * entry[1]

@@ -8,8 +8,8 @@
   Gauss-reduced basis.
 - discriminant_split_from_ideal and steinitz_class_from_parts are the
   per-candidate relative discriminant and Steinitz class, rebuilt from the
-  whole ideal gamma O_K, that the Kummer cell loop replaced by work shared
-  per cell (PartsDecomposition.tame_part, .steinitz_den_pow).
+  whole ideal gamma O_K, that the Kummer layer replaced by work shared
+  per cell (kummer._Cell: the tame part and the Steinitz offset off).
 - euler_products_mpf is the Euler product of zeta_constants on mpmath's
   mpf operators, which density._euler_products runs on raw mpmath.libmp.
 - inverse_by_fraction_solve is the Fraction Gauss-Jordan inverse that

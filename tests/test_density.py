@@ -4,12 +4,14 @@ the residue/zeta constants, and the two empirical census checks."""
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 import sympy
 from mpmath.libmp import fone, from_int, from_man_exp, mpf_div, mpf_pow_int, mpf_sub, round_nearest, to_float
 
+from nfk import density
 from nfk.config import Ceilings
 from nfk.density import (
     _euler_products,
@@ -27,6 +29,7 @@ from nfk.density import (
     zeta_constants,
 )
 from nfk.errors import CeilingError, UnrealizableEllPartError
+from nfk.harness import load_field_spec
 from nfk.ideals import FactoredIdeal, ideal_from_element, split_prime
 from nfk.number_field import build_field
 from oracles import euler_products_mpf
@@ -198,6 +201,31 @@ def test_rho_by_norm_sums_rows_of_equal_norm():
     by_norm = rep.rho_by_norm()
     assert (len(rep.rows), len(by_norm)) == (16, 8)
     assert sum(by_norm.values()) == Fraction(1)
+
+
+_SPECS = sorted((Path(__file__).resolve().parent.parent / "fieldspecs").glob("*.json"))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=[p.stem for p in _SPECS])
+def test_report_runs_one_depth_census_per_prime(spec, monkeypatch):
+    # density_report builds one local-factor table per prime above ell,
+    # not one depth census per (row, prime); every row's rho is rho's own
+    K = load_field_spec(spec)
+    ell = K.ell
+    calls = []
+    census = density._local_factor
+
+    def counting(K, q, ell, ceilings):
+        calls.append(q)
+        return census(K, q, ell, ceilings)
+
+    monkeypatch.setattr(density, "_local_factor", counting)
+    rep = density_report(K, ell)
+    assert sorted(calls) == sorted(split_prime(K, ell))
+    monkeypatch.undo()
+    assert rep.rows
+    for Q, n, r in rep.rows:
+        assert r == rho(K, ell, Q)
 
 
 def test_report_identity_only_at_ell_2(field_zeta3):
