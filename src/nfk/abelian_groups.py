@@ -125,13 +125,6 @@ class FiniteAbelianGroup:
     def log(self, x) -> GroupElement:
         return self.dlog[x]
 
-    def exp(self, vec: GroupElement):
-        out = self.identity
-        for g, k in zip(self.generators, vec):
-            if k:
-                out = self.op(out, self.power(g, k))
-        return out
-
     # -- subgroups -------------------------------------------------------------
 
     def power_subgroup(self, m: int) -> frozenset:
@@ -169,9 +162,6 @@ class ResidueUnitGroup:
         if key not in self.group.dlog:
             raise ValueError(f"{x!r} is not a unit modulo the modulus")
         return key
-
-    def log(self, x: AlgebraicNumber) -> GroupElement:
-        return self.group.log(self.image(x))
 
     @property
     def order(self) -> int:

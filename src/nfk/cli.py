@@ -3,8 +3,10 @@
 Every subcommand reads a field from a JSON spec file and prints to
 stdout.  Exit codes: 0 on success, 1 when identity-check finds a
 mismatch, 2 for usage problems (argparse errors, bad spec files, an --ell
-that is not prime or that the field cannot support), 3 when a
-computation hits a search ceiling (NFK_CEILING / --ceiling raise them).
+that is not prime or that the field cannot support, an --ell other than 2
+on count-check or identity-check, which check ell = 2 statements and read
+no ell from the spec), 3 when a computation hits a search ceiling
+(NFK_CEILING / --ceiling raise them).
 """
 
 import argparse
@@ -18,6 +20,7 @@ from .density import density_report, identity_check
 from .errors import CeilingError, NfkError
 from .exact_math import frac_str
 from .harness import (
+    _csv_bytes,
     _table_bytes,
     count_check_json_dict,
     ideal_label,
@@ -143,10 +146,7 @@ def _cmd_enumerate(args, K, ell, ceilings) -> int:
         ]
         header = ["disc_norm", "gamma", "steinitz"]
         if args.format == "csv":
-            out = [",".join(header)]
-            for dn, g, st in rows:
-                out.append(f"{dn},\"{g}\",{st}")
-            _emit(("\n".join(out) + "\n").encode())
+            _emit(_csv_bytes(header, [[dn, f'"{g}"', st] for dn, g, st in rows]))
         else:
             title = f"{len(records)} extensions of {K.label} with N(disc) <= {args.bound}"
             _emit(_table_bytes(header, rows, title))
@@ -168,8 +168,7 @@ def _cmd_steinitz(args, K, ell, ceilings) -> int:
         }
         _emit((json.dumps(data, indent=2) + "\n").encode())
     elif args.format == "csv":
-        out = ["class,count,fraction"] + [f"{c},{n},{f}" for c, n, f in rows]
-        _emit(("\n".join(out) + "\n").encode())
+        _emit(_csv_bytes(["class", "count", "fraction"], rows))
     else:
         title = f"Steinitz classes over {K.label}, X={args.bound}: {total} extensions"
         _emit(_table_bytes(["class", "count", "fraction"], rows, title))
@@ -254,6 +253,9 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors via exit 2
         return exc.code if isinstance(exc.code, int) else 2
+    if args.command in ("count-check", "identity-check") and args.ell not in (None, 2):
+        print(f"error: {args.command} checks ell = 2 only, not --ell {args.ell}", file=sys.stderr)
+        return 2
 
     try:
         ceilings = Ceilings.from_env(args.ceiling)

@@ -412,9 +412,6 @@ class EquidistributionReport:
     cells: tuple[tuple[tuple[int, ...], int], ...]  # (H coordinates, count)
     max_deviation: float  # max |cell fraction - 1/#H|
 
-    def fractions(self) -> dict[tuple[int, ...], float]:
-        return {c: n / self.total for c, n in self.cells}
-
 
 def generator_equidistribution_test(
     K: NumberField,

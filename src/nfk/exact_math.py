@@ -5,9 +5,11 @@ rationals are fractions.Fraction.  No floats enter any normal form.
 
 Conventions fixed project-wide:
 
-* HNF is column-style (column operations only; H = M @ U with U unimodular),
-  upper triangular on the rightmost columns, pivots positive, and every
-  entry to the right of a pivot reduced into [0, pivot).
+* HNF is column-style: the HNF of a full-rank n-row integer matrix is the
+  square upper-triangular basis of its column lattice (the lattice the
+  columns span over Z), with positive pivots and every entry to the right
+  of a pivot reduced into [0, pivot).  It is unique for the lattice, so
+  equal lattices have equal HNFs (Cohen, GTM 138, Section 2.4).
 * Discriminants, real-root counts, factorizations mod p and the
   irreducibility tests call sympy's exact dense-polynomial routines
   (coefficients highest-first).
@@ -59,13 +61,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix([[0] * ncols for _ in range(nrows)])
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -74,14 +69,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows})"
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other.rows)) if other.rows else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows]
-        )
 
     def column(self, j: int) -> list[int]:
         return [r[j] for r in self.rows]
@@ -105,61 +92,37 @@ def _combine_columns(rows: list[list[int]], j: int, k: int, row: int) -> None:
         r[k] = cj * x + ck * y
 
 
-def _hnf_in_place(h: list[list[int]], extra: list[list[int]]) -> None:
-    """Column-style HNF of the rows h, in place.
+def hnf_square(m: IntMatrix) -> IntMatrix:
+    """HNF of a full-rank column lattice, as a square nonsingular matrix.
 
-    Every column operation is applied to the rows of extra as well (hnf
-    passes the unimodular transform there, hnf_square nothing).
+    m may have extra generating columns (ncols >= nrows).  Column
+    operations, from the last row up, leave an upper-triangular staircase
+    on the rightmost nrows columns and zeros to its left; a rank-deficient
+    m raises ValueError.
     """
-    ncols = len(h[0]) if h else 0
-    work = h + extra  # column ops applied to both at once
+    h = [list(r) for r in m.rows]
+    ncols = m.ncols
     pivot_col = ncols - 1
     for row in range(len(h) - 1, -1, -1):
         if pivot_col < 0:
             break
         for j in range(pivot_col):
             if h[row][j] != 0:
-                _combine_columns(work, j, pivot_col, row)
+                _combine_columns(h, j, pivot_col, row)
         if h[row][pivot_col] == 0:
             continue  # row is zero on the working columns; pivot not consumed
         if h[row][pivot_col] < 0:
-            for r in work:
+            for r in h:
                 r[pivot_col] = -r[pivot_col]
         piv = h[row][pivot_col]
         for j in range(pivot_col + 1, ncols):
             q = h[row][j] // piv
             if q:
-                for r in work:
+                for r in h:
                     r[j] -= q * r[pivot_col]
         pivot_col -= 1
-
-
-def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form.
-
-    Returns (h, u) with h = m @ u and u unimodular.  The nonzero columns of
-    h form an upper-triangular staircase occupying the rightmost columns:
-    pivots positive, entries to the right of each pivot reduced mod the
-    pivot.  Zero matrices are fine (h = 0, u = I).
-    """
-    h = [list(r) for r in m.rows]
-    u = [[1 if i == j else 0 for j in range(m.ncols)] for i in range(m.ncols)]
-    _hnf_in_place(h, u)
-    return IntMatrix(h), IntMatrix(u)
-
-
-def hnf_square(m: IntMatrix) -> IntMatrix:
-    """HNF of a full-rank column lattice, as a square nonsingular matrix.
-
-    m may have extra generating columns (ncols >= nrows); the result is the
-    rightmost nrows columns of the staircase, equal to that block of
-    hnf(m)[0].  No unimodular transform is built: for the product of two
-    degree-n ideals it would be n^2 x n^2 beside the n x n^2 lattice.
-    """
-    h = [list(r) for r in m.rows]
-    _hnf_in_place(h, [])
     n = m.nrows
-    out = IntMatrix([r[m.ncols - n:] for r in h])
+    out = IntMatrix([r[ncols - n:] for r in h])
     if any(out.rows[i][i] == 0 for i in range(n)):
         raise ValueError("column lattice does not have full rank")
     return out

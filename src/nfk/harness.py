@@ -99,14 +99,6 @@ class ExperimentReport:
             return {c: Fraction(0) for c, _ in self.class_tallies}
         return {c: Fraction(n, self.total) for c, n in self.class_tallies}
 
-    def row_fractions(self, label: str) -> dict[int, Fraction]:
-        """Per-class fractions within one Q row (all zero for an empty row)."""
-        row = {c: n for lbl, _, c, n in self.cell_tallies if lbl == label}
-        if not row:
-            raise KeyError(f"no row {label!r} in this report")
-        tot = sum(row.values())
-        return {c: Fraction(n, tot) if tot else Fraction(0) for c, n in row.items()}
-
 
 def run_equidistribution_experiment(
     K: NumberField,

@@ -79,9 +79,6 @@ class Ideal:
     def __repr__(self) -> str:
         return f"Ideal(norm={self.norm()}, hnf={self.hnf.rows})"
 
-    def contains(self, x: AlgebraicNumber) -> bool:
-        return lattice_contains(self.hnf, x.int_coords())
-
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(lattice_contains(self.hnf, col) for col in other.hnf.columns())
 
@@ -94,9 +91,6 @@ class Ideal:
         coordinate varying fastest."""
         for idx in itertools.product(*(range(d) for d in reversed(self.hnf.diagonal()))):
             yield self.reduce(idx[::-1])
-
-    def basis_elements(self) -> list[AlgebraicNumber]:
-        return [self.field.element(col) for col in self.hnf.columns()]
 
 
 def ideal_from_element(a: AlgebraicNumber) -> Ideal:
@@ -111,13 +105,6 @@ def ideal_from_element(a: AlgebraicNumber) -> Ideal:
         acc = acc * K.theta
     m = IntMatrix([[cols[j][i] for j in range(K.degree)] for i in range(K.degree)])
     return Ideal(K, hnf_square(m))
-
-
-def ideal_from_rational(K: NumberField, m: int) -> Ideal:
-    if m == 0:
-        raise ValueError("zero ideal")
-    m = abs(m)
-    return Ideal(K, IntMatrix([[m if i == j else 0 for j in range(K.degree)] for i in range(K.degree)]))
 
 
 def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
@@ -136,19 +123,6 @@ def ideal_mul(a: Ideal, b: Ideal) -> Ideal:
     bcols = list(b.hnf.columns())
     cols = [mul(ac, bc) for ac in a.hnf.columns() for bc in bcols]
     return Ideal(K, hnf_square(IntMatrix(list(zip(*cols)))))
-
-
-def ideal_pow(a: Ideal, e: int) -> Ideal:
-    if e < 0:
-        raise ValueError("use FactoredIdeal for negative powers")
-    out = Ideal.one(a.field)
-    base = a
-    while e:
-        if e & 1:
-            out = ideal_mul(out, base)
-        base = ideal_mul(base, base) if e > 1 else base
-        e >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +418,13 @@ class FactoredIdeal:
         return FactoredIdeal._of(self.field, {q: e // 2 for q, e in self.exps.items()})
 
     def to_ideal(self) -> Ideal:
-        """Assemble the HNF ideal; requires integrality."""
+        """Assemble the HNF ideal from the primes' cached powers; requires
+        integrality."""
         if not self.is_integral():
             raise ValueError("not integral; use num_den")
         out = Ideal.one(self.field)
         for q in self.support():
-            out = ideal_mul(out, ideal_pow(q.ideal, self.exps[q]))
+            out = ideal_mul(out, q.power(self.exps[q]))
         return out
 
     def cleared(self) -> tuple["FactoredIdeal", int]:

@@ -64,9 +64,6 @@ class KummerDatum:
     unit_coset: tuple[int, ...]
     cell: _Cell | None = dc_field(default=None, compare=False, repr=False)
 
-    def gamma_ideal(self) -> FactoredIdeal:
-        return self.parts.reconstruct()
-
     def key(self) -> tuple:
         """Total order on parameter tuples (u, class, Q, ell-free part)."""
         return (

@@ -19,6 +19,9 @@
 - is_isomorphic decides whether two Kummer data cut out the same extension;
   assert_pairwise_non_isomorphic runs it on every pair of enumerated
   records, the check of the orbit dedup in kummer.iter_extensions.
+- ell_power_residues is the table of ell-th powers in (O_K/q^m)^x by brute
+  force over the residues, with none of the unit-group code; the tests
+  read the congruence depth kummer._congruence_depth off it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def discriminant_split_from_ideal(
     """(Delta, ell-part, ell-free part) of the relative discriminant, from
     the factorization of gamma O_K prime by prime."""
     K, ell = d.field, d.ell
-    fa = d.gamma_ideal()
+    fa = d.parts.reconstruct()
     exps: dict[PrimeIdeal, int] = {}
     for q, e in fa.exps.items():
         if q.p != ell and e % ell:
@@ -105,11 +108,11 @@ def is_isomorphic(
         raise ValueError("data must share a field and a degree")
     K, ell = d1.field, d1.ell
     cg = compute_class_group(K, ceilings)
-    fa2 = d2.gamma_ideal()
+    fa2 = d2.parts.reconstruct()
     lf2 = _lf(fa2, ell)
     root2 = _power_root(fa2, ell)
     cls2 = cg.index_of(root2, ceilings)
-    fa1 = d1.gamma_ideal()
+    fa1 = d1.parts.reconstruct()
     for m in range(1, ell):
         fam = fa1**m
         if _lf(fam, ell) != lf2:
@@ -136,6 +139,22 @@ def assert_pairwise_non_isomorphic(
                 raise AssertionError(
                     f"orbit dedup missed an isomorphic pair: {r.datum.gamma!r} vs {s.datum.gamma!r}"
                 )
+
+
+def ell_power_residues(q: PrimeIdeal, m: int, ell: int) -> frozenset[tuple[int, ...]]:
+    """The ell-th powers in (O_K/q^m)^x as canonical residues mod q^m: x^ell
+    for every residue x outside q, by repeated multiplication."""
+    K = q.field
+    mod = q.power(m)
+    out = set()
+    for x in mod.residues():
+        if not any(q.ideal.reduce(x)):
+            continue  # x lies in q, so it is no unit mod q^m
+        y = x
+        for _ in range(ell - 1):
+            y = mod.reduce(K.mul_int_coords(y, x))
+        out.add(y)
+    return frozenset(out)
 
 
 def euler_products_mpf(K: NumberField, ell: int, prime_bound: int) -> tuple[tuple, tuple]:
@@ -232,7 +251,7 @@ def imag_quadratic_norm_matches_unreduced(a: Ideal, target: int) -> list[list[in
     """All x in the ideal with N(x) = target (imaginary quadratic K), one
     quadratic in s for each |t| <= sqrt(4 A target/|D|) of the form
     A s^2 + B s t + C t^2 on the HNF basis, with no ceiling."""
-    v1, v2 = a.basis_elements()
+    v1, v2 = (a.field.element(col) for col in a.hnf.columns())
     A = int(v1.norm())
     C = int(v2.norm())
     B = int((v1 + v2).norm()) - A - C

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
 from nfk.exact_math import (
     IntMatrix,
@@ -11,7 +13,6 @@ from nfk.exact_math import (
     count_real_roots,
     factor_mod_p,
     has_rational_root,
-    hnf,
     hnf_reduce,
     hnf_square,
     irreducibility_certificate,
@@ -48,9 +49,7 @@ def test_hnf_small_example_against_lattice_oracle():
     # so the canonical staircase has pivots 4 (row 0) and 2 (row 1) with the
     # off-diagonal entry reduced into [0, 4).
     m = IntMatrix([[4, 2], [0, 2]])
-    h, u = hnf(m)
-    assert m @ u == h
-    assert abs(det_fraction(u.rows)) == 1
+    h = hnf_square(m)
     assert h.rows == [[4, 2], [0, 2]]
     # same lattice, point for point, inside a window
     assert lattice_points_2d([h.column(0), h.column(1)], 6) == lattice_points_2d(
@@ -63,14 +62,13 @@ def test_hnf_uniqueness_under_unimodular_transforms():
     base = IntMatrix([[6, 2, 0], [0, 3, 1], [0, 0, 5]])
     href = hnf_square(base)
     for _ in range(50):
-        u = IntMatrix.identity(3)
+        m = IntMatrix(base.rows)
         # random product of elementary column ops
         for _ in range(6):
             i, j = random.sample(range(3), 2)
             q = random.randint(-3, 3)
-            for r in u.rows:
+            for r in m.rows:
                 r[i] += q * r[j]
-        m = base @ u
         assert hnf_square(m) == href
 
 
@@ -92,30 +90,31 @@ def test_hnf_canonical_form_conditions():
                 assert h.rows[i][j] == 0
 
 
-def test_hnf_zero_matrix():
-    m = IntMatrix.zero(2, 3)
-    h, u = hnf(m)
-    assert h.rows == [[0, 0, 0], [0, 0, 0]]
-    assert abs(det_fraction(u.rows)) == 1
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hnf_square_matches_hnf_block(n):
-    # hnf_square skips the unimodular transform; hnf keeps it and is the oracle
+    # sympy's hermite_normal_form (Cohen, GTM 138, Algorithms 2.4.5 and
+    # 2.4.8) shares no code with hnf_square and returns the nonzero columns
+    # of the same column-style form, fewer than n of them at rank < n; every
+    # fourth draw gets a row that is a combination of the others
     rng = random.Random(40 + n)
-    done = 0
-    while done < 60:
+    full = deficient = 0
+    for draw in range(80):
         ncols = rng.randint(n, n * n)
-        m = IntMatrix([[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(n)])
-        h, u = hnf(m)
-        block = [r[ncols - n:] for r in h.rows]
-        if any(block[i][i] == 0 for i in range(n)):
+        rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(n)]
+        if draw % 4 == 0:
+            k = rng.randrange(n)
+            others = rows[:k] + rows[k + 1:]
+            coefs = [rng.randint(-2, 2) for _ in others]
+            rows[k] = [sum(c * r[j] for c, r in zip(coefs, others)) for j in range(ncols)]
+        want = hermite_normal_form(Matrix(rows))
+        if want.cols < n:
+            deficient += 1
             with pytest.raises(ValueError):
-                hnf_square(m)
-            continue  # rank-deficient draw
-        assert m @ u == h
-        assert hnf_square(m).rows == block
-        done += 1
+                hnf_square(IntMatrix(rows))
+        else:
+            assert hnf_square(IntMatrix(rows)).rows == want.tolist()
+            full += 1
+    assert full >= 50 and deficient >= 20
 
 
 def test_hnf_reduce_gives_box_representative():

@@ -121,10 +121,12 @@ def test_experiment_single_class_field(field_qi):
 
 def test_experiment_row_fractions(field_qm5):
     rep = run_equidistribution_experiment(field_qm5, 2, 2000)
-    assert rep.row_fractions("(1)") == {0: Fraction(251, 499), 1: Fraction(248, 499)}
-    assert rep.row_fractions("q[2,1,2]^3") == {0: Fraction(0), 1: Fraction(0)}
-    with pytest.raises(KeyError):
-        rep.row_fractions("nope")
+    # per-class fractions within a Q row, as the csv report prints them; the
+    # empty row q[2,1,2]^3 (norm 8) prints 0
+    assert rep.row_totals[0] == ("(1)", 1, 499) and rep.row_totals[2] == ("q[2,1,2]^3", 8, 0)
+    lines = report_serialize(rep, "csv").decode().splitlines()
+    assert lines[1:3] == ["1,0,251,251/499", "1,1,248,248/499"]
+    assert lines[5:7] == ["8,0,0,0", "8,1,0,0"]
 
 
 def test_experiment_empty(field_qm5):
@@ -339,6 +341,21 @@ def test_cli_ell_without_zeta_is_usage_error(capsys):
     code = cli_main(["rho", "--spec", str(SPECS / "qi.json"), "--ell", "3"])
     assert code == 2
     assert "root of unity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count-check", "identity-check"])
+def test_cli_ell_other_than_two_is_usage_error(command, capsys):
+    # both commands check ell = 2 statements: an explicit --ell 3 is refused
+    # even where zeta_3 exists, and the spec file's ell = 3 is not read
+    bound = ["--bound", "200"] if command == "count-check" else []
+    zeta3 = [command, "--spec", str(SPECS / "zeta3.json"), *bound]
+    assert cli_main([*zeta3, "--ell", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ell = 2 only" in captured.err
+    assert cli_main([*zeta3, "--ell", "2"]) == 0
+    explicit = capsys.readouterr().out
+    assert cli_main(zeta3) == 0
+    assert capsys.readouterr().out == explicit
 
 
 def test_cli_ceiling_flag(capsys):

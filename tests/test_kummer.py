@@ -2,14 +2,12 @@
 isomorphism testing, and the parameter-cell enumeration with its census oracles."""
 
 import hashlib
-import itertools
 import json
 import random
 
 import pytest
 
 from nfk import ideals, kummer
-from nfk.abelian_groups import is_power_class
 from nfk.class_unit import (
     compute_class_group,
     compute_unit_group,
@@ -42,6 +40,7 @@ from nfk.number_field import build_field
 from oracles import (
     assert_pairwise_non_isomorphic,
     discriminant_split_from_ideal,
+    ell_power_residues,
     is_isomorphic,
     steinitz_class_from_parts,
     steinitz_denominator,
@@ -71,7 +70,7 @@ def test_normalize_rejects_powers(field_q):
     d = normalize_gamma(field_q.from_int(-1), 2)
     assert d.gamma.int_coords() == [-1]
     assert d.unit_coset == (1,)
-    assert d.gamma_ideal().is_unit_ideal()
+    assert d.parts.reconstruct().is_unit_ideal()
 
 
 def test_normalize_input_validation(field_q, field_cubic9):
@@ -99,7 +98,7 @@ def test_normalize_nonprincipal_root(field_qm5):
     d = normalize_gamma(g, 2)
     assert d.power_root_class == 1
     assert int(d.parts.root.norm()) == 3
-    fa = d.gamma_ideal()
+    fa = d.parts.reconstruct()
     assert int(fa.norm()) == 45  # p3^2 * p5
     assert factor_ideal(ideal_from_element(d.gamma)) == fa
 
@@ -155,7 +154,7 @@ def test_discriminants_over_qi(field_qi):
         assert int(delta.norm()) == want
     # 2 normalizes to a unit: the (1+i)^2 part is principal
     d = normalize_gamma(field_qi.from_int(2), 2)
-    assert d.gamma_ideal().is_unit_ideal()
+    assert d.parts.reconstruct().is_unit_ideal()
 
 
 def test_discriminants_over_zeta3(field_zeta3):
@@ -190,50 +189,33 @@ _DEPTH_FIELDS = [
     pytest.param([5, 0, 1], 2, id="qm5"),
     pytest.param([-9, -1, 0, 1], 2, id="cubic9"),
     pytest.param([1, 1, 1], 3, id="zeta3"),
+    pytest.param([13, 0, 7, 0, 1], 3, id="x4_7x2_13"),
 ]
 
 
-def _walked_depth(gamma, q, ell):
-    # the walk written out: the first m <= B, from the top, with gamma an
-    # ell-th power mod q^m
-    for m in range(kummer.wild_saturation_depth(q, ell), 0, -1):
-        if is_power_class(gamma, q.power(m), ell):
-            return m
-
-
 @pytest.mark.parametrize("coeffs, ell", _DEPTH_FIELDS)
-def test_congruence_depth_memo_matches_walk(coeffs, ell, monkeypatch):
-    # the depth depends only on gamma mod p^k, k = ceil(B/e): on every unit
-    # residue r it runs power-class tests and agrees with the walk, and so
-    # does it on a lift r + p^k v
-    tests = []
-
-    def counted(*args):
-        tests.append(args)
-        return is_power_class(*args)
-
-    monkeypatch.setattr(kummer, "is_power_class", counted)
+def test_congruence_depth_matches_power_table(coeffs, ell):
+    # on every unit residue r mod q^B, B = ell*nu_q(1-zeta), the depth is the
+    # largest m <= B with r an ell-th power mod q^m, read off the brute-force
+    # tables; a lift r + p^k v, with p^k in q^B, has the same depth
     K = build_field(coeffs, ell=ell)
     rng = random.Random(ell * 1000 + len(coeffs))
     for q in split_prime(K, ell):
-        mod = q.p ** -(-kummer.wild_saturation_depth(q, ell) // q.e)
-        # every unit residue: at most 9^2 = 81 here
-        residues = [
-            r
-            for r in itertools.product(range(mod), repeat=K.degree)
-            if any(q.ideal.reduce(list(r)))
-        ]
-        for r in residues:
+        bound = kummer.wild_saturation_depth(q, ell)
+        powers = {m: (q.power(m), ell_power_residues(q, m, ell)) for m in range(1, bound + 1)}
+        top = q.power(bound)
+        assert 4 <= top.norm() <= 64
+        mod = q.p ** -(-bound // q.e)
+        units = [r for r in top.residues() if any(q.ideal.reduce(r))]
+        for r in units:
+            want = max(m for m, (qm, table) in powers.items() if qm.reduce(r) in table)
             gamma = K.element(list(r))
             lift = K.element([c + mod * rng.randint(-3, 3) for c in r])
-            tests.clear()
-            cold = kummer._congruence_depth(gamma, q, ell, None)
-            assert tests and cold == _walked_depth(gamma, q, ell), (q, r)
-            assert kummer._congruence_depth(lift, q, ell, None) == cold, (q, r)
-            assert _walked_depth(lift, q, ell) == cold, (q, r)
+            assert kummer._congruence_depth(gamma, q, ell, None) == want, (q, r)
+            assert kummer._congruence_depth(lift, q, ell, None) == want, (q, r)
 
 
-def test_congruence_depth_miss_under_ceiling_stores_nothing():
+def test_congruence_depth_raises_at_residue_ring_ceiling():
     K = build_field([1, 0, 1], ell=2)
     (q,) = split_prime(K, 2)
     with pytest.raises(CeilingError):
@@ -275,9 +257,9 @@ def test_steinitz_identity_qm5(field_qm5):
     delta, lpart, fpart = relative_discriminant(d)
     st = steinitz_class(d, cg)
     # St^2 (gamma O_K)^(ell-1) = Delta, exactly as fractional ideals
-    st2 = delta * d.gamma_ideal().inverse()
+    st2 = delta * d.parts.reconstruct().inverse()
     root = st2.sqrt()
-    assert root * root * d.gamma_ideal() == delta
+    assert root * root * d.parts.reconstruct() == delta
     assert cg.index_of(root) == st
     assert st in realizable_class_subgroup(cg, 2)
 
@@ -395,7 +377,7 @@ def test_enumeration_invariants_zeta3(field_zeta3):
     realizable = set(realizable_class_subgroup(cg, 3))
     for r in enumerate_extensions(field_zeta3, 3, 1000):
         # Steinitz identity: St^2 (gamma O_K)^(ell-1) = Delta
-        fa = r.datum.gamma_ideal()
+        fa = r.datum.parts.reconstruct()
         st2 = r.discriminant * (fa ** 2).inverse()
         root = st2.sqrt()
         assert root * root * fa ** 2 == r.discriminant
@@ -412,7 +394,7 @@ def test_enumeration_invariants_zeta3(field_zeta3):
 def test_enumeration_artin_identity_qm5(field_qm5):
     cg = compute_class_group(field_qm5)
     for r in enumerate_extensions(field_qm5, 2, 200):
-        fa = r.datum.gamma_ideal()
+        fa = r.datum.parts.reconstruct()
         st2 = r.discriminant * fa.inverse()
         root = st2.sqrt()
         assert root * root * fa == r.discriminant
@@ -484,7 +466,7 @@ def test_record_json_shape(field_qm5):
 def test_unit_only_extensions(field_qi):
     # gamma = i: unit ideal, nontrivial coset; shows up in the census once
     recs = enumerate_extensions(field_qi, 2, 16)
-    unit_recs = [r for r in recs if r.datum.gamma_ideal().is_unit_ideal()]
+    unit_recs = [r for r in recs if r.datum.parts.reconstruct().is_unit_ideal()]
     assert len(unit_recs) >= 1
     assert all(abs(r.datum.gamma.norm()) == 1 for r in unit_recs)
 
@@ -604,7 +586,7 @@ def test_cell_loop_matches_per_candidate_oracle(name, ell, X, options, request, 
         assert d.cell.row.q_pow * d.cell.off * d.cell.off == steinitz_denominator(d)
     for d, _ in candidates[:: len(candidates) // 200 + 1]:  # parts are those of gamma O_K
         fa = factor_ideal(ideal_from_element(d.gamma))
-        assert d.gamma_ideal() == fa and d.parts == decompose_parts(fa, ell)
+        assert d.parts.reconstruct() == fa and d.parts == decompose_parts(fa, ell)
     classes = set()
     for r in records:
         delta, lpart, fpart = discriminant_split_from_ideal(r.datum)

@@ -13,7 +13,12 @@ from sympy import factorint
 from nfk.class_unit import compute_unit_group
 from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from nfk.ideals import split_prime
-from nfk.exact_math import IntPolynomial, irreducibility_certificate, polynomial_discriminant
+from nfk.exact_math import (
+    IntPolynomial,
+    irreducibility_certificate,
+    lattice_contains,
+    polynomial_discriminant,
+)
 from nfk.number_field import NumberField, build_field, dedekind_q_maximal
 from oracles import det_fraction, inverse_by_fraction_solve, multiplication_matrix
 
@@ -349,7 +354,7 @@ def test_short_vectors_match_box(coeffs, radius):
     prime = split_prime(K, 3)[0].ideal
     for cols, inside in (
         ([K.theta_power(k) for k in range(n)], lambda x: True),
-        (list(prime.hnf.columns()), lambda x: prime.contains(K.element(x))),
+        (list(prime.hnf.columns()), lambda x: lattice_contains(prime.hnf, x)),
     ):
         got = [tuple(c) for c in K.short_vectors(cols, radius)]
         want = []
