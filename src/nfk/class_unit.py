@@ -3,7 +3,13 @@
 Class group: census every prime of norm up to the Minkowski bound, sort
 the primes into equivalence classes with principality tests, close the
 class list under multiplication, and hand the times table to the abelian
-engine.  Unit group: the roots of unity are the field's own
+engine.  A prime above the census takes one Minkowski relation
+(Cohen, GTM 138, 6.5) where the unit rank is >= 1: a short element of the
+prime splits off a cofactor over census primes, whose class and stored
+generators give the prime's.  In Q and the imaginary quadratic fields it
+takes the principal tests of the census.
+
+Unit group: the roots of unity are the field's own
 (NumberField.torsion, the one roots-of-unity search); fundamental units
 come from the short vectors (NumberField.short_vectors) of balls of
 growing T2 radius, units themselves and ratios of elements generating
@@ -28,6 +34,7 @@ import mpmath
 from .abelian_groups import FiniteAbelianGroup
 from .config import Ceilings
 from .errors import CeilingError, MissingRootOfUnityError, NotPrincipalError, RankError
+from .exact_math import lattice_contains
 from .ideals import (
     FactoredIdeal,
     PrimeIdeal,
@@ -40,9 +47,9 @@ from .ideals import (
     primes_of_norm_up_to,
     split_prime,
 )
-from .number_field import AlgebraicNumber, NumberField
+from .number_field import AlgebraicNumber, NumberField, _int_scaled, _lll_reduce, _solve_int
 
-from sympy import nextprime
+from sympy import factorint, nextprime
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +372,15 @@ def unit_coset_reps(ug: UnitGroup, ell: int) -> list[AlgebraicNumber]:
 
 @dataclass
 class ClassGroup:
-    """The census class group, with the generators its class searches found.
+    """The census class group, with the generators its class lookups found.
 
     products[(i, j)] = (k, g) with reps[i] reps[j] = (g) reps[k], the times
     table that group.op reads; prime_class[q] = c and prime_gen[q] = g with
     q = (g) reps[c].  Each g is an int coordinate tuple over one positive
-    int denominator, the first generator a class search found.  generator()
-    multiplies them into a generator of an ideal and picks the canonical one
-    among its torsion and unit multiples, whichever g it started from, with
-    no search.
+    int denominator, the first generator a class search or relation found.
+    generator() multiplies them into a generator of an ideal and picks the
+    canonical one among its torsion and unit multiples, whichever g it
+    started from, with no search.
     """
 
     field: NumberField
@@ -398,6 +405,7 @@ class ClassGroup:
         units = self.units.fundamental
         self._unit_coords = [(u.coords, u.inverse().coords) for u in units]
         self._log_scale = math.log(_search_constants(K, units)) if units else 0.0
+        self._minkowski = K.minkowski_bound()  # the census bound (_relation)
 
     @property
     def h(self) -> int:
@@ -417,17 +425,84 @@ class ClassGroup:
         return acc
 
     def class_of_prime(self, q: PrimeIdeal, ceilings: Ceilings | None = None) -> int:
-        """Class index of a prime, by principal tests against the census
-        representatives under the caller's ceilings; the class and the
-        generator found are cached, facts about the field, not a budget."""
+        """Class index of a prime, under the caller's ceilings.
+
+        The census primes come with the class group.  A new prime takes one
+        Minkowski relation (_relation) in unit rank >= 1, and principal
+        tests against the census representatives (_find_class) in Q and the
+        imaginary quadratic fields, whose reduced-form solve is cheaper.
+        The class and the generator found are cached, facts about the
+        field, not a budget."""
         got = self.prime_class.get(q)
         if got is not None:
             return got
-        found = _find_class(FactoredIdeal(self.field, {q: 1}), self.reps, self.units, ceilings)
-        if found is None:
-            raise ArithmeticError(f"prime {q!r} matches no class; census incomplete")
+        if self.units.rank:
+            found = self._relation(q, ceilings)
+        else:
+            found = _find_class(FactoredIdeal(self.field, {q: 1}), self.reps, self.units, ceilings)
+            if found is None:
+                raise ArithmeticError(f"prime {q!r} matches no class; census incomplete")
         self.prime_class[q], self.prime_gen[q] = found
         return found[0]
+
+    def _relation(
+        self, q: PrimeIdeal, ceilings: Ceilings | None
+    ) -> tuple[int, tuple[tuple[int, ...], int]]:
+        """(k, g) for a prime q outside the census, from one relation
+        (Cohen, GTM 138, 6.5), with q = (g) reps[k].
+
+        An x in q with |N(x)| <= M_K N(q) (_relation_element) gives
+        (x) = q c with N(c) <= M_K, so c lies over census primes and
+        k = -[c].  c is read from the valuations of x at the primes r over
+        each p | N(x), each by reducing x modulo r^v; the residue degrees
+        summing to v_p(N(x)) at every p prove (x) = q c exactly.  Composing
+        c through the stored generators and the times table (_compose)
+        gives (y) = c reps[k], and g = x/y as (int coordinates, den).
+        """
+        K = self.field
+        size, x = _relation_element(q, self._minkowski, ceilings)
+        if size % q.norm:
+            raise ArithmeticError(f"{x} in {q!r} has norm {size}")
+        norm_c = factorint(size // q.norm)
+        norm_c[q.p] = norm_c.get(q.p, 0) + q.f
+        exps: dict[PrimeIdeal, int] = {}
+        for p, left in norm_c.items():
+            for r in split_prime(K, p):
+                v = 0
+                while left >= r.f and lattice_contains(r.power(v + 1).hnf, x):
+                    v, left = v + 1, left - r.f
+                if v > (r == q):
+                    exps[r] = v - (r == q)
+            if left:
+                raise ArithmeticError(f"valuations of {x} at {p} fall short of its norm")
+        cls, coords, scale = self._compose(exps, ceilings)
+        k = self.group.power(cls, self.h - 1)
+        _, (gp, dp) = self.products[cls, k]
+        y, sx = K.mul_int_coords(coords, gp), [dp * scale * c for c in x]
+        if y == K.one.coords:  # c reps[k] = (1/(dp scale))
+            return k, (tuple(sx), 1)
+        # the solve of AlgebraicNumber.__truediv__ without its element
+        # objects, which take about a third of its time in degrees 2 and 3
+        times_y = [K.mul_int_coords(y, K.theta_power(j)) for j in range(K.degree)]
+        g, den = _int_scaled(_solve_int([list(r) for r in zip(*times_y)], sx))
+        return k, (tuple(g), den)
+
+    def _compose(self, exps: dict, ceilings: Ceilings | None) -> tuple[int, tuple, int]:
+        """(cls, coords, scale) with prod q^e = (coords / scale) reps[cls],
+        for exponents e >= 0, multiplied from the stored generators through
+        the times table; class_of_prime looks up a new prime."""
+        mul = self.field.mul_int_coords
+        coords = one = self.field.one.coords
+        scale, cls = 1, 0
+        for q, e in exps.items():
+            if q not in self.prime_gen:
+                self.class_of_prime(q, ceilings)
+            cq, (gq, dq) = self.prime_class[q], self.prime_gen[q]
+            for _ in range(e):
+                cls, (gp, dp) = self.products[cls, cq]
+                coords = mul(coords, gq) if gp == one else mul(mul(coords, gq), gp)
+                scale *= dq * dp
+        return cls, coords, scale
 
     def generator(self, fa: FactoredIdeal, ceilings: Ceilings | None = None) -> AlgebraicNumber:
         """The canonical generator of fa, as canonical_generator chooses it,
@@ -452,18 +527,8 @@ class ClassGroup:
                 else:
                     den *= q.p**-e
             return AlgebraicNumber._of(K, (num,)) if den == 1 else K.element([Fraction(num, den)])
-        mul = K.mul_int_coords
         num, den = fa.cleared()
-        coords = one = K.one.coords
-        scale, cls = 1, 0
-        for q, e in num.exps.items():
-            if q not in self.prime_gen:
-                self.class_of_prime(q, ceilings)
-            cq, (gq, dq) = self.prime_class[q], self.prime_gen[q]
-            for _ in range(e):
-                cls, (gp, dp) = self.products[cls, cq]
-                coords = mul(coords, gq) if gp == one else mul(mul(coords, gq), gp)
-                scale *= dq * dp
+        cls, coords, scale = self._compose(num.exps, ceilings)
         if cls:
             raise NotPrincipalError(f"{fa!r} is not principal")
         if any(c % scale for c in coords):
@@ -646,13 +711,50 @@ class ClassGroup:
         return sorted(self.group.power_subgroup(m))
 
 
+def _relation_element(
+    q: PrimeIdeal, minkowski: Fraction, ceilings: Ceilings | None
+) -> tuple[int, list[int]]:
+    """(|N(x)|, x) for the x in q with |N(x)| <= M_K N(q) least by
+    (|N(x)|, reversed coordinates), M_K = minkowski the census bound.
+
+    First among the n vectors of q's LLL-reduced HNF basis; when none
+    qualifies, among the points of the Minkowski ball
+    T2 <= n^2 (M_K N(q))^(2/n), which holds one: by Minkowski's theorem q
+    has an x with sum |sigma(x)| <= n (M_K N(q))^(1/n) over the n
+    embeddings, and by AM-GM |N(x)| <= M_K N(q).  The n basis vectors and
+    every point of the ball count against ceilings.search_points.
+    """
+    K, n = q.field, q.field.degree
+    limit = (ceilings or Ceilings()).search_points
+    if n > limit:
+        raise CeilingError(f"relation over {n} reduced basis vectors", limit)
+    bound = minkowski * q.norm
+    top = math.floor(bound)
+
+    def least(points):
+        keyed = ((abs(K.norm_int(x)), x[::-1]) for x in points)
+        return min(((a, r) for a, r in keyed if a <= top), default=None)
+
+    basis = _lll_reduce(list(q.ideal.hnf.columns()), K._embed)
+    best = least(basis)
+    if best is None:
+        best = least(K.short_vectors(basis, n * n * float(bound) ** (2 / n), limit - n))
+    if best is None:
+        raise ArithmeticError(f"Minkowski ball of {q!r} holds no element of norm <= {bound}")
+    return best[0], best[1][::-1]
+
+
 def _find_class(
     fa: FactoredIdeal, reps: list[FactoredIdeal], units: UnitGroup, ceilings: Ceilings | None
 ) -> tuple[int, tuple[tuple[int, ...], int]] | None:
     """(i, g) for the first representative r = reps[i] with fa * r^-1
     principal, g the first generator the search finds (norm_matches on the
     cleared numerator, unranked) as (int coordinates, denominator); None
-    when there is no such r."""
+    when there is no such r.
+
+    It serves the census primes and the times table, and the new primes of
+    Q and the imaginary quadratic fields; new primes in unit rank >= 1 take
+    ClassGroup._relation, with this search as its test oracle."""
     for i, rep in enumerate(reps):
         num, den = (fa * rep.inverse()).num_den()
         if num.is_one():

@@ -12,8 +12,10 @@ datum (PartsDecomposition); kummer derives from them what a cell shares.
 Generator searches (principality tests) enumerate the lattice elements of
 the right norm exactly: closed form in degree 1, a reduced binary form for
 imaginary quadratics, else NumberField.short_vectors on an ellipsoid that
-holds a unit multiple of every generator.  The class lookups
-(class_unit._find_class) take the first match of norm_matches, unranked.
+holds a unit multiple of every generator.  The census class lookups
+(class_unit._find_class) take the first match of norm_matches, unranked;
+a prime above the census takes a Minkowski relation instead in unit rank
+>= 1 (ClassGroup._relation).
 The canonical generator, the F-map of the Kummer layer, minimizes the
 largest embedding magnitude, ties to the least coordinate key (|c| before
 sign, so 2 beats -2; in imaginary quadratic fields every generator ties).

@@ -9,8 +9,9 @@ placing the ellipsoids of short_vectors.
 
 NumberField.short_vectors (Fincke-Pohst on an LLL-reduced basis) is the
 package's one lattice-point enumerator.  Its callers are torsion (the
-roots of unity, found once per field), the unit search (class_unit) and
-the generator searches (ideals).
+roots of unity, found once per field), the unit search and the Minkowski
+ball of a class relation (class_unit), and the generator searches
+(ideals).
 """
 
 from __future__ import annotations

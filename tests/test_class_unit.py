@@ -6,6 +6,7 @@ import random
 
 import mpmath
 import pytest
+from sympy import factorint
 
 from nfk import class_unit, ideals
 from nfk.class_unit import (
@@ -24,12 +25,14 @@ from nfk.harness import run_count_asymptotic_check
 from nfk.ideals import (
     FactoredIdeal,
     canonical_generator,
+    factor_ideal,
     ideal_from_element,
     primes_of_norm_up_to,
     principal_test_generator,
     split_prime,
 )
-from nfk.number_field import build_field
+from nfk.kummer import enumerate_extensions
+from nfk.number_field import NumberField, build_field
 
 
 def test_units_rank_zero(field_q, field_qi, field_qm5):
@@ -429,6 +432,108 @@ def test_class_census_honours_search_ceiling():
     K = build_field([-9, -1, 0, 1], ell=2, label="cubic-9")
     with pytest.raises(CeilingError):
         compute_class_group(K, Ceilings(search_points=1))
+
+
+# ---------------------------------------------------------------------------
+# Minkowski relations for primes above the census
+# ---------------------------------------------------------------------------
+
+
+def _principal_factored(K, g, den):
+    """The fractional ideal (g)/den, factored."""
+    out = factor_ideal(ideal_from_element(K.element(g)))
+    for p, e in factorint(den).items():
+        out = out * FactoredIdeal(K, {r: -r.e * e for r in split_prime(K, p)})
+    return out
+
+
+def _check_relation(cg, q):
+    # the relation's class is the search's, and its generator g/den
+    # generates q reps[k]^-1 exactly
+    K = cg.field
+    k, (g, den) = cg._relation(q, None)
+    fa = FactoredIdeal(K, {q: 1})
+    assert k == class_unit._find_class(fa, cg.reps, cg.units, None)[0], q
+    assert _principal_factored(K, g, den) == fa * cg.reps[k].inverse(), q
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell, h, bound",
+    [
+        ([-9, -1, 0, 1], 2, 2, 700),
+        ([-2, 0, 1], 2, 1, 1000),
+        ([-10, 0, 1], 2, 2, 1000),
+        ([-79, 0, 1], 2, 3, 1000),
+        ([13, 0, 7, 0, 1], 3, 2, 700),
+        ([1, -2, -1, 1], 2, 1, 700),
+    ],
+    ids=["cubic9", "qs2", "q10", "q79", "x4_7x2_13", "rank2"],
+)
+def test_relation_matches_search(coeffs, ell, h, bound):
+    # every prime above the census up to the bound, against the search
+    K = build_field(coeffs, ell=ell)
+    cg = compute_class_group(K)
+    assert cg.h == h
+    above = [q for q in primes_of_norm_up_to(K, bound) if q.norm > K.minkowski_bound()]
+    assert len(above) > 60
+    for q in above:
+        _check_relation(cg, q)
+
+
+def test_relation_minkowski_ball(field_cubic9, monkeypatch):
+    # with q's basis left unreduced, no HNF column of a prime over a large
+    # p has a small enough norm, so the relation enumerates the Minkowski
+    # ball; its points count against search_points
+    cg = compute_class_group(field_cubic9)
+    monkeypatch.setattr(class_unit, "_lll_reduce", lambda cols, embed: cols)
+    balls = []
+    enumerate_ball = NumberField.short_vectors
+    monkeypatch.setattr(
+        NumberField, "short_vectors", lambda K, *a: balls.append(a) or enumerate_ball(K, *a)
+    )
+    primes = [q for q in primes_of_norm_up_to(field_cubic9, 400) if q.p > 200]
+    fired = 0
+    for q in primes:
+        before = len(balls)
+        cg._relation(q, None)
+        fired += len(balls) > before
+        _check_relation(cg, q)
+    assert (len(primes), fired) == (27, 25)
+    q = primes[-1]
+    with pytest.raises(CeilingError):
+        cg._relation(q, Ceilings(search_points=4))
+
+
+def test_no_search_for_primes_above_the_census(monkeypatch):
+    # after set-up on a fresh cubic-9 the enumeration's class lookups take
+    # relations, with no principal-ideal search
+    K = build_field([-9, -1, 0, 1], ell=2, label="cubic-9-fresh")
+    cg = compute_class_group(K)
+    census = dict(cg.prime_class)
+    calls = []
+    for module in (class_unit, ideals):
+        search = module.norm_matches
+        monkeypatch.setattr(
+            module, "norm_matches", lambda *a, search=search: calls.append(a) or search(*a)
+        )
+    assert enumerate_extensions(K, 2, 36)
+    assert calls == []
+    assert len(cg.prime_class) > len(census)
+
+
+def test_imaginary_quadratic_lookup_keeps_the_reduced_form(monkeypatch):
+    # Q(sqrt(-5)): a prime above the census still goes through the
+    # binary-form solve
+    K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
+    cg = compute_class_group(K)
+    calls = []
+    solve = ideals._imag_quadratic_norm_matches
+    monkeypatch.setattr(
+        ideals, "_imag_quadratic_norm_matches", lambda *a: calls.append(a) or solve(*a)
+    )
+    q = min(split_prime(K, 10007))
+    assert cg.class_of_prime(q) in (0, 1)
+    assert calls and calls[0][0] == q.ideal  # one solve per representative tried
 
 
 def test_power_subgroup_indices(field_qm5):

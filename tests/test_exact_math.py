@@ -1,5 +1,6 @@
 """Normal-form and polynomial primitives, checked against brute-force oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,12 +25,14 @@ from nfk.errors import FieldConstructionError
 from oracles import det_fraction
 
 
-def lattice_points_2d(cols, bound):
-    """All integer combinations of two 2d columns with coefficients in [-bound, bound]."""
+def lattice_points_2d(cols, bound, window):
+    """The points with both coordinates in [-window, window] among the
+    integer combinations of 2d columns with coefficients in [-bound, bound]."""
     pts = set()
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            pts.add((a * cols[0][0] + b * cols[1][0], a * cols[0][1] + b * cols[1][1]))
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(cols)):
+        pt = tuple(sum(a * c[i] for a, c in zip(coeffs, cols)) for i in range(2))
+        if max(map(abs, pt)) <= window:
+            pts.add(pt)
     return pts
 
 
@@ -47,14 +50,18 @@ def test_xgcd():
 def test_hnf_small_example_against_lattice_oracle():
     # Oracle first: the lattice spanned by (4,0) and (2,2) contains (0,4),
     # so the canonical staircase has pivots 4 (row 0) and 2 (row 1) with the
-    # off-diagonal entry reduced into [0, 4).
-    m = IntMatrix([[4, 2], [0, 2]])
-    h = hnf_square(m)
-    assert h.rows == [[4, 2], [0, 2]]
-    # same lattice, point for point, inside a window
-    assert lattice_points_2d([h.column(0), h.column(1)], 6) == lattice_points_2d(
-        [m.column(0), m.column(1)], 6
-    )
+    # off-diagonal entry reduced into [0, 4).  The same lattice comes as its
+    # HNF, as the generating set (2,2), (4,0), (6,2) and as the square
+    # (2,2), (4,0), which the elimination has to bring to that form.
+    for rows in ([[4, 2], [0, 2]], [[2, 4, 6], [2, 0, 2]], [[2, 4], [2, 0]]):
+        m = IntMatrix(rows)
+        h = hnf_square(m)
+        assert h.rows == [[4, 2], [0, 2]], rows
+        # same lattice, point for point, inside a window that coefficients
+        # in [-6, 6] cover for every input
+        want = lattice_points_2d(list(m.columns()), 6, 8)
+        assert lattice_points_2d([h.column(0), h.column(1)], 6, 8) == want, rows
+        assert len(want) == 41
 
 
 def test_hnf_uniqueness_under_unimodular_transforms():
