@@ -47,7 +47,7 @@ from .ideals import (
     primes_of_norm_up_to,
     split_prime,
 )
-from .number_field import AlgebraicNumber, NumberField, _int_scaled, _lll_reduce, _solve_int
+from .number_field import AlgebraicNumber, NumberField, _int_scaled, _lll_reduce
 
 from sympy import factorint, nextprime
 
@@ -388,6 +388,7 @@ class ClassGroup:
     reps: list[FactoredIdeal]  # reps[0] = unit ideal
     units: UnitGroup
     products: dict
+    bound: Fraction  # the Minkowski bound M_K of the census
     prime_class: dict = dc_field(default_factory=dict)
     prime_gen: dict = dc_field(default_factory=dict)
     _ell_free_reps: dict = dc_field(default_factory=dict)
@@ -405,7 +406,6 @@ class ClassGroup:
         units = self.units.fundamental
         self._unit_coords = [(u.coords, u.inverse().coords) for u in units]
         self._log_scale = math.log(_search_constants(K, units)) if units else 0.0
-        self._minkowski = K.minkowski_bound()  # the census bound (_relation)
 
     @property
     def h(self) -> int:
@@ -460,7 +460,7 @@ class ClassGroup:
         gives (y) = c reps[k], and g = x/y as (int coordinates, den).
         """
         K = self.field
-        size, x = _relation_element(q, self._minkowski, ceilings)
+        size, x = _relation_element(q, self.bound, ceilings)
         if size % q.norm:
             raise ArithmeticError(f"{x} in {q!r} has norm {size}")
         norm_c = factorint(size // q.norm)
@@ -478,13 +478,8 @@ class ClassGroup:
         cls, coords, scale = self._compose(exps, ceilings)
         k = self.group.power(cls, self.h - 1)
         _, (gp, dp) = self.products[cls, k]
-        y, sx = K.mul_int_coords(coords, gp), [dp * scale * c for c in x]
-        if y == K.one.coords:  # c reps[k] = (1/(dp scale))
-            return k, (tuple(sx), 1)
-        # the solve of AlgebraicNumber.__truediv__ without its element
-        # objects, which take about a third of its time in degrees 2 and 3
-        times_y = [K.mul_int_coords(y, K.theta_power(j)) for j in range(K.degree)]
-        g, den = _int_scaled(_solve_int([list(r) for r in zip(*times_y)], sx))
+        y = AlgebraicNumber._of(K, K.mul_int_coords(coords, gp))
+        g, den = _int_scaled((K.element([dp * scale * c for c in x]) / y).coords)
         return k, (tuple(g), den)
 
     def _compose(self, exps: dict, ceilings: Ceilings | None) -> tuple[int, tuple, int]:
@@ -811,6 +806,6 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
 
     group = FiniteAbelianGroup(list(range(h)), lambda a, b: products[a, b][0], 0)
     return ClassGroup(
-        field=K, group=group, reps=reps, units=units, products=products,
+        field=K, group=group, reps=reps, units=units, products=products, bound=bound,
         prime_class=prime_class, prime_gen=prime_gen,
     )
