@@ -9,9 +9,9 @@ by element rather than trusted.  All moduli in scope have small residue
 rings; auditability beats asymptotics here.
 
 Provides (O_K/m)^* with a residue map, quotients by ell-th powers with
-the projection, ell-th-power membership with cached power subgroups, and
-the exhaustive tuple tally g1^2 g2^3 ... gn^(n+1) used to confirm that
-such products sweep the group uniformly.
+the projection, an uncached ell-th-power membership check, and the
+exhaustive tuple tally g1^2 g2^3 ... gn^(n+1) used to confirm that such
+products sweep the group uniformly.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ class ResidueUnitGroup:
 def unit_group_mod_ideal(
     K: NumberField, m: Ideal, ceilings: Ceilings | None = None
 ) -> ResidueUnitGroup:
-    """Multiplicative group of O_K/m by residue census.
+    """Multiplicative group of O_K/m by residue census, built on each call.
 
     A residue is a unit iff it avoids every prime dividing m; the order
     always comes out to N(m) prod_{p|m} (1 - 1/N(p)).
@@ -180,10 +180,6 @@ def unit_group_mod_ideal(
     norm = m.norm()
     if norm > ceilings.residue_ring:
         raise CeilingError(f"residue ring of size {norm}", ceilings.residue_ring)
-    cache = K._unit_group_cache
-    got = cache.get(m.hnf)
-    if got is not None:
-        return got
     primes = [q.ideal.hnf for q in factor_ideal(m).support()]
     units = []
     for r in m.residues():
@@ -201,9 +197,7 @@ def unit_group_mod_ideal(
         expected = expected * (q.norm - 1) // q.norm
     if norm > 1 and group.order != expected:
         raise ArithmeticError(f"unit census {group.order} != {expected}")
-    out = ResidueUnitGroup(K, m, group)
-    cache[m.hnf] = out
-    return out
+    return ResidueUnitGroup(K, m, group)
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +238,12 @@ def is_power_class(
 ) -> bool:
     """True iff gamma (coprime to the modulus) is an ell-th power mod prime_power.
 
-    Membership in the precomputed set {x^ell} of the residue unit group;
-    the set is cached per (modulus, ell) on the field.
+    Membership in the set {x^ell} of the residue unit group, both built on
+    each call: a check and a test oracle, not a hot path (the Kummer layer
+    reads congruence depths from kummer._depth_table).
     """
-    K = gamma.field
-    cache = K._power_set_cache
-    key = (prime_power.hnf, ell)
-    got = cache.get(key)
-    if got is None:
-        rug = unit_group_mod_ideal(K, prime_power, ceilings)
-        got = (rug, rug.group.power_subgroup(ell))
-        cache[key] = got
-    rug, powers = got
-    return rug.image(gamma) in powers
+    rug = unit_group_mod_ideal(gamma.field, prime_power, ceilings)
+    return rug.image(gamma) in rug.group.power_subgroup(ell)
 
 
 # ---------------------------------------------------------------------------

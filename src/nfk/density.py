@@ -6,9 +6,10 @@ tame part of the discriminant.  At each prime above ell the normalized
 gamma independently either has valuation prime to ell (ell-1 cases out of
 ell, forcing the maximal exponent) or is coprime to the prime, in which
 case its class in (O_K/q^B)^x modulo ell-th powers is uniform and the
-exponent is a function of the congruence depth of that class.  B is the
-saturation depth of kummer.wild_saturation_depth; beyond it an ell-th
-power congruence lifts to the completion, so depth B means exponent 0.
+exponent is a function of the congruence depth of that class, read from
+the cell loop's kummer._depth_table.  B is the saturation depth of
+kummer.wild_saturation_depth; beyond it an ell-th power congruence lifts
+to the completion, so depth B means exponent 0.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .ideals import (
     residue_degrees,
     split_prime,
 )
-from .kummer import _congruence_depth, wild_saturation_depth
+from .kummer import _depth_table, _wild_exponent, wild_saturation_depth
 from .number_field import NumberField
 
 
@@ -55,13 +56,9 @@ def _support_of(x) -> list[PrimeIdeal]:
 
 def allowed_wild_exponents(q: PrimeIdeal, ell: int) -> list[int]:
     """Discriminant exponents at a prime above ell that the valuation
-    formulas allow: 0, (ell-1)(B-s+1) for congruence depths 1 <= s < B,
-    and (ell-1) + ell*nu_q(ell) when gamma has valuation prime to ell."""
-    b = wild_saturation_depth(q, ell)
-    exps = {0, (ell - 1) + ell * q.e}
-    for s in range(1, b):
-        exps.add((ell - 1) * (b - s + 1))
-    return sorted(exps)
+    formulas allow: kummer._wild_exponent at every congruence depth
+    1 <= s <= B and at a valuation prime to ell (s = 0)."""
+    return sorted({_wild_exponent(q, ell, s) for s in range(wild_saturation_depth(q, ell) + 1)})
 
 
 def enumerate_R(K: NumberField, ell: int) -> list[FactoredIdeal]:
@@ -97,22 +94,14 @@ def _coerce_ell_part(K: NumberField, ell: int, ell_part) -> FactoredIdeal:
 def _local_factor(
     K: NumberField, q: PrimeIdeal, ell: int, ceilings: Ceilings | None
 ) -> dict[int, Fraction]:
-    """rho's factor at q above ell by discriminant exponent at q, from one
-    depth census of (O_K/q^B)^x: (ell-1)/ell at the valuation exponent, and
-    at the exponent of congruence depth s (0 for s = B) 1/ell times the
-    share of units at depth s.  The depth of a residue is the largest m <= B
-    for which it is an ell-th power mod q^m; it is constant on classes mod
-    ell-th powers, so unit shares are class shares."""
-    b = wild_saturation_depth(q, ell)
-    rug = unit_group_mod_ideal(K, q.power(b), ceilings)
-    counts = Counter(
-        _congruence_depth(K.element(list(key)), q, ell, ceilings) for key in rug.group.elements
-    )
-    if sum(counts.values()) != rug.order:
-        raise ArithmeticError("depth census lost residues")
-    out = {(ell - 1) + ell * q.e: Fraction(ell - 1, ell)}
-    for s, c in counts.items():
-        out[(ell - 1) * (b - s + 1) if s < b else 0] = Fraction(c, ell * rug.order)
+    """rho's factor at q above ell by discriminant exponent at q: (ell-1)/ell
+    at the valuation exponent, and at the exponent of congruence depth s
+    1/ell times the share of units mod q^B at depth s in the prime's depth
+    table (depth is constant on classes mod ell-th powers)."""
+    table = _depth_table(q, ceilings)
+    out = {_wild_exponent(q, ell, 0): Fraction(ell - 1, ell)}
+    for s, c in Counter(table.values()).items():
+        out[_wild_exponent(q, ell, s)] = Fraction(c, ell * len(table))
     return out
 
 

@@ -23,10 +23,9 @@ from typing import Iterator
 
 from sympy import integer_nthroot
 
-from .abelian_groups import is_power_class
 from .class_unit import ClassGroup, compute_class_group, unit_coset_coords, unit_coset_reps
 from .config import Ceilings
-from .errors import DegenerateExtensionError, MissingRootOfUnityError
+from .errors import CeilingError, DegenerateExtensionError, MissingRootOfUnityError
 from .ideals import (
     FactoredIdeal,
     PartsDecomposition,
@@ -165,40 +164,66 @@ def wild_saturation_depth(q: PrimeIdeal, ell: int) -> int:
     return ell * (q.e // (ell - 1))
 
 
+def _wild_exponent(q: PrimeIdeal, ell: int, s: int) -> int:
+    """The discriminant exponent at q over ell: (ell-1)(B - s + 1) at
+    congruence depth s < B, 0 at s = B.  s = 0 stands for a gamma of
+    valuation prime to ell, where it is (ell-1)(B + 1) = (ell-1) + ell e."""
+    b = wild_saturation_depth(q, ell)
+    return (ell - 1) * (b - s + 1) if s < b else 0
+
+
+def _depth_table(q: PrimeIdeal, ceilings: Ceilings | None) -> dict[tuple[int, ...], int]:
+    """Every unit residue mod q^B to its congruence depth at q over ell = q.p,
+    by brute force once per prime: the ell-th powers mod q^B reduced mod q^m
+    are all those mod q^m, as (O_K/q^B)^x maps onto (O_K/q^m)^x, and depth 1
+    needs no test (every unit mod q is an ell-th power, the residue field
+    having order prime to ell).  Every call checks the residue-ring ceiling
+    before the cache."""
+    ell, K = q.p, q.field
+    b = wild_saturation_depth(q, ell)
+    limit = (ceilings or Ceilings()).residue_ring
+    if q.norm**b > limit:
+        raise CeilingError(f"residue ring of size {q.norm**b}", limit)
+    table = K._depth_cache.get(q)
+    if table is None:
+        top = q.power(b)
+        units = [r for r in top.residues() if any(q.ideal.reduce(r))]
+        powers = {top.reduce((K.element(r) ** ell).int_coords()) for r in units}
+        mods = {m: q.power(m) for m in range(b, 1, -1)}
+        sets = {m: {qm.reduce(y) for y in powers} for m, qm in mods.items()}
+        table = K._depth_cache[q] = {
+            r: next((m for m, qm in mods.items() if qm.reduce(r) in sets[m]), 1) for r in units
+        }
+    return table
+
+
 def _congruence_depth(
     gamma: AlgebraicNumber, q: PrimeIdeal, ell: int, ceilings: Ceilings | None
 ) -> int:
-    """Largest 0 < m <= B = ell*nu_q(1-zeta_ell) with gamma an ell-th power mod q^m.
-
-    gamma must be integral and coprime to q.  Power classes are monotone in
-    m, so the first success walking down is the maximum.  m = 1 always
-    succeeds: the residue field has order prime to ell, so x -> x^ell is
-    onto.
-    """
-    for m in range(wild_saturation_depth(q, ell), 0, -1):
-        if is_power_class(gamma, q.power(m), ell, ceilings):
-            return m
-    raise ArithmeticError(f"no congruence depth at {q!r}; residue logic broken")
+    """Largest 0 < m <= B = ell*nu_q(1-zeta_ell) with gamma an ell-th power
+    mod q^m, q over ell: one lookup of gamma mod q^B in the prime's
+    _depth_table.  gamma must be integral; a gamma in q raises ValueError."""
+    b = wild_saturation_depth(q, ell)
+    s = _depth_table(q, ceilings).get(q.power(b).reduce(gamma.int_coords()))
+    if s is None:
+        raise ValueError(f"{gamma!r} is not a unit modulo {q!r}^{b}")
+    return s
 
 
 def _wild_part(d: KummerDatum, ceilings: Ceilings | None) -> FactoredIdeal:
-    """The ell-part of the relative discriminant: exponent (ell-1) + ell e at
-    each prime of the datum's ell-part, and (ell-1)(B - s + 1) at every other
-    prime over ell whose congruence depth s is below B."""
+    """The ell-part of the relative discriminant: _wild_exponent at each
+    prime over ell, of the valuation at the primes of the datum's ell-part
+    and of the congruence depth at the others."""
     K, ell = d.field, d.ell
     lexps = d.parts.ell_part.exps
     wild: dict[PrimeIdeal, int] = {}
     for q in split_prime(K, ell):
         nu = lexps.get(q, 0)
-        if nu % ell:
-            wild[q] = (ell - 1) + ell * q.e
-            continue
-        if nu:
+        if nu and not nu % ell:
             raise ArithmeticError(f"datum not normalized at {q!r}")
-        bound = wild_saturation_depth(q, ell)
-        s = _congruence_depth(d.gamma, q, ell, ceilings)
-        if s < bound:
-            wild[q] = (ell - 1) * (bound - s + 1)
+        e = _wild_exponent(q, ell, 0 if nu else _congruence_depth(d.gamma, q, ell, ceilings))
+        if e:
+            wild[q] = e
     return FactoredIdeal._of(K, wild)
 
 
@@ -212,7 +237,8 @@ def _discriminant_split(
     depths, on gamma mod q^B at each prime q over ell, with
     B = ell e/(ell-1) <= 2e.  Since O_K = Z[theta] and ell^2 O_K lies in
     every such q^B, gamma's coordinates mod ell^2 decide it: the row
-    memoizes it under them, so each residue is worked out once per row.
+    memoizes it under them, so each residue is worked out once per row,
+    its depths looked up in _depth_table.
     """
     cell = _cell_of(d)
     row = cell.row
@@ -434,9 +460,7 @@ def iter_extensions(
     ]
     z_choices.sort(key=FactoredIdeal.sort_key)
     for Q in z_choices:
-        lmin_norm = 1
-        for q, e in Q.exps.items():
-            lmin_norm *= q.norm ** ((ell - 1) + ell * q.e)
+        lmin_norm = math.prod(q.norm ** _wild_exponent(q, ell, 0) for q in Q.exps)
         if order_by == "disc":
             if lmin_norm > X:
                 continue

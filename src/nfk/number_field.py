@@ -255,8 +255,7 @@ class NumberField:
         self._zeta_constants_cache: dict[tuple[int, int], object] = {}  # (ell, bound) (density.py)
         self._unit_group = None  # compute_unit_group (class_unit.py)
         self._class_group = None  # compute_class_group (class_unit.py)
-        self._unit_group_cache: dict = {}  # modulus HNF -> (O_K/m)^* (abelian_groups.py)
-        self._power_set_cache: dict = {}  # (modulus HNF, ell) -> ell-th powers (abelian_groups.py)
+        self._depth_cache: dict = {}  # prime over ell -> residue -> depth (kummer._depth_table)
         self._sqfree_tally_cache: dict = {}  # (ell, X, excluded primes) -> tally (density.py)
         self.ell = 2  # Kummer degree attached by build_field
 

@@ -22,17 +22,22 @@
 - ell_power_residues is the table of ell-th powers in (O_K/q^m)^x by brute
   force over the residues, with none of the unit-group code; the tests
   read the congruence depth kummer._congruence_depth off it.
+- congruence_depth_walk is the congruence depth as a walk m = B, ..., 1
+  through the ell-th power subgroups of the residue unit groups
+  (abelian_groups.is_power_class), which kummer._depth_table replaced by
+  one table per prime.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath
 import sympy
 
+from nfk.abelian_groups import unit_group_mod_ideal
 from nfk.class_unit import compute_class_group, unit_coset_coords
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, RankError
@@ -155,6 +160,27 @@ def ell_power_residues(q: PrimeIdeal, m: int, ell: int) -> frozenset[tuple[int, 
             y = mod.reduce(K.mul_int_coords(y, x))
         out.add(y)
     return frozenset(out)
+
+
+def congruence_depth_walk(
+    q: PrimeIdeal, ell: int, ceilings: Ceilings | None = None
+) -> Callable[[AlgebraicNumber], int]:
+    """gamma -> the largest m <= B = wild_saturation_depth with gamma an
+    ell-th power mod q^m, walking m = B, ..., 1 as is_power_class decides
+    membership: the residue unit group mod q^m and its ell-th powers, here
+    built once per (q, m)."""
+    levels = []
+    for m in range(wild_saturation_depth(q, ell), 0, -1):
+        rug = unit_group_mod_ideal(q.field, q.power(m), ceilings)
+        levels.append((m, rug, rug.group.power_subgroup(ell)))
+
+    def depth(gamma: AlgebraicNumber) -> int:
+        for m, rug, powers in levels:
+            if rug.image(gamma) in powers:
+                return m
+        raise ArithmeticError(f"no congruence depth at {q!r}")
+
+    return depth
 
 
 def euler_products_mpf(K: NumberField, ell: int, prime_bound: int) -> tuple[tuple, tuple]:

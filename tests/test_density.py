@@ -149,6 +149,75 @@ def test_rho_table_zeta3_ell3(field_zeta3):
     }
 
 
+def test_rho_table_qs2(field_qs2):
+    # 2 ramifies in Q(sqrt 2), e = 2, as in Q(i), but no depth is empty
+    rows = density_report(field_qs2, 2).rows
+    assert [(n, r) for _, n, r in rows] == [
+        (1, Fraction(1, 8)),
+        (4, Fraction(1, 8)),
+        (16, Fraction(1, 4)),
+        (32, Fraction(1, 2)),
+    ]
+
+
+def test_rho_table_x4_53x2_703():
+    # one prime over 3, with f = e = 2: depths 3, 2, 1 over 648 unit residues
+    K = build_field([703, 0, 53, 0, 1], ell=3)
+    rows = density_report(K, 3).rows
+    assert [(n, r) for _, n, r in rows] == [
+        (1, Fraction(1, 243)),
+        (6561, Fraction(8, 243)),
+        (531441, Fraction(8, 27)),
+        (43046721, Fraction(2, 3)),
+    ]
+
+
+def test_rho_rows_x4_7x2_13(field_x4_7x2_13):
+    # two primes over 3, f = 1 and e = 2 each: every pair of exponents in
+    # {0, 4, 6, 8}, with rho the product of the two local factors
+    K = field_x4_7x2_13
+    qs = sorted(split_prime(K, 3))
+    rows = density_report(K, 3).rows
+    assert [(tuple(Q.exps.get(q, 0) for q in qs), n, r) for Q, n, r in rows] == [
+        ((0, 0), 1, Fraction(1, 729)),
+        ((4, 0), 81, Fraction(2, 729)),
+        ((0, 4), 81, Fraction(2, 729)),
+        ((6, 0), 729, Fraction(2, 243)),
+        ((0, 6), 729, Fraction(2, 243)),
+        ((4, 4), 6561, Fraction(4, 729)),
+        ((8, 0), 6561, Fraction(2, 81)),
+        ((0, 8), 6561, Fraction(2, 81)),
+        ((4, 6), 59049, Fraction(4, 243)),
+        ((6, 4), 59049, Fraction(4, 243)),
+        ((4, 8), 531441, Fraction(4, 81)),
+        ((6, 6), 531441, Fraction(4, 81)),
+        ((8, 4), 531441, Fraction(4, 81)),
+        ((6, 8), 4782969, Fraction(4, 27)),
+        ((8, 6), 4782969, Fraction(4, 27)),
+        ((8, 8), 3**16, Fraction(4, 9)),
+    ]
+
+
+def test_density_raises_at_residue_ring_ceiling():
+    # on a fresh Q(zeta3), N(q^B) = 27: a residue-ring ceiling of 26 stops the
+    # report and rho, and the depth table is not cached, so a default call
+    # then builds it
+    K = build_field([1, 1, 1], ell=3)
+    tight = Ceilings(residue_ring=26)
+    with pytest.raises(CeilingError):
+        density_report(K, 3, tight)
+    with pytest.raises(CeilingError):
+        rho(K, 3, FactoredIdeal(K, {}), tight)
+    assert K._depth_cache == {}
+    assert density_report(K, 3).rho_by_norm() == {
+        1: Fraction(1, 27),
+        81: Fraction(2, 27),
+        729: Fraction(2, 9),
+        6561: Fraction(2, 3),
+    }
+    assert rho(K, 3, FactoredIdeal(K, {})) == Fraction(1, 27)
+
+
 def test_rho_sums_to_one_everywhere(field_q, field_qi, field_qm5, field_cubic9, field_zeta3):
     cases = [
         (field_q, 2),

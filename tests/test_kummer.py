@@ -8,6 +8,7 @@ import random
 import pytest
 
 from nfk import ideals, kummer
+from nfk.abelian_groups import is_power_class
 from nfk.class_unit import (
     compute_class_group,
     compute_unit_group,
@@ -40,6 +41,7 @@ from nfk.number_field import build_field
 from oracles import (
     assert_pairwise_non_isomorphic,
     discriminant_split_from_ideal,
+    congruence_depth_walk,
     ell_power_residues,
     is_isomorphic,
     steinitz_class_from_parts,
@@ -221,6 +223,43 @@ def test_congruence_depth_raises_at_residue_ring_ceiling():
     with pytest.raises(CeilingError):
         kummer._congruence_depth(K.one, q, 2, Ceilings(residue_ring=1))
     assert kummer._congruence_depth(K.one, q, 2, None) == kummer.wild_saturation_depth(q, 2)
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell", _DEPTH_FIELDS + [pytest.param([703, 0, 53, 0, 1], 3, id="x4_53x2_703")]
+)
+def test_congruence_depth_matches_power_walk(coeffs, ell):
+    # the depth table against the walk m = B, ..., 1 through the ell-th
+    # powers of the residue unit groups, on every unit residue mod q^B; on
+    # x^4+53x^2+703 the prime over 3 has f = 2 and N(q^B) = 729.  On a few
+    # residues the walk's answers are is_power_class's, m by m
+    K = build_field(coeffs, ell=ell)
+    for q in split_prime(K, ell):
+        bound = kummer.wild_saturation_depth(q, ell)
+        walk = congruence_depth_walk(q, ell)
+        top = q.power(bound)
+        units = [K.element(list(r)) for r in top.residues() if any(q.ideal.reduce(r))]
+        assert len(units) == len(kummer._depth_table(q, None))
+        for gamma in units:
+            assert kummer._congruence_depth(gamma, q, ell, None) == walk(gamma), (q, gamma)
+        for gamma in units[:: max(1, len(units) // 5)]:
+            depth = walk(gamma)
+            for m in range(1, bound + 1):
+                assert is_power_class(gamma, q.power(m), ell) == (m <= depth), (q, gamma, m)
+
+
+def test_congruence_depth_rejects_gamma_in_q():
+    # 1 + i and 2 lie in the prime over 2 of Q(i): ValueError, as the walk
+    # through the residue unit group raises, never a KeyError
+    K = build_field([1, 0, 1], ell=2)
+    (q,) = split_prime(K, 2)
+    walk = congruence_depth_walk(q, 2)
+    for gamma in (K.one + K.theta, K.from_int(2)):
+        with pytest.raises(ValueError):
+            kummer._congruence_depth(gamma, q, 2, None)
+        with pytest.raises(ValueError):
+            walk(gamma)
+    assert kummer._congruence_depth(K.theta, q, 2, None) == walk(K.theta)
 
 
 # ---------------------------------------------------------------------------
