@@ -6,8 +6,9 @@ class list under multiplication, and hand the times table to the abelian
 engine.  A prime above the census takes one Minkowski relation
 (Cohen, GTM 138, 6.5) where the unit rank is >= 1: a short element of the
 prime splits off a cofactor over census primes, whose class and stored
-generators give the prime's.  In Q and the imaginary quadratic fields it
-takes the principal tests of the census.
+generators give the prime's.  In an imaginary quadratic field the prime's
+reduced binary form names its class and a generator, with no search
+(Cohen, GTM 138, 5.2-5.4); over Q every prime is principal.
 
 Unit group: the roots of unity are the field's own
 (NumberField.torsion, the one roots-of-unity search); fundamental units
@@ -40,6 +41,7 @@ from .ideals import (
     PrimeIdeal,
     _coord_sort_key,
     _embedding_ranked,
+    _reduced_basis,
     _search_constants,
     as_factored,
     ideal_from_element,
@@ -392,6 +394,7 @@ class ClassGroup:
     prime_class: dict = dc_field(default_factory=dict)
     prime_gen: dict = dc_field(default_factory=dict)
     _ell_free_reps: dict = dc_field(default_factory=dict)
+    _forms: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # y -> t*y for each root of unity t, as int matrix rows (generator())
@@ -428,22 +431,66 @@ class ClassGroup:
         """Class index of a prime, under the caller's ceilings.
 
         The census primes come with the class group.  A new prime takes one
-        Minkowski relation (_relation) in unit rank >= 1, and principal
-        tests against the census representatives (_find_class) in Q and the
-        imaginary quadratic fields, whose reduced-form solve is cheaper.
-        The class and the generator found are cached, facts about the
-        field, not a budget."""
+        Minkowski relation (_relation) in unit rank >= 1 and its reduced
+        form (_reduced_form_class) in the imaginary quadratic fields; over
+        Q every prime is (p) in class 0.  None of them runs a principal
+        test.  The class and the generator found are cached, facts about
+        the field, not a budget."""
         got = self.prime_class.get(q)
         if got is not None:
             return got
         if self.units.rank:
             found = self._relation(q, ceilings)
+        elif self.field.degree == 1:
+            found = 0, ((q.p,), 1)
         else:
-            found = _find_class(FactoredIdeal(self.field, {q: 1}), self.reps, self.units, ceilings)
-            if found is None:
-                raise ArithmeticError(f"prime {q!r} matches no class; census incomplete")
+            found = self._reduced_form_class(q, ceilings)
         self.prime_class[q], self.prime_gen[q] = found
         return found[0]
+
+    def _reduced_form_class(
+        self, q: PrimeIdeal, ceilings: Ceilings | None
+    ) -> tuple[int, tuple[tuple[int, ...], int]]:
+        """(k, g) for a prime q of an imaginary quadratic field, with
+        q = (g) reps[k], from q's reduced form (Cohen, GTM 138, 5.2-5.4).
+
+        On an oriented basis (w, v) of an ideal a, N(s w + t v) / N(a) is a
+        primitive form of the field's discriminant, and lambda a has the
+        oriented basis (lambda w, lambda v) with the same form; so the
+        reduced form (_reduced_basis) is a class invariant, and with h
+        classes there are h reduced forms.  When q's reduced basis
+        (w_q, v_q) and that of r = reps[k] give one form, v_q / w_q and
+        v_r / w_r have one trace and norm and lie on one side of the real
+        axis, so they are equal and q = (w_q / w_r) r.  g is w_q w_r^-1
+        over the denominator stored in _forms, the table of the h reduced
+        forms built on the first lookup, reduced by one gcd.  The 2 basis
+        vectors count against ceilings.search_points.
+        """
+        limit = (ceilings or Ceilings()).search_points
+        if 2 > limit:
+            raise CeilingError("reduced form over 2 basis vectors", limit)
+        K = self.field
+        if self._forms is None:
+            # on the first lookup: the reduced form of each class, mapped to
+            # k and the inverse of the first vector w = x + y theta of
+            # reps[k]'s reduced basis, conj(w) / N(w) with
+            # conj(theta) = Tr(theta) - theta and N(w) = A
+            trace = K.theta_power(2)[1]
+            self._forms = {}
+            for k, rep in enumerate(self.reps):
+                a = rep.to_ideal()
+                n = a.norm()
+                (A, B, C), (x, y), _ = _reduced_basis(a)
+                self._forms[A // n, B // n, C // n] = k, (x + y * trace, -y), A
+        (A, B, C), w, _ = _reduced_basis(q.ideal)
+        n = q.norm
+        got = self._forms.get((A // n, B // n, C // n))
+        if got is None:
+            raise ArithmeticError(f"prime {q!r} matches no class; census incomplete")
+        k, inv, den = got
+        g = K.mul_int_coords(w, inv)
+        d = math.gcd(den, *g)
+        return k, (tuple(c // d for c in g), den // d)
 
     def _relation(
         self, q: PrimeIdeal, ceilings: Ceilings | None
@@ -747,9 +794,10 @@ def _find_class(
     cleared numerator, unranked) as (int coordinates, denominator); None
     when there is no such r.
 
-    It serves the census primes and the times table, and the new primes of
-    Q and the imaginary quadratic fields; new primes in unit rank >= 1 take
-    ClassGroup._relation, with this search as its test oracle."""
+    It serves the census primes and the times table only; a new prime
+    takes ClassGroup._relation in unit rank >= 1 and
+    ClassGroup._reduced_form_class in the imaginary quadratic fields, with
+    this search as the test oracle of both."""
     for i, rep in enumerate(reps):
         num, den = (fa * rep.inverse()).num_den()
         if num.is_one():

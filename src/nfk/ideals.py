@@ -15,7 +15,8 @@ imaginary quadratics, else NumberField.short_vectors on an ellipsoid that
 holds a unit multiple of every generator.  The census class lookups
 (class_unit._find_class) take the first match of norm_matches, unranked;
 a prime above the census takes a Minkowski relation instead in unit rank
->= 1 (ClassGroup._relation).
+>= 1 (ClassGroup._relation), and its reduced form (_reduced_basis) in an
+imaginary quadratic field (ClassGroup._reduced_form_class).
 The canonical generator, the F-map of the Kummer layer, minimizes the
 largest embedding magnitude, ties to the least coordinate key (|c| before
 sign, so 2 beats -2; in imaginary quadratic fields every generator ties).
@@ -516,13 +517,38 @@ def _coord_sort_key(coords: Sequence[int]) -> tuple:
     return tuple((abs(c), 0 if c >= 0 else 1) for c in reversed(coords))
 
 
+def _reduced_basis(a: Ideal) -> tuple[tuple[int, int, int], list[int], list[int]]:
+    """((A, B, C), w1, w2): the reduced basis of an ideal of an imaginary
+    quadratic field, with N(s w1 + t w2) = A s^2 + B s t + C t^2.
+
+    Lagrange-Gauss reduction (Cohen, GTM 138, 5.4.2) carries the HNF basis
+    along, by steps of determinant 1 that keep its orientation, to
+    -A < B <= A <= C with B >= 0 when A = C: the one reduced form in the
+    SL2(Z) class of the norm form (Cohen, 5.3.2).
+    """
+    K = a.field
+    w1, w2 = a.hnf.column(0), a.hnf.column(1)
+    A, C = K.norm_int(w1), K.norm_int(w2)
+    B = K.norm_int([x + y for x, y in zip(w1, w2)]) - A - C
+    while True:
+        # s -> s - k t puts B in (-A, A]; then (w1, w2) -> (w2, -w1) while
+        # A > C, or A = C with B < 0
+        k = (B + A - 1) // (2 * A)
+        if k:
+            C += A * k * k - B * k
+            B -= 2 * A * k
+            w2 = [y - k * x for x, y in zip(w1, w2)]
+        if A < C or (A == C and B >= 0):
+            return (A, B, C), w1, w2
+        A, B, C = C, -B, A
+        w1, w2 = w2, [-x for x in w1]
+
+
 def _imag_quadratic_norm_matches(a: Ideal, ceilings: Ceilings) -> list[list[int]]:
     """All x in the ideal lattice with N(x) = N(a) (imaginary quadratic K).
 
-    N(s w1 + t w2) = A s^2 + B s t + C t^2 is a positive-definite binary
-    form on a basis (w1, w2) of the lattice.  Lagrange-Gauss reduction
-    (Cohen, GTM 138, 5.4.2) carries the HNF basis along to one with
-    |B| <= A <= C, so that A^2 <= |D|/3 for D = B^2 - 4AC.  An x with
+    On the reduced basis (_reduced_basis), A^2 <= |D|/3 for the
+    discriminant D = B^2 - 4AC of the norm form.  An x = s w1 + t w2 with
     N(x) = N(a) has t^2 <= 4 A N(a)/|D|, and A >= N(a) (A is the norm of an
     element of a), so |t| <= 1.  Each of the three values of t leaves one
     quadratic in s, solved exactly; they count against
@@ -530,22 +556,8 @@ def _imag_quadratic_norm_matches(a: Ideal, ceilings: Ceilings) -> list[list[int]
     """
     if 3 > ceilings.search_points:
         raise CeilingError("generator search over 3 values of t", ceilings.search_points)
-    K = a.field
     target = a.norm()
-    w1, w2 = a.hnf.column(0), a.hnf.column(1)
-    A, C = K.norm_int(w1), K.norm_int(w2)
-    B = K.norm_int([x + y for x, y in zip(w1, w2)]) - A - C
-    while True:
-        # s -> s - k t puts B in (-A, A]; then swap while A > C
-        k = (B + A - 1) // (2 * A)
-        if k:
-            C += A * k * k - B * k
-            B -= 2 * A * k
-            w2 = [y - k * x for x, y in zip(w1, w2)]
-        if A <= C:
-            break
-        A, B, C = C, -B, A
-        w1, w2 = w2, [-x for x in w1]
+    (A, B, C), w1, w2 = _reduced_basis(a)
     D = B * B - 4 * A * C
     out = []
     for t in (-1, 0, 1):

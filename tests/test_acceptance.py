@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen checks, one printed pass/fail line each.
+"""Acceptance gate: fourteen checks, one printed pass/fail line each.
 
 Run with -s (or read captured stdout) for the lines; every check asserts
 both its tolerance and its runtime budget.
@@ -9,6 +9,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from sympy import divisors, factorint
@@ -20,7 +21,7 @@ from nfk.abelian_groups import (
 )
 from nfk.class_unit import compute_class_group
 from nfk.density import density_report, enumerate_R, identity_check, rho
-from nfk.harness import run_count_asymptotic_check
+from nfk.harness import load_field_spec, run_count_asymptotic_check
 from nfk.ideals import (
     decompose_parts,
     factor_ideal,
@@ -31,6 +32,7 @@ from nfk.kummer import (
     enumerate_extensions,
     iter_extensions,
     normalize_gamma,
+    realizable_class_subgroup,
     relative_discriminant,
     verify_trace_determinant,
 )
@@ -370,4 +372,45 @@ def test_criterion_13_ell3_steinitz_classes(field_x4_7x2_13):
         f"row dev {row_dev:.2f} sd (<=4)",
         time.perf_counter() - t0,
         30,
+    )
+
+
+def test_criterion_14_ell3_class_number_six():
+    # ell | h for odd ell: ell = 3 over x^4 + 53x^2 + 703 (Cl = Z/6, all six
+    # classes realizable), ordered by the ell-free part to X = 10^4.  Every
+    # record satisfies the Steinitz square identity and class(Delta) =
+    # 2 St; the record count and the class tallies are pinned as measured,
+    # with no tolerance on the class fractions (whether they approach 1/6
+    # within reach is open).
+    t0 = time.perf_counter()
+    K = load_field_spec(Path(__file__).resolve().parent.parent / "fieldspecs" / "x4_53x2_703.json")
+    records = list(iter_extensions(K, 3, 10**4, order_by="ell_free"))
+    cg = compute_class_group(K)
+    violations = 0
+    for rec in records:
+        parts = rec.datum.parts
+        den = (parts.ell_part * parts.root**3 * parts.power_parts[2]) ** 2
+        st = (rec.ell_part * den.inverse()).sqrt()
+        if st * st * den != rec.ell_part or cg.index_of(st) != rec.steinitz:
+            violations += 1
+        if cg.index_of(rec.discriminant) != cg.group.power(rec.steinitz, 2):
+            violations += 1
+    by_class = Counter(rec.steinitz for rec in records)
+    tallies = tuple(by_class[c] for c in range(cg.h))
+    ok = (
+        K.ell == 3
+        and cg.group.divisor_chain() == [6]
+        and realizable_class_subgroup(cg, 3) == list(range(6))
+        and violations == 0
+        and len(records) == 1417
+        and tallies == (526, 567, 81, 81, 81, 81)
+    )
+    _report(
+        14,
+        "ell = 3, h = 6",
+        ok,
+        f"X=1e4 (ell-free): {len(records)} extensions, {violations} violations, "
+        f"Cl invariants {cg.group.divisor_chain()}, class tallies {tallies}",
+        time.perf_counter() - t0,
+        60,
     )

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -521,19 +522,76 @@ def test_no_search_for_primes_above_the_census(monkeypatch):
     assert len(cg.prime_class) > len(census)
 
 
-def test_imaginary_quadratic_lookup_keeps_the_reduced_form(monkeypatch):
-    # Q(sqrt(-5)): a prime above the census still goes through the
-    # binary-form solve
+def test_imaginary_quadratic_lookup_runs_no_principal_test(monkeypatch):
+    # a new prime of a fresh Q(sqrt(-5)) takes its class from its reduced
+    # form, with no principal test and no relation; after set-up, fresh
+    # enumerations over Q(i), Q(sqrt(-5)) and Q(zeta3) look up new primes
+    # with no norm_matches call
+    calls = []
+    for module in (class_unit, ideals):
+        search = module.norm_matches
+        monkeypatch.setattr(
+            module, "norm_matches", lambda *a, search=search: calls.append(a) or search(*a)
+        )
+    find = class_unit._find_class
+    monkeypatch.setattr(class_unit, "_find_class", lambda *a: calls.append(a) or find(*a))
+    relation = ClassGroup._relation
+    monkeypatch.setattr(ClassGroup, "_relation", lambda *a: calls.append(a) or relation(*a))
     K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
     cg = compute_class_group(K)
-    calls = []
-    solve = ideals._imag_quadratic_norm_matches
-    monkeypatch.setattr(
-        ideals, "_imag_quadratic_norm_matches", lambda *a: calls.append(a) or solve(*a)
-    )
+    calls.clear()
     q = min(split_prime(K, 10007))
+    assert q not in cg.prime_class
     assert cg.class_of_prime(q) in (0, 1)
-    assert calls and calls[0][0] == q.ideal  # one solve per representative tried
+    assert calls == []
+    for coeffs, ell, bound in [([1, 0, 1], 2, 3000), ([5, 0, 1], 2, 3000), ([1, 1, 1], 3, 10**5)]:
+        K = build_field(coeffs, ell=ell, label="fresh")
+        cg = compute_class_group(K)
+        census = dict(cg.prime_class)
+        calls.clear()
+        assert enumerate_extensions(K, ell, bound)
+        assert calls == [], coeffs
+        assert len(cg.prime_class) > len(census), coeffs
+
+
+def test_class_of_prime_over_q_is_p(field_q):
+    # over Q every prime is (p) = (p) reps[0], as the census search finds
+    cg = compute_class_group(field_q)
+    for q in primes_of_norm_up_to(field_q, 200):
+        fa = FactoredIdeal(field_q, {q: 1})
+        assert cg.class_of_prime(q, Ceilings(search_points=1)) == 0
+        assert cg.prime_gen[q] == class_unit._find_class(fa, cg.reps, cg.units, None)[1]
+
+
+# fields for the reduced-form lookup against the census search: x^2+x+4
+# puts 226 of its primes on the form (2, 1, 2), A = C
+_IMAG_QUADRATIC = [
+    ([1, 0, 1], 1), ([5, 0, 1], 2), ([1, 1, 1], 1), ([4, 1, 1], 2),
+    ([14, 0, 1], 4), ([71, 1, 1], 3), ([26, 0, 1], 6),
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs, h", _IMAG_QUADRATIC, ids=["qi", "qm5", "zeta3", "qm15", "qm14", "qm283", "qm26"]
+)
+def test_reduced_form_class_matches_search(coeffs, h):
+    # every prime up to norm 3000, census primes included: the reduced
+    # form's class is the search's, its generator differs from the
+    # search's by a root of unity, and g/den generates q reps[k]^-1 exactly
+    K = build_field(coeffs, ell=2)
+    cg = compute_class_group(K)
+    assert cg.h == h
+    primes = list(primes_of_norm_up_to(K, 3000))
+    assert len(primes) > 400
+    for q in primes:
+        fa = FactoredIdeal(K, {q: 1})
+        k, (g, den) = cg._reduced_form_class(q, None)
+        want, (g0, den0) = class_unit._find_class(fa, cg.reps, cg.units, None)
+        assert k == want, q
+        ratio = K.element([Fraction(c, den) for c in g]) / K.element([Fraction(c, den0) for c in g0])
+        assert ratio in cg.units.torsion_elements(), q
+        assert _principal_factored(K, g, den) == fa * cg.reps[k].inverse(), q
+    assert len(cg._forms) == h
 
 
 def test_power_subgroup_indices(field_qm5):
