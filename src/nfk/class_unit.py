@@ -1,14 +1,16 @@
 """Class group and unit group at desk scale.
 
 Class group: census every prime of norm up to the Minkowski bound, sort
-the primes into equivalence classes with principality tests, close the
-class list under multiplication, and hand the times table to the abelian
-engine.  A prime above the census takes one Minkowski relation
+the primes into equivalence classes, close the class list under
+multiplication, and hand the times table to the abelian engine.  In an
+imaginary quadratic field an ideal's reduced binary form names its class
+and a generator (Cohen, GTM 138, 5.2-5.4): the census fills a table of the
+classes' reduced forms, and every lookup, in the census and after it, is
+one reduction with no search.  Elsewhere the census sorts by principality
+tests, and a prime above the census takes one Minkowski relation
 (Cohen, GTM 138, 6.5) where the unit rank is >= 1: a short element of the
 prime splits off a cofactor over census primes, whose class and stored
-generators give the prime's.  In an imaginary quadratic field the prime's
-reduced binary form names its class and a generator, with no search
-(Cohen, GTM 138, 5.2-5.4); over Q every prime is principal.
+generators give the prime's.  Over Q every prime is principal.
 
 Unit group: the roots of unity are the field's own
 (NumberField.torsion, the one roots-of-unity search); fundamental units
@@ -38,6 +40,7 @@ from .errors import CeilingError, MissingRootOfUnityError, NotPrincipalError, Ra
 from .exact_math import lattice_contains
 from .ideals import (
     FactoredIdeal,
+    Ideal,
     PrimeIdeal,
     _coord_sort_key,
     _embedding_ranked,
@@ -379,7 +382,8 @@ class ClassGroup:
     products[(i, j)] = (k, g) with reps[i] reps[j] = (g) reps[k], the times
     table that group.op reads; prime_class[q] = c and prime_gen[q] = g with
     q = (g) reps[c].  Each g is an int coordinate tuple over one positive
-    int denominator, the first generator a class search or relation found.
+    int denominator, the first generator a class search, relation or
+    reduced form found.
     generator() multiplies them into a generator of an ideal and picks the
     canonical one among its torsion and unit multiples, whichever g it
     started from, with no search.
@@ -394,7 +398,11 @@ class ClassGroup:
     prime_class: dict = dc_field(default_factory=dict)
     prime_gen: dict = dc_field(default_factory=dict)
     _ell_free_reps: dict = dc_field(default_factory=dict)
-    _forms: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
+    # imaginary quadratic fields: reduced form -> entry of its class (_form_class)
+    _forms: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _torsion_rows: list = dc_field(init=False, repr=False, compare=False)
+    _unit_coords: list = dc_field(init=False, repr=False, compare=False)
+    _log_scale: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # y -> t*y for each root of unity t, as int matrix rows (generator())
@@ -452,45 +460,12 @@ class ClassGroup:
         self, q: PrimeIdeal, ceilings: Ceilings | None
     ) -> tuple[int, tuple[tuple[int, ...], int]]:
         """(k, g) for a prime q of an imaginary quadratic field, with
-        q = (g) reps[k], from q's reduced form (Cohen, GTM 138, 5.2-5.4).
-
-        On an oriented basis (w, v) of an ideal a, N(s w + t v) / N(a) is a
-        primitive form of the field's discriminant, and lambda a has the
-        oriented basis (lambda w, lambda v) with the same form; so the
-        reduced form (_reduced_basis) is a class invariant, and with h
-        classes there are h reduced forms.  When q's reduced basis
-        (w_q, v_q) and that of r = reps[k] give one form, v_q / w_q and
-        v_r / w_r have one trace and norm and lie on one side of the real
-        axis, so they are equal and q = (w_q / w_r) r.  g is w_q w_r^-1
-        over the denominator stored in _forms, the table of the h reduced
-        forms built on the first lookup, reduced by one gcd.  The 2 basis
-        vectors count against ceilings.search_points.
-        """
-        limit = (ceilings or Ceilings()).search_points
-        if 2 > limit:
-            raise CeilingError("reduced form over 2 basis vectors", limit)
-        K = self.field
-        if self._forms is None:
-            # on the first lookup: the reduced form of each class, mapped to
-            # k and the inverse of the first vector w = x + y theta of
-            # reps[k]'s reduced basis, conj(w) / N(w) with
-            # conj(theta) = Tr(theta) - theta and N(w) = A
-            trace = K.theta_power(2)[1]
-            self._forms = {}
-            for k, rep in enumerate(self.reps):
-                a = rep.to_ideal()
-                n = a.norm()
-                (A, B, C), (x, y), _ = _reduced_basis(a)
-                self._forms[A // n, B // n, C // n] = k, (x + y * trace, -y), A
-        (A, B, C), w, _ = _reduced_basis(q.ideal)
-        n = q.norm
-        got = self._forms.get((A // n, B // n, C // n))
-        if got is None:
+        q = (g) reps[k], from q's reduced form in the census's table of the
+        classes' reduced forms (_form_class)."""
+        found = _form_class(q.ideal, self._forms, ceilings)
+        if found is None:
             raise ArithmeticError(f"prime {q!r} matches no class; census incomplete")
-        k, inv, den = got
-        g = K.mul_int_coords(w, inv)
-        d = math.gcd(den, *g)
-        return k, (tuple(c // d for c in g), den // d)
+        return found
 
     def _relation(
         self, q: PrimeIdeal, ceilings: Ceilings | None
@@ -786,6 +761,45 @@ def _relation_element(
     return best[0], best[1][::-1]
 
 
+def _form_class(
+    a: Ideal, forms: dict, ceilings: Ceilings | None, new: int | None = None
+) -> tuple[int, tuple[tuple[int, ...], int]] | None:
+    """(k, g) with a = (g) reps[k], for an ideal a of an imaginary quadratic
+    field, from its reduced form (Cohen, GTM 138, 5.2-5.4); None on a miss,
+    after entering a as class `new` when one is given.
+
+    On an oriented basis (w, v) of an ideal a, N(s w + t v) / N(a) is a
+    primitive form of the field's discriminant, and lambda a has the
+    oriented basis (lambda w, lambda v) with the same form; so the reduced
+    form (_reduced_basis) is a class invariant, and with h classes there
+    are h reduced forms.  forms maps the reduced form of each reps[k] to
+    (k, conj(w_r), N(w_r)), w_r = x + y theta the first vector of its
+    reduced basis and conj(theta) = Tr(theta) - theta.  When a's reduced
+    basis (w_a, v_a) and that of r = reps[k] give one form, v_a / w_a and
+    v_r / w_r have one trace and norm and lie on one side of the real axis,
+    so they are equal and a = (w_a / w_r) r: g is w_a conj(w_r) over N(w_r),
+    reduced by one gcd.  The 2 basis vectors count against
+    ceilings.search_points.
+    """
+    limit = (ceilings or Ceilings()).search_points
+    if 2 > limit:
+        raise CeilingError("reduced form over 2 basis vectors", limit)
+    K = a.field
+    n = a.norm()
+    (A, B, C), w, _ = _reduced_basis(a)
+    form = A // n, B // n, C // n
+    got = forms.get(form)
+    if got is None:
+        if new is not None:
+            x, y = w
+            forms[form] = new, (x + y * K.theta_power(2)[1], -y), A
+        return None
+    k, inv, den = got
+    g = K.mul_int_coords(w, inv)
+    d = math.gcd(den, *g)
+    return k, (tuple(c // d for c in g), den // d)
+
+
 def _find_class(
     fa: FactoredIdeal, reps: list[FactoredIdeal], units: UnitGroup, ceilings: Ceilings | None
 ) -> tuple[int, tuple[tuple[int, ...], int]] | None:
@@ -794,10 +808,10 @@ def _find_class(
     cleared numerator, unranked) as (int coordinates, denominator); None
     when there is no such r.
 
-    It serves the census primes and the times table only; a new prime
-    takes ClassGroup._relation in unit rank >= 1 and
-    ClassGroup._reduced_form_class in the imaginary quadratic fields, with
-    this search as the test oracle of both."""
+    It serves the census in unit rank >= 1 only, and the tests: a new
+    prime takes ClassGroup._relation there, with this search as its test
+    oracle, and the imaginary quadratic fields read reduced forms
+    (_form_class) throughout."""
     for i, rep in enumerate(reps):
         num, den = (fa * rep.inverse()).num_den()
         if num.is_one():
@@ -822,17 +836,28 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
     reps: list[FactoredIdeal] = [FactoredIdeal.unit(K)]
     prime_class: dict[PrimeIdeal, int] = {}
     prime_gen: dict[PrimeIdeal, tuple] = {}
-    for q in sorted(primes_of_norm_up_to(K, bound)):
-        fa = FactoredIdeal(K, {q: 1})
-        found = _find_class(fa, reps, units, ceilings)
+    forms: dict = {}
+    if K.degree == 2 and not units.rank:
+        # imaginary quadratic: every lookup reads a reduced form, and the
+        # unit ideal's is seeded under no ceiling
+        _form_class(Ideal.one(K), forms, None, 0)
+
+    def classify(fa: FactoredIdeal) -> tuple:
+        # (class, generator) of fa; fa is the next representative when it
+        # lies in no listed class
+        found = (_form_class(fa.to_ideal(), forms, ceilings, len(reps)) if forms
+                 else _find_class(fa, reps, units, ceilings))
         if found is None:
             reps.append(fa)
             found = len(reps) - 1, one
-        prime_class[q], prime_gen[q] = found
+        return found
+
+    for q in sorted(primes_of_norm_up_to(K, bound)):
+        prime_class[q], prime_gen[q] = classify(FactoredIdeal(K, {q: 1}))
 
     # close the class list and fill the times table in one pass: each round
     # tests once each product reps[i] reps[j], 1 <= i <= j, new since the
-    # last round; a product in no listed class is the next representative
+    # last round
     products: dict[tuple[int, int], tuple] = {}
     done = 1
     while done < len(reps):
@@ -841,12 +866,7 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
             raise ArithmeticError(f"class census runaway at {h} classes")
         for i in range(1, h):
             for j in range(max(i, done), h):
-                prod = reps[i] * reps[j]
-                found = _find_class(prod, reps, units, ceilings)
-                if found is None:
-                    reps.append(prod)
-                    found = len(reps) - 1, one
-                products[i, j] = products[j, i] = found
+                products[i, j] = products[j, i] = classify(reps[i] * reps[j])
         done = h
     h = len(reps)
     for j in range(h):
@@ -855,5 +875,5 @@ def _class_group_census(K: NumberField, ceilings: Ceilings | None) -> ClassGroup
     group = FiniteAbelianGroup(list(range(h)), lambda a, b: products[a, b][0], 0)
     return ClassGroup(
         field=K, group=group, reps=reps, units=units, products=products, bound=bound,
-        prime_class=prime_class, prime_gen=prime_gen,
+        prime_class=prime_class, prime_gen=prime_gen, _forms=forms,
     )

@@ -10,13 +10,14 @@ integer denominator.  decompose_parts gives the four parts of a Kummer
 datum (PartsDecomposition); kummer derives from them what a cell shares.
 
 Generator searches (principality tests) enumerate the lattice elements of
-the right norm exactly: closed form in degree 1, a reduced binary form for
-imaginary quadratics, else NumberField.short_vectors on an ellipsoid that
-holds a unit multiple of every generator.  The census class lookups
-(class_unit._find_class) take the first match of norm_matches, unranked;
-a prime above the census takes a Minkowski relation instead in unit rank
->= 1 (ClassGroup._relation), and its reduced form (_reduced_basis) in an
-imaginary quadratic field (ClassGroup._reduced_form_class).
+the right norm exactly: closed form in degree 1, else
+NumberField.short_vectors on an ellipsoid that holds a unit multiple of
+every generator (in unit rank 0, the disc of radius sqrt N).  The census
+class lookups in unit rank >= 1 (class_unit._find_class) take the first
+match of norm_matches, unranked, and a prime above the census takes a
+Minkowski relation (ClassGroup._relation).  An imaginary quadratic field
+runs no search outside the tests: the Gauss-reduced basis (_reduced_basis)
+of an ideal names its class (class_unit._form_class).
 The canonical generator, the F-map of the Kummer layer, minimizes the
 largest embedding magnitude, ties to the least coordinate key (|c| before
 sign, so 2 beats -2; in imaginary quadratic fields every generator ties).
@@ -39,7 +40,7 @@ from sympy.ntheory import sqrt_mod
 from sympy.polys.galoistools import gf_ddf_zassenhaus
 
 from .config import Ceilings
-from .errors import CeilingError, NotASquareError, NotPrincipalError, RankError
+from .errors import NotASquareError, NotPrincipalError, RankError
 from .exact_math import (
     IntMatrix,
     IntPolynomial,
@@ -544,37 +545,6 @@ def _reduced_basis(a: Ideal) -> tuple[tuple[int, int, int], list[int], list[int]
         w1, w2 = w2, [-x for x in w1]
 
 
-def _imag_quadratic_norm_matches(a: Ideal, ceilings: Ceilings) -> list[list[int]]:
-    """All x in the ideal lattice with N(x) = N(a) (imaginary quadratic K).
-
-    On the reduced basis (_reduced_basis), A^2 <= |D|/3 for the
-    discriminant D = B^2 - 4AC of the norm form.  An x = s w1 + t w2 with
-    N(x) = N(a) has t^2 <= 4 A N(a)/|D|, and A >= N(a) (A is the norm of an
-    element of a), so |t| <= 1.  Each of the three values of t leaves one
-    quadratic in s, solved exactly; they count against
-    ceilings.search_points.
-    """
-    if 3 > ceilings.search_points:
-        raise CeilingError("generator search over 3 values of t", ceilings.search_points)
-    target = a.norm()
-    (A, B, C), w1, w2 = _reduced_basis(a)
-    D = B * B - 4 * A * C
-    out = []
-    for t in (-1, 0, 1):
-        disc_t = D * t * t + 4 * A * target
-        if disc_t < 0:
-            continue
-        r = math.isqrt(disc_t)
-        if r * r != disc_t:
-            continue
-        for sgn in ((1,) if r == 0 else (1, -1)):
-            num = -B * t + sgn * r
-            if num % (2 * A) == 0:
-                s = num // (2 * A)
-                out.append([s * x + t * y for x, y in zip(w1, w2)])
-    return out
-
-
 def _search_constants(K: NumberField, units: Sequence[AlgebraicNumber]) -> float:
     """The unit-balance scale e^(max spread) * 1.0001 of _lattice_norm_matches,
     in floats from K.log_abs_embeddings.  ClassGroup.generator bounds its
@@ -628,8 +598,6 @@ def norm_matches(
     target = a.norm()
     if K.degree == 1:
         return [[target], [-target]]
-    if K.degree == 2 and K.r1 == 0:
-        return _imag_quadratic_norm_matches(a, ceilings)
     return _lattice_norm_matches(a, target, units, ceilings)
 
 

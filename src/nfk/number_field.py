@@ -285,25 +285,32 @@ class NumberField:
         one (c, ((i, e_i), ...)) per monomial with its nonzero exponents only.
 
         Expanded once per field from det of the generic multiplication
-        matrix; evaluating the form is far cheaper than fraction-exact
-        Gaussian elimination per element.
+        matrix, whose (r, j) entry is the linear form sum_i x_i theta^(i+j)_r,
+        in plain ints: the minor on the last k rows and a set of k columns is
+        a {exponent tuple: coefficient} dict, expanded along its first row
+        into minors on one column fewer.  Evaluating the form is far cheaper
+        than fraction-exact Gaussian elimination per element.
         """
         if self._norm_terms is None:
-            import sympy
-
             n = self.degree
-            xs = sympy.symbols(f"x0:{n}")
-            rows = [
-                [
-                    sum(xs[i] * self.theta_power(i + j)[r] for i in range(n))
-                    for j in range(n)
-                ]
-                for r in range(n)
-            ]
-            det = sympy.Matrix(rows).det(method="berkowitz")
-            poly = sympy.Poly(det, *xs)
+            entries = [[[self.theta_power(i + j)[r] for i in range(n)] for j in range(n)]
+                       for r in range(n)]
+            minors = {0: {(0,) * n: 1}}  # column mask -> minor
+            for mask in sorted(range(1, 1 << n), key=int.bit_count):
+                got, sign, row = {}, 1, entries[n - mask.bit_count()]
+                for j in range(n):
+                    if mask >> j & 1:
+                        sub = minors[mask ^ 1 << j]
+                        for i, c1 in enumerate(row[j]):
+                            if c1:
+                                for e2, c2 in sub.items():
+                                    e = e2[:i] + (e2[i] + 1,) + e2[i + 1:]
+                                    got[e] = got.get(e, 0) + sign * c1 * c2
+                        sign = -sign
+                minors[mask] = {e: c for e, c in got.items() if c}
             self._norm_terms = [
-                (int(c), tuple((i, e) for i, e in enumerate(m) if e)) for m, c in poly.terms()
+                (c, tuple((i, k) for i, k in enumerate(e) if k))
+                for e, c in minors[(1 << n) - 1].items()
             ]
         return self._norm_terms
 

@@ -4,8 +4,11 @@
   ideals._lattice_norm_matches replaced; tests compare the two and can
   monkeypatch it in for the lattice search.
 - imag_quadratic_norm_matches_unreduced is the t-scan on the raw HNF
-  basis that ideals._imag_quadratic_norm_matches replaced by a scan on the
-  Gauss-reduced basis.
+  basis, a solve of the norm form in the imaginary quadratic fields; it
+  checks the lattice search that norm_matches runs there.
+- class_census_by_search is the Minkowski census with a principal test per
+  lookup (class_unit._find_class), which the imaginary quadratic fields
+  replaced by a table of the classes' reduced forms (class_unit._form_class).
 - discriminant_split_from_ideal and steinitz_class_from_parts are the
   per-candidate relative discriminant and Steinitz class, rebuilt from the
   whole ideal gamma O_K, that the Kummer layer replaced by work shared
@@ -38,10 +41,17 @@ import mpmath
 import sympy
 
 from nfk.abelian_groups import unit_group_mod_ideal
-from nfk.class_unit import compute_class_group, unit_coset_coords
+from nfk.class_unit import _find_class, compute_class_group, compute_unit_group, unit_coset_coords
 from nfk.config import Ceilings
 from nfk.errors import CeilingError, RankError
-from nfk.ideals import FactoredIdeal, Ideal, PrimeIdeal, residue_degrees, split_prime
+from nfk.ideals import (
+    FactoredIdeal,
+    Ideal,
+    PrimeIdeal,
+    primes_of_norm_up_to,
+    residue_degrees,
+    split_prime,
+)
 from nfk.kummer import (
     ExtensionRecord,
     KummerDatum,
@@ -297,6 +307,39 @@ def imag_quadratic_norm_matches_unreduced(a: Ideal, target: int) -> list[list[in
                 s = num // (2 * A)
                 out.append([s * c1 + t * c2 for c1, c2 in zip(a.hnf.column(0), a.hnf.column(1))])
     return out
+
+
+def class_census_by_search(K: NumberField) -> tuple[list, dict, dict, dict]:
+    """(reps, prime_class, prime_gen, products) of the Minkowski census, as
+    ClassGroup holds them, with every lookup a principal test: the first
+    representative r with fa r^-1 principal, else fa is the next one.  Each
+    census prime is looked up, then each product reps[i] reps[j], i <= j,
+    new since the last round, until the class list closes."""
+    units = compute_unit_group(K)
+    one = (K.one.coords, 1)
+    reps = [FactoredIdeal.unit(K)]
+
+    def find(fa: FactoredIdeal) -> tuple:
+        found = _find_class(fa, reps, units, None)
+        if found is None:
+            reps.append(fa)
+            found = len(reps) - 1, one
+        return found
+
+    prime_class, prime_gen = {}, {}
+    for q in sorted(primes_of_norm_up_to(K, K.minkowski_bound())):
+        prime_class[q], prime_gen[q] = find(FactoredIdeal(K, {q: 1}))
+    products = {}
+    done = 1
+    while done < len(reps):
+        h = len(reps)
+        for i in range(1, h):
+            for j in range(max(i, done), h):
+                products[i, j] = products[j, i] = find(reps[i] * reps[j])
+        done = h
+    for j in range(len(reps)):
+        products[0, j] = products[j, 0] = j, one
+    return reps, prime_class, prime_gen, products
 
 
 def _solve_fraction(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -34,6 +34,7 @@ from nfk.ideals import (
 )
 from nfk.kummer import enumerate_extensions
 from nfk.number_field import NumberField, build_field
+from oracles import class_census_by_search
 
 
 def test_units_rank_zero(field_q, field_qi, field_qm5):
@@ -345,8 +346,8 @@ def test_count_check_over_q_looks_up_no_class(monkeypatch):
 
 
 def test_imaginary_quadratic_class_of_prime_honours_search_ceiling():
-    # a fresh Q(sqrt(-5)): the binary-form solve for a prime of norm 10007
-    # scans three values of t, past a ceiling of one point
+    # a fresh Q(sqrt(-5)): the reduced form of a prime of norm 10007
+    # reads 2 basis vectors, past a ceiling of one point
     K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
     cg = compute_class_group(K)
     q = min(split_prime(K, 10007))
@@ -405,7 +406,7 @@ def test_class_number_fresh_qm5():
             [-9, -1, 0, 1], 2, 7, [{}, {"3,1,1,0": 1}],
             {"2,3,1": 0, "3,1,1,0": 1, "3,1,1,1": 0, "3,1,1,2": 1, "5,1,1": 1, "11,1,1": 1},
         ),
-        ([5, 0, 1], 2, 2, [{}, {"2,1,2": 1}], {"2,1,2": 1}),
+        ([5, 0, 1], 2, 3, [{}, {"2,1,2": 1}], {"2,1,2": 1}),
         (
             [13, 0, 7, 0, 1], 3, 4, [{}, {"3,1,2,0": 1}],
             {"2,2,2": 1, "3,1,2,0": 1, "3,1,2,1": 1},
@@ -417,9 +418,13 @@ def test_census_tests_each_product_once(coeffs, ell, lookups, reps, classes, mon
     # a fresh census looks up each census prime once and each product of
     # nontrivial representatives reps[i] reps[j], i <= j, once; products
     # with reps[0] need no lookup.  Representatives and classes are pinned.
+    # A lookup is a principal test (_find_class), or in Q(sqrt(-5)) one
+    # reduction (_reduced_basis), which also seeds the unit ideal's form.
     calls = []
     find = class_unit._find_class
     monkeypatch.setattr(class_unit, "_find_class", lambda *a: calls.append(a) or find(*a))
+    reduce = class_unit._reduced_basis
+    monkeypatch.setattr(class_unit, "_reduced_basis", lambda *a: calls.append(a) or reduce(*a))
     cg = compute_class_group(build_field(coeffs, ell=ell))
     assert len(calls) == lookups
     assert [{q.label(): e for q, e in r.exps.items()} for r in cg.reps] == reps
@@ -431,8 +436,20 @@ def test_class_census_honours_search_ceiling():
     # a fresh cubic-9: its census runs lattice searches, which must see the
     # caller's search_points
     K = build_field([-9, -1, 0, 1], ell=2, label="cubic-9")
+    tiny = Ceilings(search_points=1)
     with pytest.raises(CeilingError):
-        compute_class_group(K, Ceilings(search_points=1))
+        compute_class_group(K, tiny)
+    # fresh imaginary quadratic fields with census primes: each lookup
+    # charges its 2 reduced basis vectors, and a failed census caches nothing
+    for coeffs, h in [([5, 0, 1], 2), ([71, 1, 1], 3)]:
+        K = build_field(coeffs, ell=2, label="fresh")
+        with pytest.raises(CeilingError):
+            compute_class_group(K, tiny)
+        assert K._class_group is None
+        assert compute_class_group(K).h == h
+    # Q(i) and Q(zeta3) have no prime under the Minkowski bound
+    for coeffs in ([1, 0, 1], [1, 1, 1]):
+        assert compute_class_group(build_field(coeffs, ell=2, label="fresh"), tiny).h == 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +540,9 @@ def test_no_search_for_primes_above_the_census(monkeypatch):
 
 
 def test_imaginary_quadratic_lookup_runs_no_principal_test(monkeypatch):
-    # a new prime of a fresh Q(sqrt(-5)) takes its class from its reduced
-    # form, with no principal test and no relation; after set-up, fresh
-    # enumerations over Q(i), Q(sqrt(-5)) and Q(zeta3) look up new primes
+    # the census of a fresh Q(sqrt(-5)) and a new prime's lookup read
+    # reduced forms, with no principal test and no relation; fresh censuses
+    # and enumerations over Q(i), Q(sqrt(-5)) and Q(zeta3) look up primes
     # with no norm_matches call
     calls = []
     for module in (class_unit, ideals):
@@ -539,7 +556,7 @@ def test_imaginary_quadratic_lookup_runs_no_principal_test(monkeypatch):
     monkeypatch.setattr(ClassGroup, "_relation", lambda *a: calls.append(a) or relation(*a))
     K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
     cg = compute_class_group(K)
-    calls.clear()
+    assert calls == []
     q = min(split_prime(K, 10007))
     assert q not in cg.prime_class
     assert cg.class_of_prime(q) in (0, 1)
@@ -548,7 +565,7 @@ def test_imaginary_quadratic_lookup_runs_no_principal_test(monkeypatch):
         K = build_field(coeffs, ell=ell, label="fresh")
         cg = compute_class_group(K)
         census = dict(cg.prime_class)
-        calls.clear()
+        assert calls == [], coeffs
         assert enumerate_extensions(K, ell, bound)
         assert calls == [], coeffs
         assert len(cg.prime_class) > len(census), coeffs
@@ -592,6 +609,32 @@ def test_reduced_form_class_matches_search(coeffs, h):
         assert ratio in cg.units.torsion_elements(), q
         assert _principal_factored(K, g, den) == fa * cg.reps[k].inverse(), q
     assert len(cg._forms) == h
+
+
+@pytest.mark.parametrize(
+    "coeffs, h", _IMAG_QUADRATIC, ids=["qi", "qm5", "zeta3", "qm15", "qm14", "qm283", "qm26"]
+)
+def test_form_census_matches_search_census(coeffs, h):
+    # the census read from reduced forms against the census of principal
+    # tests: the same representatives, prime classes and times table, and
+    # every stored generator the search's times a root of unity, generating
+    # its ideal exactly
+    K = build_field(coeffs, ell=2)
+    cg = compute_class_group(K)
+    reps, prime_class, prime_gen, products = class_census_by_search(K)
+    assert cg.h == len(reps) == h
+    assert cg.reps == reps
+    assert cg.prime_class == prime_class
+    assert {key: v[0] for key, v in cg.products.items()} == {key: v[0] for key, v in products.items()}
+    ideals_of = {q: FactoredIdeal(K, {q: 1}) for q in prime_class}
+    ideals_of.update({(i, j): reps[i] * reps[j] for i, j in products})
+    pairs = [(q, prime_class[q], cg.prime_gen[q], prime_gen[q]) for q in prime_class]
+    pairs += [(key, k, cg.products[key][1], g) for key, (k, g) in products.items()]
+    assert len(pairs) == len(prime_class) + h * h and bool(prime_class) == (h > 1)
+    for key, k, (g, den), (g0, den0) in pairs:
+        ratio = K.element([Fraction(c, den) for c in g]) / K.element([Fraction(c, den0) for c in g0])
+        assert ratio in cg.units.torsion_elements(), key
+        assert _principal_factored(K, g, den) == ideals_of[key] * reps[k].inverse(), key
 
 
 def test_power_subgroup_indices(field_qm5):
@@ -768,7 +811,7 @@ def test_composed_generator_honours_search_ceiling_in_positive_rank():
 
 def test_composed_generator_honours_search_ceiling():
     # a fresh Q(sqrt(-5)): composing (10007) = q q' looks up the class and
-    # generator of q with a binary-form solve past a ceiling of one point
+    # generator of q from its reduced form, past a ceiling of one point
     K = build_field([5, 0, 1], ell=2, label="qm5-fresh")
     cg = compute_class_group(K)
     q, q_bar = split_prime(K, 10007)

@@ -528,10 +528,10 @@ def test_lattice_search_matches_box_oracle(name, bound, request, monkeypatch):
     ids=["Q(i)", "Q(sqrt(-5))", "Q(zeta3)", "Q(sqrt(-2))", "x^2+x+6"],
 )
 def test_reduced_imag_quadratic_scan_matches_oracle(coeffs):
-    # the scan of |t| <= 1 on the Gauss-reduced basis finds the same set of
-    # matches as the scan on the raw HNF basis.  The ideals are every product
-    # of primes up to norm 300 and products of two split primes over
-    # 2000 < p < 2300.
+    # the lattice search of norm_matches (unit rank 0, no spread) finds the
+    # same set of matches as the t-scan on the raw HNF basis.  The ideals are
+    # every product of primes up to norm 300 and products of two split
+    # primes over 2000 < p < 2300.
     K = build_field(coeffs, ell=2)
     rng = random.Random(7)
     big = [q for p in primerange(2000, 2300) for q in split_prime(K, p) if q.f == 1]
@@ -540,7 +540,7 @@ def test_reduced_imag_quadratic_scan_matches_oracle(coeffs):
     for fa in _integral_ideals(K, 300) + [FactoredIdeal(K, {q: 1, r: 1}) for q, r in pairs]:
         a = fa.to_ideal()
         target = a.norm()
-        fast = ideals._imag_quadratic_norm_matches(a, Ceilings())
+        fast = ideals.norm_matches(a)
         slow = imag_quadratic_norm_matches_unreduced(a, target)
         assert sorted(map(tuple, fast)) == sorted(map(tuple, slow)), fa
         verdicts.add(bool(fast))

@@ -159,12 +159,13 @@ def test_log_abs_embeddings_match_high_precision(coeffs):
 @pytest.mark.parametrize(
     "coeffs, ell",
     [pytest.param(spec["poly"], spec["ell"], id=spec["label"]) for spec in
-     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))],
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))]
+    + [pytest.param([1] * 7, 7, id="Q(zeta7)"), pytest.param([1, -2, -1, 1], 2, id="x^3-x^2-2x+1")],
 )
 def test_norm_int_matches_exact_determinant(coeffs, ell):
-    # norm_int evaluates the norm form's monomials; the Fraction
-    # determinant of the multiplication matrix (the path of non-integral
-    # elements) is the oracle
+    # norm_int evaluates the norm form's monomials, expanded once per field
+    # by a Laplace expansion in ints; the Fraction determinant of the
+    # multiplication matrix (the path of non-integral elements) is the oracle
     K = build_field(coeffs, ell=ell)
     rng = random.Random(7 + K.degree)
     for trial in range(200):
