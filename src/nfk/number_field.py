@@ -16,9 +16,10 @@ ball of a class relation (class_unit), and the generator searches
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
 from sympy import ZZ, factorint, isprime
@@ -250,7 +251,6 @@ class NumberField:
         self._torsion: tuple[AlgebraicNumber, int] | None = None  # torsion()
         self._zeta_ell: dict[int, AlgebraicNumber | None] = {}  # contains_zeta()
         self._norm_terms: list[tuple[int, tuple]] | None = None  # _norm_form_terms()
-        self._t2_rows: list[list[float]] | None = None  # _embed()
         self._prime_cache: dict[int, list] = {}  # p -> split_prime(K, p) (ideals.py)
         self._zeta_constants_cache: dict[tuple[int, int], object] = {}  # (ell, bound) (density.py)
         self._unit_group = None  # compute_unit_group (class_unit.py)
@@ -258,6 +258,13 @@ class NumberField:
         self._depth_cache: dict = {}  # prime over ell -> residue -> depth (kummer._depth_table)
         self._sqfree_tally_cache: dict = {}  # (ell, X, excluded primes) -> tally (density.py)
         self.ell = 2  # Kummer degree attached by build_field
+        # degree <= 3: straight-line kernels with their constants read off f
+        n = self.degree
+        if n <= 3:
+            self.mul_int_coords = _mul_kernel([self.theta_power(k) for k in range(n, 2 * n - 1)])
+            self._norm = _norm_kernel(self.poly.coeffs)
+        else:
+            self._norm = self._norm_form
 
     # -- basis bookkeeping --------------------------------------------------
 
@@ -315,7 +322,17 @@ class NumberField:
         return self._norm_terms
 
     def norm_int(self, coords: Sequence[int]) -> int:
-        """Exact norm of an integral element given by int coordinates."""
+        """Exact norm of an integral element given by int coordinates.
+
+        In degree <= 3 a closed form picked in __init__ (_norm_kernel), in
+        degree >= 4 the norm form (_norm_form).  It stays a method of the
+        class, so that one patch of NumberField.norm_int sees every call
+        (perfbench counts box points that way).
+        """
+        return self._norm(coords)
+
+    def _norm_form(self, coords: Sequence[int]) -> int:
+        """The norm form at int coordinates, monomial by monomial."""
         total = 0
         for c, factors in self._norm_terms or self._norm_form_terms():
             for i, e in factors:
@@ -329,7 +346,10 @@ class NumberField:
         Plain convolution folded through the theta-power table, with no
         element objects.  Int coordinates give an int tuple (residue
         arithmetic, ideal products); AlgebraicNumber.__mul__ passes its
-        coordinates, Fractions included, through the same fold.
+        coordinates, Fractions included, through the same fold.  A field of
+        degree <= 3 shadows this method with a straight-line product set in
+        __init__ (_mul_kernel); the loop stays the path of degree >= 4 and
+        the tests' reference.
         """
         n = self.degree
         conv = [0] * (2 * n - 1)
@@ -400,24 +420,34 @@ class NumberField:
 
     # -- short lattice vectors -------------------------------------------------
 
-    def _embed(self, coords: Sequence) -> list[float]:
-        """x as a real n-vector of floats whose squared length is T2(x).
+    @functools.cached_property
+    def _t2_rows(self) -> list[list[float]]:
+        """The power basis under _embed: one row per real place, and sqrt(2)
+        Re, sqrt(2) Im rows per complex place, from the roots at 200 bits."""
+        rows = []
+        with mpmath.workprec(120):
+            for i, rho in enumerate(self.roots(200)):
+                powers = [rho**k for k in range(self.degree)]
+                real = i < self.r1
+                scale = 1 if real else mpmath.sqrt(2)
+                for part in (mpmath.re,) if real else (mpmath.re, mpmath.im):
+                    rows.append([float(scale * part(p)) for p in powers])
+        return rows
 
-        One entry per real place, and sqrt(2) Re, sqrt(2) Im per complex
-        place.  The matrix of the power basis is cached on the field.
+    @functools.cached_property
+    def _embed(self) -> Callable[[Sequence], list[float]]:
+        """x -> a real n-vector of floats whose squared length is T2(x).
+
+        Each entry is the sum over the basis of row entry times coordinate
+        (_t2_rows), left to right from 0 (as sum() adds floats up to Python
+        3.11; 3.12 compensates).  Degree <= 3 unrolls the rows
+        (_embed_kernel) into the same additions, so every float is the one
+        the generic sum gives, bit for bit.  Built on first use.
         """
-        if self._t2_rows is None:
-            rts = self.roots(200)
-            rows = []
-            with mpmath.workprec(120):
-                for i, rho in enumerate(rts):
-                    powers = [rho**k for k in range(self.degree)]
-                    real = i < self.r1
-                    scale = 1 if real else mpmath.sqrt(2)
-                    for part in (mpmath.re,) if real else (mpmath.re, mpmath.im):
-                        rows.append([float(scale * part(p)) for p in powers])
-            self._t2_rows = rows
-        return [sum(r * c for r, c in zip(row, coords)) for row in self._t2_rows]
+        rows = self._t2_rows
+        if self.degree <= 3:
+            return _embed_kernel(rows)
+        return lambda coords: [sum(r * c for r, c in zip(row, coords)) for row in rows]
 
     def t2(self, coords: Sequence) -> float:
         """T2(x) = sum over the n embeddings of |sigma(x)|^2, in floats."""
@@ -442,7 +472,7 @@ class NumberField:
         relative 2^-30 or so.  Otherwise mpmath evaluates x at a precision
         that doubles until the same test holds with 2^-prec for 2^-53.
         """
-        sq = self._place_sq(self._embed(coords))  # _embed builds _t2_rows
+        sq = self._place_sq(self._embed(coords))
         sizes = [sum(abs(r * c) for r, c in zip(row, coords)) for row in self._t2_rows]
         r1 = self.r1
         bound = sizes[:r1] + [a + b for a, b in zip(sizes[r1::2], sizes[r1 + 1::2])]
@@ -546,6 +576,100 @@ class NumberField:
                 return k
             acc = acc * x
         return None
+
+
+# -- straight-line kernels in degree <= 3 ----------------------------------------
+#
+# NumberField.__init__ and NumberField._embed build them once per field; the
+# constants of f are closure locals, and the products are written out in full.
+
+
+def _mul_kernel(fold: list[tuple[int, ...]]) -> Callable[[Sequence, Sequence], tuple]:
+    """x*y in degree n <= 3 from fold = [theta^n, ..., theta^(2n-2)].
+
+    The terms of the convolution at theta^n and theta^(n+1) fold in as
+    multiples of those coordinates.  Fraction coordinates work unchanged.
+    """
+    if not fold:
+        return lambda a, b: (a[0] * b[0],)
+    if len(fold) == 1:
+        (p0, p1), = fold
+
+        def mul2(a: Sequence, b: Sequence) -> tuple:
+            a0, a1 = a
+            b0, b1 = b
+            s = a1 * b1
+            return (a0 * b0 + p0 * s, a0 * b1 + a1 * b0 + p1 * s)
+
+        return mul2
+    (p0, p1, p2), (q0, q1, q2) = fold
+
+    def mul3(a: Sequence, b: Sequence) -> tuple:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        s, t = a1 * b2 + a2 * b1, a2 * b2
+        return (
+            a0 * b0 + p0 * s + q0 * t,
+            a0 * b1 + a1 * b0 + p1 * s + q1 * t,
+            a0 * b2 + a1 * b1 + a2 * b0 + p2 * s + q2 * t,
+        )
+
+    return mul3
+
+
+def _norm_kernel(c: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """N(x) for int coordinates in degree n <= 3, f = c0 + c1 x + ... + x^n.
+
+    Degree 2: N(a0 + a1 theta) = a0 (a0 - c1 a1) + c0 a1^2.  Degree 3: the
+    determinant of the columns a, theta a, theta^2 a, where theta sends
+    (b0, b1, b2) to (-c0 b2, b0 - c1 b2, b1 - c2 b2).
+    """
+    if len(c) == 2:
+        return lambda a: a[0]
+    if len(c) == 3:
+        c0, c1 = c[0], c[1]
+
+        def norm2(a: Sequence[int]) -> int:
+            a0, a1 = a
+            return a0 * (a0 - c1 * a1) + c0 * a1 * a1
+
+        return norm2
+    c0, c1, c2 = c[0], c[1], c[2]
+
+    def norm3(a: Sequence[int]) -> int:
+        a0, a1, a2 = a
+        b0, b1, b2 = -c0 * a2, a0 - c1 * a2, a1 - c2 * a2
+        d0, d1, d2 = -c0 * b2, b0 - c1 * b2, b1 - c2 * b2
+        return a0 * (b1 * d2 - b2 * d1) - b0 * (a1 * d2 - a2 * d1) + d0 * (a1 * b2 - a2 * b1)
+
+    return norm3
+
+
+def _embed_kernel(rows: list[list[float]]) -> Callable[[Sequence], list[float]]:
+    """NumberField._embed in degree n <= 3: each row times x, unrolled and
+    added in sum()'s order, 0 + r0 x0 + r1 x1 + r2 x2."""
+    if len(rows) == 1:
+        (r,), = rows
+        return lambda x: [0 + r * x[0]]
+    if len(rows) == 2:
+        (r00, r01), (r10, r11) = rows
+
+        def embed2(x: Sequence) -> list[float]:
+            x0, x1 = x
+            return [0 + r00 * x0 + r01 * x1, 0 + r10 * x0 + r11 * x1]
+
+        return embed2
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+
+    def embed3(x: Sequence) -> list[float]:
+        x0, x1, x2 = x
+        return [
+            0 + r00 * x0 + r01 * x1 + r02 * x2,
+            0 + r10 * x0 + r11 * x1 + r12 * x2,
+            0 + r20 * x0 + r21 * x1 + r22 * x2,
+        ]
+
+    return embed3
 
 
 def dedekind_q_maximal(f: IntPolynomial, q: int) -> bool:

@@ -18,7 +18,9 @@
 - inverse_by_fraction_solve is the Fraction Gauss-Jordan inverse that
   AlgebraicNumber.inverse replaced by fraction-free elimination.
 - det_fraction of multiplication_matrix is the Fraction determinant that
-  NumberField.norm_int and AlgebraicNumber.norm replaced by the norm form.
+  NumberField.norm_int and AlgebraicNumber.norm replaced by the norm form
+  (a closed form in degree <= 3).  The matrix is built by shift-and-fold
+  from theta_power, not through NumberField.mul_int_coords.
 - is_isomorphic decides whether two Kummer data cut out the same extension;
   assert_pairwise_non_isomorphic runs it on every pair of enumerated
   records, the check of the orbit dedup in kummer.iter_extensions.
@@ -370,14 +372,21 @@ def inverse_by_fraction_solve(x: AlgebraicNumber) -> AlgebraicNumber:
 
 
 def multiplication_matrix(x: AlgebraicNumber) -> list[list[Fraction]]:
-    """Matrix of y -> x*y over the power basis (columns are x*theta^j)."""
+    """Matrix of y -> x*y over the power basis (columns are x*theta^j).
+
+    Each column is theta times the last, by shift-and-fold on Fractions:
+    theta (b_0, ..., b_{n-1}) = (0, b_0, ..., b_{n-2}) + b_{n-1} theta^n,
+    with theta^n from theta_power, so no product kernel of the field runs.
+    """
     K = x.field
+    n = K.degree
+    top = K.theta_power(n)
+    col = [Fraction(c) for c in x.coords]
     cols = []
-    acc = x
-    for _ in range(K.degree):
-        cols.append(acc.coords)
-        acc = acc * K.theta
-    return [[Fraction(cols[j][i]) for j in range(K.degree)] for i in range(K.degree)]
+    for _ in range(n):
+        cols.append(col)
+        col = [(col[i - 1] if i else 0) + col[-1] * top[i] for i in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def det_fraction(m: list[list[Fraction]]) -> Fraction:

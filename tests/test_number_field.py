@@ -8,6 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from sympy import factorint
 
 from nfk.class_unit import compute_unit_group
@@ -173,6 +174,47 @@ def test_norm_int_matches_exact_determinant(coeffs, ell):
         coords = [rng.randint(-height, height) for _ in range(K.degree)]
         x = K.element(coords)
         assert K.norm_int(coords) == det_fraction(multiplication_matrix(x)), coords
+
+
+def _product_mod_f(K, a, b):
+    """a*b as the remainder of the product of polynomials mod f (sympy, over QQ)."""
+    x = sympy.Symbol("x")
+
+    def poly(coords):
+        rationals = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, coords)]
+        return sympy.Poly(rationals[::-1], x)
+
+    rem = sympy.rem(poly(a) * poly(b), sympy.Poly(K.poly.coeffs[::-1], x))
+    got = [Fraction(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
+    return got + [Fraction(0)] * (K.degree - len(got))
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [pytest.param(spec["poly"], spec["ell"], id=spec["label"]) for spec in
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))]
+    + [pytest.param([1] * 7, 7, id="Q(zeta7)"), pytest.param([1, -2, -1, 1], 2, id="x^3-x^2-2x+1")],
+)
+def test_element_kernels_match_generic_loops(coeffs, ell):
+    # degree <= 3 multiplies and embeds by straight-line kernels; the generic
+    # loops (NumberField.mul_int_coords on the class, the sum over _t2_rows)
+    # are the reference, sympy's remainder of a*b mod f checks both products,
+    # and the embedding must give the very same floats
+    K = build_field(coeffs, ell=ell)
+    rng = random.Random(13 + K.degree)
+    rows = K._t2_rows
+    for trial in range(300):
+        height = 5 if trial < 100 else 10**9
+        if trial < 200:
+            a, b = ([rng.randint(-height, height) for _ in range(K.degree)] for _ in range(2))
+        else:
+            a, b = ([Fraction(rng.randint(-height, height), rng.randint(1, 12)) for _ in range(K.degree)]
+                    for _ in range(2))
+        got = K.mul_int_coords(a, b)
+        assert got == NumberField.mul_int_coords(K, a, b) == tuple(_product_mod_f(K, a, b)), (a, b)
+        assert all(isinstance(c, int) for c in got) or trial >= 200, (a, b)
+        for x in (a, b):
+            assert K._embed(x) == [sum(r * c for r, c in zip(row, x)) for row in rows], x
 
 
 @pytest.mark.parametrize(

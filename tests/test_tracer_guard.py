@@ -5,6 +5,8 @@ imported from or written under perfbench/), so a rename in nfk fails here
 and not only in the benchmark's own smoke test.  The tracer also counts
 trivial skips from the enumeration's first cell, which must be the unit
 ideal, and the cell loop's bookkeeping identities must hold under it.
+Box points are counted through NumberField.norm_int on the class, so that
+method must see the norm calls of the generator searches.
 """
 
 import inspect
@@ -21,6 +23,7 @@ import nfk.harness  # noqa: F401
 import nfk.ideals  # noqa: F401
 import nfk.kummer
 import nfk.number_field  # noqa: F401
+from nfk.class_unit import compute_class_group
 from nfk.number_field import build_field
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -43,6 +46,19 @@ def test_cell_records_leading_parameters():
     tracer = _tracer()
     params = tuple(inspect.signature(nfk.kummer._cell_records).parameters)
     assert params[: len(tracer._CELL_PARAMS)] == tracer._CELL_PARAMS
+
+
+def test_box_points_counted_through_class_norm_int():
+    # the tracer counts box points by patching NumberField.norm_int on the
+    # class; a field that bound its own norm kernel per instance would read 0
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        K = build_field([-9, -1, 0, 1], ell=2, label="cubic-9")
+        compute_class_group(K)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["ideals.box_points"] > 0
 
 
 class _FirstCell(Exception):
