@@ -8,10 +8,9 @@ the sizes multiply, so the direct-sum decomposition is verified element
 by element rather than trusted.  All moduli in scope have small residue
 rings; auditability beats asymptotics here.
 
-Provides (O_K/m)^* with a residue map, quotients by ell-th powers with
-the projection, an uncached ell-th-power membership check, and the
-exhaustive tuple tally g1^2 g2^3 ... gn^(n+1) used to confirm that such
-products sweep the group uniformly.
+Provides (O_K/m)^* with a residue map, an uncached ell-th-power
+membership check, and the exhaustive tuple tally g1^2 g2^3 ... gn^(n+1)
+used to confirm that such products sweep the group uniformly.
 """
 
 from __future__ import annotations
@@ -198,34 +197,6 @@ def unit_group_mod_ideal(
     if norm > 1 and group.order != expected:
         raise ArithmeticError(f"unit census {group.order} != {expected}")
     return ResidueUnitGroup(K, m, group)
-
-
-# ---------------------------------------------------------------------------
-# quotients by ell-th powers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PowerQuotient:
-    """H = G/G^ell with the projection map on G's element keys."""
-
-    group: FiniteAbelianGroup
-    source: FiniteAbelianGroup
-    ell: int
-    _coords: list[int]
-
-    def project(self, x) -> tuple[int, ...]:
-        vec = self.source.log(x)
-        return tuple(vec[i] % self.ell for i in self._coords)
-
-
-def quotient_by_powers(g: FiniteAbelianGroup, ell: int) -> PowerQuotient:
-    """G/G^ell: keep the mod-ell part of each generator whose order ell divides."""
-    coords = [i for i, o in enumerate(g.gen_orders) if o % ell == 0]
-    h = abelian_group_from_divisors([ell] * len(coords))
-    if h.order != ell ** len(coords):
-        raise ArithmeticError("quotient size mismatch")
-    return PowerQuotient(group=h, source=g, ell=ell, _coords=coords)
 
 
 # ---------------------------------------------------------------------------

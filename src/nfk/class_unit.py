@@ -655,18 +655,19 @@ class ClassGroup:
         bound: int,
         ell: int,
         ceilings: Ceilings | None = None,
-        radical: bool = False,
     ) -> Iterator[tuple[tuple[tuple[PrimeIdeal, int], ...], int]]:
-        """Every ell-power-free ideal over the pool within the bound, with its class.
+        """Every ell-power-free ideal over the pool whose radical has norm
+        within the bound, with its class.
 
         Yields (support, class index); support holds (q, a) pairs with
         1 <= a <= ell-1, primes ordered by sort key (norm first).  The walk
         is depth first, one prime and then one exponent at a time, from the
         unit ideal ((), 0), and carries the class through the group
-        operation.  Exponent a at q charges N(q)^a against the bound, which
-        bounds the ideal norm; with radical=True it charges N(q) for every
-        a, which bounds the norm of the radical.  When h = 1 every class is
-        0 and no prime is looked up.
+        operation.  Every exponent a at q charges N(q) against the bound,
+        as the tame discriminant exponent is ell-1 whatever a is; a caller
+        that bounds N(I) instead walks to the same bound and filters, since
+        N(I) <= X implies N(rad I) <= X.  When h = 1 every class is 0 and
+        no prime is looked up.
         """
         pool = sorted((q for q in pool if q.norm <= bound), key=PrimeIdeal.sort_key)
         norms = [q.norm for q in pool]
@@ -683,10 +684,6 @@ class ClassGroup:
                 for a in range(1, ell):
                     acc = op(acc, cls_of[j])
                     yield from walk(j + 1, support + ((pool[j], a),), acc, left)
-                    if not radical:
-                        if n > left:
-                            break
-                        left //= n
 
         return walk(0, (), 0, bound)
 

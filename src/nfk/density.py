@@ -1,5 +1,8 @@
-"""Densities of the wild part of the discriminant, analytic constants,
-squarefree-ideal censuses, and the closed rational identity for ell = 2.
+"""Densities of the wild part of the discriminant, analytic constants and
+the closed rational identity for ell = 2.  The empirical censuses that
+check the lattice-counting lemmas behind them (squarefree ideals by class,
+canonical generators mod ell-th powers) are test oracles, in
+tests/oracles.py.
 
 The probability model behind ``rho``: order extensions by the norm of the
 tame part of the discriminant.  At each prime above ell the normalized
@@ -24,29 +27,13 @@ import mpmath
 import sympy
 from mpmath.libmp import from_man_exp, round_nearest, to_float
 
-from .abelian_groups import quotient_by_powers, unit_group_mod_ideal
-from .class_unit import ClassGroup, compute_class_group
+from .class_unit import compute_class_group
 from .config import Ceilings
-from .errors import CeilingError, UnrealizableEllPartError
+from .errors import UnrealizableEllPartError
 from .exact_math import frac_str
-from .ideals import (
-    FactoredIdeal,
-    Ideal,
-    PrimeIdeal,
-    as_factored,
-    factor_ideal,
-    primes_of_norm_up_to,
-    residue_degrees,
-    split_prime,
-)
+from .ideals import FactoredIdeal, PrimeIdeal, as_factored, residue_degrees, split_prime
 from .kummer import _depth_table, _wild_exponent, wild_saturation_depth
 from .number_field import NumberField
-
-
-def _support_of(x) -> list[PrimeIdeal]:
-    if x is None:
-        return []
-    return as_factored(x).support()
 
 
 # ---------------------------------------------------------------------------
@@ -310,149 +297,3 @@ def zeta_constants(
             f"{got.tail_bound:.1e}; requested {precision:.1e}"
         )
     return got
-
-
-# ---------------------------------------------------------------------------
-# squarefree-ideal censuses
-# ---------------------------------------------------------------------------
-
-
-def _prime_pool(
-    K: NumberField, bound: int, exclude: frozenset, ceilings: Ceilings
-) -> list[PrimeIdeal]:
-    if bound > ceilings.search_points:
-        raise CeilingError(f"ideal census to norm {bound}", ceilings.search_points)
-    return [q for q in primes_of_norm_up_to(K, bound) if q not in exclude]
-
-
-def _squarefree_class_tally(
-    K: NumberField,
-    cg: ClassGroup,
-    ell: int,
-    coprime_to,
-    X: int,
-    ceilings: Ceilings,
-) -> dict[int, int]:
-    """Counts of ell-power-free ideals of norm <= X, coprime to coprime_to,
-    by ideal class index.  The unit ideal counts toward the trivial class."""
-    support = frozenset(_support_of(coprime_to))
-    cache = K._sqfree_tally_cache
-    key = (ell, X, tuple(sorted(q.sort_key() for q in support)))
-    got = cache.get(key)
-    if got is not None:
-        return got
-    pool = _prime_pool(K, X, support, ceilings)
-    counts = Counter(cls for _, cls in cg.ell_free_ideals(pool, X, ell, ceilings))
-    cache[key] = counts
-    return counts
-
-
-@dataclass(frozen=True)
-class SquarefreeCensus:
-    class_index: int
-    X: int
-    count: int
-    predicted: float
-    ratio: float
-
-
-def count_squarefree_ideals_in_class(
-    K: NumberField,
-    class_index: int,
-    coprime_to,
-    X: int,
-    ell: int = 2,
-    prime_bound: int = 10**5,
-    ceilings: Ceilings | None = None,
-) -> SquarefreeCensus:
-    """Exact census of ell-power-free ideals of norm <= X in one ideal
-    class, coprime to the given ideal, against the predicted leading term
-    Res/(zeta_K(ell) h) prod_q (1 - (N^(ell-1)-1)/(N^ell-1)) X."""
-    ceilings = ceilings or Ceilings()
-    cg = compute_class_group(K, ceilings)
-    tally = _squarefree_class_tally(K, cg, ell, coprime_to, X, ceilings)
-    count = tally.get(class_index % cg.h, 0)
-    z = zeta_constants(K, ell=ell, prime_bound=prime_bound, ceilings=ceilings)
-    pred = z.residue / z.zeta_at_ell / cg.h
-    for q in _support_of(coprime_to):
-        n = q.norm
-        pred *= float(1 - Fraction(n ** (ell - 1) - 1, n**ell - 1))
-    predicted = pred * X
-    return SquarefreeCensus(
-        class_index=class_index % cg.h,
-        X=X,
-        count=count,
-        predicted=predicted,
-        ratio=count / predicted,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the empirical stand-in for the lattice equidistribution results
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquidistributionReport:
-    modulus_norm: int
-    factor_norm: int
-    X: int
-    total: int
-    cells: tuple[tuple[tuple[int, ...], int], ...]  # (H coordinates, count)
-    max_deviation: float  # max |cell fraction - 1/#H|
-
-
-def generator_equidistribution_test(
-    K: NumberField,
-    modulus: Ideal,
-    ideal_factor,
-    X: int,
-    ell: int = 2,
-    ceilings: Ceilings | None = None,
-) -> EquidistributionReport:
-    """Tally canonical generators by class in H = (O_K/modulus)^x mod
-    ell-th powers.
-
-    Runs over ideals A = ideal_factor * I with I ell-power-free, coprime
-    to the modulus and to ideal_factor, N(A) <= X, and A principal; the
-    canonical generator of A reduces into H.  A uniform spread over H is
-    what makes the rho model's congruence factors independent of the
-    divisibility data.
-    """
-    ceilings = ceilings or Ceilings()
-    cg = compute_class_group(K, ceilings)
-    factor_fa = as_factored(ideal_factor)
-    mod_support = frozenset(factor_ideal(modulus).support())
-    if any(q in mod_support for q in factor_fa.support()):
-        raise ValueError("ideal_factor must be coprime to the modulus")
-    rug = unit_group_mod_ideal(K, modulus, ceilings)
-    pq = quotient_by_powers(rug.group, ell)
-    h_order = pq.group.order
-    factor_norm = int(factor_fa.norm())
-    budget = X // factor_norm
-    exclude = mod_support | frozenset(factor_fa.support())
-    pool = _prime_pool(K, budget, exclude, ceilings)
-    group = cg.group
-    # I must land in the inverse class of ideal_factor for A to be principal
-    need = group.power(cg.index_of(factor_fa, ceilings), group.exponent - 1)
-    tally: dict[tuple[int, ...], int] = {}
-    total = 0
-    if budget >= 1:
-        for support, cls in cg.ell_free_ideals(pool, budget, ell, ceilings):
-            if cls != need:
-                continue
-            a = factor_fa * FactoredIdeal(K, dict(support))
-            gamma = cg.generator(a, ceilings)
-            tally_key = pq.project(rug.image(gamma))
-            tally[tally_key] = tally.get(tally_key, 0) + 1
-            total += 1
-    cells = tuple(sorted(tally.items()))
-    dev = max(abs(n / total - 1 / h_order) for _, n in cells) if total else 0.0
-    return EquidistributionReport(
-        modulus_norm=int(modulus.norm()),
-        factor_norm=factor_norm,
-        X=X,
-        total=total,
-        cells=cells,
-        max_deviation=dev,
-    )

@@ -478,7 +478,7 @@ def iter_extensions(
             for c in range(cg.h)
         ]
         row = _Row(Q, ell)
-        for support, c in cg.ell_free_ideals(pool, s_bound, ell, ceilings, radical=True):
+        for support, c in cg.ell_free_ideals(pool, s_bound, ell, ceilings):
             if not cells_of[c]:
                 continue
             I = FactoredIdeal._of(K, dict(support))

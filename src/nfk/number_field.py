@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -256,7 +257,6 @@ class NumberField:
         self._unit_group = None  # compute_unit_group (class_unit.py)
         self._class_group = None  # compute_class_group (class_unit.py)
         self._depth_cache: dict = {}  # prime over ell -> residue -> depth (kummer._depth_table)
-        self._sqfree_tally_cache: dict = {}  # (ell, X, excluded primes) -> tally (density.py)
         self.ell = 2  # Kummer degree attached by build_field
         # degree <= 3: straight-line kernels with their constants read off f
         n = self.degree
@@ -439,15 +439,17 @@ class NumberField:
         """x -> a real n-vector of floats whose squared length is T2(x).
 
         Each entry is the sum over the basis of row entry times coordinate
-        (_t2_rows), left to right from 0 (as sum() adds floats up to Python
-        3.11; 3.12 compensates).  Degree <= 3 unrolls the rows
-        (_embed_kernel) into the same additions, so every float is the one
-        the generic sum gives, bit for bit.  Built on first use.
+        (_t2_rows), folded left to right from 0: not sum(), which from
+        Python 3.12 compensates float additions.  Degree <= 3 unrolls the
+        rows (_embed_kernel) into the same additions, so every float is the
+        one the generic fold gives, bit for bit.  Built on first use.
         """
         rows = self._t2_rows
         if self.degree <= 3:
             return _embed_kernel(rows)
-        return lambda coords: [sum(r * c for r, c in zip(row, coords)) for row in rows]
+        return lambda coords: [
+            functools.reduce(operator.add, map(operator.mul, row, coords), 0) for row in rows
+        ]
 
     def t2(self, coords: Sequence) -> float:
         """T2(x) = sum over the n embeddings of |sigma(x)|^2, in floats."""
@@ -647,7 +649,7 @@ def _norm_kernel(c: Sequence[int]) -> Callable[[Sequence[int]], int]:
 
 def _embed_kernel(rows: list[list[float]]) -> Callable[[Sequence], list[float]]:
     """NumberField._embed in degree n <= 3: each row times x, unrolled and
-    added in sum()'s order, 0 + r0 x0 + r1 x1 + r2 x2."""
+    added in the generic fold's order, 0 + r0 x0 + r1 x1 + r2 x2."""
     if len(rows) == 1:
         (r,), = rows
         return lambda x: [0 + r * x[0]]

@@ -15,6 +15,12 @@
   per cell (kummer._Cell: the tame part and the Steinitz offset off).
 - euler_products_mpf is the Euler product of zeta_constants on mpmath's
   mpf operators, which density._euler_products runs on raw mpmath.libmp.
+- squarefree_census and generator_equidistribution are the empirical
+  stand-ins for the lattice-counting lemmas behind rho: the ell-power-free
+  ideals of norm <= X by class against the analytic leading term, and the
+  canonical generators of the principal ones by class in
+  (O_K/m)^x mod ell-th powers.  Both walk ClassGroup.ell_free_ideals
+  (ell_free_ideals_of_norm_up_to filters it by the ideal norm).
 - inverse_by_fraction_solve is the Fraction Gauss-Jordan inverse that
   AlgebraicNumber.inverse replaced by fraction-free elimination.
 - det_fraction of multiplication_matrix is the Fraction determinant that
@@ -36,8 +42,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath
 import sympy
@@ -45,11 +52,14 @@ import sympy
 from nfk.abelian_groups import unit_group_mod_ideal
 from nfk.class_unit import _find_class, compute_class_group, compute_unit_group, unit_coset_coords
 from nfk.config import Ceilings
+from nfk.density import zeta_constants
 from nfk.errors import CeilingError, RankError
 from nfk.ideals import (
     FactoredIdeal,
     Ideal,
     PrimeIdeal,
+    as_factored,
+    factor_ideal,
     primes_of_norm_up_to,
     residue_degrees,
     split_prime,
@@ -209,6 +219,92 @@ def euler_products_mpf(K: NumberField, ell: int, prime_bound: int) -> tuple[tupl
         if ell == 2:
             zl = z2
         return z2._mpf_, zl._mpf_
+
+
+def ell_free_ideals_of_norm_up_to(
+    cg, X: int, ell: int, exclude=frozenset(), ceilings: Ceilings | None = None
+) -> Iterator[tuple[tuple[tuple[PrimeIdeal, int], ...], int]]:
+    """(support, class) of every ell-power-free ideal of norm <= X over the
+    primes outside exclude: ClassGroup.ell_free_ideals walks to X by the
+    norm of the radical, a superset as N(I) <= X implies N(rad I) <= X, and
+    the ideal norm filters it.  X past ceilings.search_points raises."""
+    ceilings = ceilings or Ceilings()
+    if X > ceilings.search_points:
+        raise CeilingError(f"ideal census to norm {X}", ceilings.search_points)
+    pool = [q for q in primes_of_norm_up_to(cg.field, X) if q not in exclude]
+    for support, cls in cg.ell_free_ideals(pool, X, ell, ceilings):
+        if math.prod(q.norm**a for q, a in support) <= X:
+            yield support, cls
+
+
+def squarefree_census(
+    K: NumberField,
+    coprime_to,
+    X: int,
+    ell: int = 2,
+    prime_bound: int = 10**5,
+    ceilings: Ceilings | None = None,
+) -> tuple[Counter, float]:
+    """The ell-power-free ideals of norm <= X coprime to coprime_to (an
+    ideal, or None), counted by class index, and the predicted count per
+    class Res/(zeta_K(ell) h) prod_q (1 - (N^(ell-1)-1)/(N^ell-1)) X over
+    the primes q dividing coprime_to."""
+    ceilings = ceilings or Ceilings()
+    cg = compute_class_group(K, ceilings)
+    support = as_factored(coprime_to).support() if coprime_to is not None else []
+    counts = Counter(c for _, c in ell_free_ideals_of_norm_up_to(cg, X, ell, set(support), ceilings))
+    z = zeta_constants(K, ell=ell, prime_bound=prime_bound, ceilings=ceilings)
+    pred = z.residue / z.zeta_at_ell / cg.h
+    for q in support:
+        n = q.norm
+        pred *= float(1 - Fraction(n ** (ell - 1) - 1, n**ell - 1))
+    return counts, pred * X
+
+
+def mod_powers_projection(g, ell: int) -> Callable[[object], tuple[int, ...]]:
+    """x -> its image in G/G^ell, for G = g a FiniteAbelianGroup: the
+    discrete log of x mod ell at each generator whose order ell divides."""
+    coords = [i for i, o in enumerate(g.gen_orders) if o % ell == 0]
+    return lambda x: tuple(g.log(x)[i] % ell for i in coords)
+
+
+def generator_equidistribution(
+    K: NumberField,
+    modulus: Ideal,
+    ideal_factor,
+    X: int,
+    ell: int = 2,
+    ceilings: Ceilings | None = None,
+) -> Counter:
+    """Canonical generators tallied by their class in H = (O_K/modulus)^x
+    mod ell-th powers.
+
+    Runs over the principal A = ideal_factor * I with I ell-power-free,
+    coprime to the modulus and to ideal_factor, and N(A) <= X;
+    ClassGroup.generator gives A's canonical generator.  A uniform spread
+    over H is what makes the rho model's congruence factors independent
+    of the divisibility data.
+    """
+    ceilings = ceilings or Ceilings()
+    cg = compute_class_group(K, ceilings)
+    factor = as_factored(ideal_factor)
+    exclude = set(factor_ideal(modulus).support())
+    if exclude & set(factor.support()):
+        raise ValueError("ideal_factor must be coprime to the modulus")
+    rug = unit_group_mod_ideal(K, modulus, ceilings)
+    project = mod_powers_projection(rug.group, ell)
+    group = cg.group
+    # I must land in the inverse class of ideal_factor for A to be principal
+    need = group.power(cg.index_of(factor, ceilings), group.exponent - 1)
+    budget = X // int(factor.norm())
+    tally = Counter()
+    for support, c in ell_free_ideals_of_norm_up_to(
+        cg, budget, ell, exclude | set(factor.support()), ceilings
+    ):
+        if c == need:
+            gamma = cg.generator(factor * FactoredIdeal(K, dict(support)), ceilings)
+            tally[project(rug.image(gamma))] += 1
+    return tally
 
 
 def _box_norm_matches(

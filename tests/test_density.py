@@ -1,5 +1,6 @@
 """Density layer: the wild-exponent table R, per-ell-part densities rho,
-the residue/zeta constants, and the two empirical census checks."""
+the residue/zeta constants, and the two empirical census checks (test
+oracles in oracles.py, on the class group's ell-free walk)."""
 
 import math
 import random
@@ -19,11 +20,9 @@ from nfk.density import (
     _quotient,
     _rn,
     allowed_wild_exponents,
-    count_squarefree_ideals_in_class,
     density_report,
     density_report_json_dict,
     enumerate_R,
-    generator_equidistribution_test,
     identity_check,
     rho,
     zeta_constants,
@@ -32,7 +31,7 @@ from nfk.errors import CeilingError, UnrealizableEllPartError
 from nfk.harness import load_field_spec
 from nfk.ideals import FactoredIdeal, ideal_from_element, split_prime
 from nfk.number_field import build_field
-from oracles import euler_products_mpf
+from oracles import euler_products_mpf, generator_equidistribution, squarefree_census
 
 
 def _norms(fas):
@@ -472,27 +471,26 @@ def test_zeta_constants_caches_no_prime_above_1000():
 
 def test_census_odd_squarefree_q(field_q):
     two = ideal_from_element(field_q.from_int(2))
-    census = count_squarefree_ideals_in_class(field_q, 0, two, 10**5)
-    assert census.count == 40527
-    assert abs(census.ratio - 1) < 0.005
-    assert census.X == 10**5 and census.class_index == 0
+    counts, predicted = squarefree_census(field_q, two, 10**5)
+    assert counts == {0: 40527}
+    assert abs(counts[0] / predicted - 1) < 0.005
 
 
 def test_census_squarefree_qi(field_qi):
-    census = count_squarefree_ideals_in_class(field_qi, 0, None, 10**5)
-    assert census.count == 52127
-    assert abs(census.ratio - 1) < 0.05
+    counts, predicted = squarefree_census(field_qi, None, 10**5)
+    assert counts[0] == 52127
+    assert abs(counts[0] / predicted - 1) < 0.05
 
 
 def test_census_qm5_split_by_class(field_qm5):
-    principal = count_squarefree_ideals_in_class(field_qm5, 0, None, 10**5)
-    other = count_squarefree_ideals_in_class(field_qm5, 1, None, 10**5)
-    assert (principal.count, other.count) == (37828, 37868)
+    counts, predicted = squarefree_census(field_qm5, None, 10**5)
+    principal, other = counts[0], counts[1]
+    assert (principal, other) == (37828, 37868)
     # Halves of one census: each within 5% of the shared per-class
     # prediction and of each other.
-    assert abs(principal.ratio - 1) < 0.05
-    assert abs(other.ratio - 1) < 0.05
-    assert abs(principal.count / other.count - 1) < 0.05
+    assert abs(principal / predicted - 1) < 0.05
+    assert abs(other / predicted - 1) < 0.05
+    assert abs(principal / other - 1) < 0.05
 
 
 def test_census_cube_free_q(field_q):
@@ -505,22 +503,22 @@ def test_census_cube_free_q(field_q):
             k += 1
         return True
 
-    census = count_squarefree_ideals_in_class(field_q, 0, None, 20000, ell=3)
-    assert census.count == sum(1 for n in range(1, 20001) if cube_free(n)) == 16639
+    counts, _ = squarefree_census(field_q, None, 20000, ell=3)
+    assert counts[0] == sum(1 for n in range(1, 20001) if cube_free(n)) == 16639
 
 
 def test_census_respects_search_ceiling(field_q):
     tiny = Ceilings(search_points=50)
     with pytest.raises(CeilingError):
-        count_squarefree_ideals_in_class(field_q, 0, None, 10**4, ceilings=tiny)
+        squarefree_census(field_q, None, 10**4, ceilings=tiny)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda K, c: zeta_constants(K, prime_bound=100, ceilings=c),
-        lambda K, c: count_squarefree_ideals_in_class(K, 0, None, 100, ceilings=c),
-        lambda K, c: generator_equidistribution_test(
+        lambda K, c: squarefree_census(K, None, 100, ceilings=c),
+        lambda K, c: generator_equidistribution(
             K, ideal_from_element(K.from_int(4)), FactoredIdeal.unit(K), 100, ceilings=c
         ),
     ],
@@ -539,46 +537,50 @@ def test_unit_ceiling_reaches_unit_search(call):
 # ---------------------------------------------------------------------------
 
 
+def _max_deviation(cells, order):
+    """max |cell fraction - 1/#H| over the cells of H = (O_K/m)^x mod powers."""
+    total = sum(cells.values())
+    return max(abs(n / total - 1 / order) for n in cells.values())
+
+
 def test_equidistribution_q_mod_4(field_q):
     four = ideal_from_element(field_q.from_int(4))
     one = ideal_from_element(field_q.from_int(1))
-    rep = generator_equidistribution_test(field_q, four, one, 10**5)
+    cells = generator_equidistribution(field_q, four, one, 10**5)
     # (Z/4)^x mod squares has two classes; the census splits 40527 odd
     # squarefree moduli almost exactly in half.
-    assert rep.cells == (((0,), 20260), ((1,), 20267))
-    assert rep.total == 40527
-    assert rep.max_deviation < 0.02
-    assert sum(n for _, n in rep.cells) == rep.total
+    assert sorted(cells.items()) == [((0,), 20260), ((1,), 20267)]
+    assert sum(cells.values()) == 40527
+    assert _max_deviation(cells, 2) < 0.02
 
 
 def test_equidistribution_trivial_quotient(field_q):
     one = ideal_from_element(field_q.from_int(1))
-    rep = generator_equidistribution_test(field_q, one, one, 10**4)
-    assert rep.cells == (((), 6083),)
-    assert rep.max_deviation == 0.0
+    cells = generator_equidistribution(field_q, one, one, 10**4)
+    assert cells == {(): 6083}
+    assert _max_deviation(cells, 1) == 0.0
 
 
 def test_equidistribution_qi_wild_modulus(field_qi):
     pi4 = split_prime(field_qi, 2)[0].power(4)
     one = ideal_from_element(field_qi.from_int(1))
-    rep = generator_equidistribution_test(field_qi, pi4, one, 10**5)
-    assert rep.total == 34755
-    assert len(rep.cells) == 4
-    assert rep.max_deviation < 0.05
+    cells = generator_equidistribution(field_qi, pi4, one, 10**5)
+    assert sum(cells.values()) == 34755
+    assert len(cells) == 4
+    assert _max_deviation(cells, 4) < 0.05
 
 
 def test_equidistribution_with_ideal_factor(field_q):
     four = ideal_from_element(field_q.from_int(4))
     five = ideal_from_element(field_q.from_int(5))
-    rep = generator_equidistribution_test(field_q, four, five, 10**5)
-    assert rep.cells == (((0,), 3376), ((1,), 3379))
-    assert rep.total == 6755
-    assert rep.factor_norm == 5
-    assert rep.max_deviation < 0.02
+    cells = generator_equidistribution(field_q, four, five, 10**5)
+    assert sorted(cells.items()) == [((0,), 3376), ((1,), 3379)]
+    assert sum(cells.values()) == 6755
+    assert _max_deviation(cells, 2) < 0.02
 
 
 def test_equidistribution_factor_must_be_coprime(field_q):
     four = ideal_from_element(field_q.from_int(4))
     two = ideal_from_element(field_q.from_int(2))
     with pytest.raises(ValueError):
-        generator_equidistribution_test(field_q, four, two, 10**5)
+        generator_equidistribution(field_q, four, two, 10**5)

@@ -1,7 +1,9 @@
 """Field construction, element arithmetic, signatures, embeddings."""
 
+import functools
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -197,7 +199,8 @@ def _product_mod_f(K, a, b):
 )
 def test_element_kernels_match_generic_loops(coeffs, ell):
     # degree <= 3 multiplies and embeds by straight-line kernels; the generic
-    # loops (NumberField.mul_int_coords on the class, the sum over _t2_rows)
+    # loops (NumberField.mul_int_coords on the class, the left-to-right fold
+    # from 0 over _t2_rows, as sum() compensates floats from Python 3.12)
     # are the reference, sympy's remainder of a*b mod f checks both products,
     # and the embedding must give the very same floats
     K = build_field(coeffs, ell=ell)
@@ -214,7 +217,8 @@ def test_element_kernels_match_generic_loops(coeffs, ell):
         assert got == NumberField.mul_int_coords(K, a, b) == tuple(_product_mod_f(K, a, b)), (a, b)
         assert all(isinstance(c, int) for c in got) or trial >= 200, (a, b)
         for x in (a, b):
-            assert K._embed(x) == [sum(r * c for r, c in zip(row, x)) for row in rows], x
+            fold = [functools.reduce(operator.add, (r * c for r, c in zip(row, x)), 0) for row in rows]
+            assert K._embed(x) == fold, x
 
 
 @pytest.mark.parametrize(
