@@ -70,6 +70,10 @@ class UnitGroup:
     fundamental: list[AlgebraicNumber]
     regulator: object  # mpmath.mpf
     _torsion: list[AlgebraicNumber] = dc_field(init=False, repr=False, compare=False)
+    unit_coords: list[tuple[tuple[int, ...], tuple[int, ...]]] = dc_field(
+        init=False, repr=False, compare=False
+    )
+    torsion_index: dict[tuple[int, ...], int] = dc_field(init=False, repr=False, compare=False)
     log_rows: list[list[float]] = dc_field(init=False, repr=False, compare=False)
     vertex_inverses: list[list[list[float]]] = dc_field(init=False, repr=False, compare=False)
 
@@ -78,6 +82,11 @@ class UnitGroup:
         self._torsion = [K.one]
         for _ in range(self.w - 1):
             self._torsion.append(self._torsion[-1] * self.zeta)
+        # int coordinates of each fundamental unit with its inverse, and each
+        # root of unity's coordinates to its exponent (unit_dlog, times_units)
+        one = K.one.coords
+        self.unit_coords = [(u.coords, K.div_int_coords(one, u.coords)) for u in self.fundamental]
+        self.torsion_index = {t.coords: a for a, t in enumerate(self._torsion)}
         # log |sigma_i(eps_j)|, one row per place; for each place m, the
         # inverse of the rows of the other places (ClassGroup.generator; the
         # last, of the first r places, serves unit_dlog)
@@ -93,6 +102,16 @@ class UnitGroup:
     @property
     def rank(self) -> int:
         return len(self.fundamental)
+
+    def times_units(self, coords: tuple[int, ...], exps) -> tuple[int, ...]:
+        """coords times prod eps_i^exps_i, on int coordinates: one product per
+        step by eps_i or its inverse (unit_coords)."""
+        mul = self.field.mul_int_coords
+        for (u, u_inv), e in zip(self.unit_coords, exps):
+            step = u if e > 0 else u_inv
+            for _ in range(abs(e)):
+                coords = mul(coords, step)
+        return coords
 
     def torsion_elements(self) -> list[AlgebraicNumber]:
         """zeta^0, ..., zeta^(w-1), built once with the unit group."""
@@ -305,36 +324,31 @@ def unit_dlog(ug: UnitGroup, u: AlgebraicNumber) -> tuple[int, tuple[int, ...]]:
 
     The b_i solve the log embedding at the first r places, through the
     inverse UnitGroup.vertex_inverses[r] (they are exact integers, so the
-    float solve only has to land within 1/4 of one); the torsion part is
-    then matched exactly and the whole factorization re-verified with
-    exact arithmetic.
+    float solve only has to land within 1/4 of one).  The rest runs on int
+    coordinates: u times the inverse units to the b_i leaves a root of
+    unity, read off UnitGroup.torsion_index, and zeta^a times the units to
+    the b_i must give u back exactly (UnitGroup.times_units both ways).
     """
     K = ug.field
-    if not (u.is_integral() and abs(u.norm()) == 1):
+    if not u.is_integral() or abs(K.norm_int(coords := tuple(u.int_coords()))) != 1:
         raise ValueError(f"{u!r} is not a unit")
     r = ug.rank
     b: list[int] = []
     if r:
-        logs = K.log_abs_embeddings(u.int_coords())[:r]
+        logs = K.log_abs_embeddings(coords)[:r]
         for row in ug.vertex_inverses[r]:
             x = sum(map(operator.mul, row, logs))
             n = round(x)
             if abs(x - n) > 0.25:
                 raise ArithmeticError(f"unit dlog: exponent {x} is not near an integer")
             b.append(n)
-    t = u
-    for f, e in zip(ug.fundamental, b):
-        t = t * f ** (-e) if e < 0 else t / f**e
-    t = K.element(t.int_coords())
-    for a, z in enumerate(ug.torsion_elements()):
-        if z == t:
-            check = z
-            for f, e in zip(ug.fundamental, b):
-                check = check * f**e if e >= 0 else check / f ** (-e)
-            if K.element(check.int_coords()) != u:
-                raise ArithmeticError("unit dlog verification failed")
-            return a, tuple(b)
-    raise ArithmeticError(f"unit dlog: residual {t!r} is not a root of unity")
+    t = ug.times_units(coords, [-e for e in b])
+    a = ug.torsion_index.get(t)
+    if a is None:
+        raise ArithmeticError(f"unit dlog: residual {t} is not a root of unity")
+    if ug.times_units(ug.torsion_elements()[a].coords, b) != coords:
+        raise ArithmeticError("unit dlog verification failed")
+    return a, tuple(b)
 
 
 def unit_coset_coords(ug: UnitGroup, u: AlgebraicNumber, ell: int) -> tuple[int, ...]:
@@ -401,7 +415,6 @@ class ClassGroup:
     # imaginary quadratic fields: reduced form -> entry of its class (_form_class)
     _forms: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _torsion_rows: list = dc_field(init=False, repr=False, compare=False)
-    _unit_coords: list = dc_field(init=False, repr=False, compare=False)
     _log_scale: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -412,10 +425,8 @@ class ClassGroup:
         for t in self.units.torsion_elements():
             cols = [K.mul_int_coords(t.coords, b) for b in basis]
             self._torsion_rows.append(list(zip(*cols)))
-        # each fundamental unit with its inverse, and the log of the search's
-        # unit-balance scale (_least_unit_multiple)
+        # the log of the search's unit-balance scale (_least_unit_multiple)
         units = self.units.fundamental
-        self._unit_coords = [(u.coords, u.inverse().coords) for u in units]
         self._log_scale = math.log(_search_constants(K, units)) if units else 0.0
 
     @property
@@ -523,17 +534,28 @@ class ClassGroup:
 
     def generator(self, fa: FactoredIdeal, ceilings: Ceilings | None = None) -> AlgebraicNumber:
         """The canonical generator of fa, as canonical_generator chooses it,
-        composed from stored generators with no lattice search.
+        composed from stored generators with no lattice search: the element
+        of generator_coords."""
+        coords, den = self.generator_coords(fa, ceilings)
+        if den == 1:
+            return AlgebraicNumber._of(self.field, coords)
+        return self.field.element([Fraction(c, den) for c in coords])
+
+    def generator_coords(
+        self, fa: FactoredIdeal, ceilings: Ceilings | None = None
+    ) -> tuple[tuple[int, ...], int]:
+        """(coords, den) for int coordinates with generator(fa) = coords/den,
+        den > 0, on int arithmetic alone.
 
         fa is cleared to num/den (FactoredIdeal.cleared), and one generator
         g of num is carried prime by prime through the stored generators and
         the times table (class_of_prime, under the caller's ceilings, looks
         up a new prime); NotPrincipalError when the class does not end at 0.
         Every generator of num is t g eps^k (t a root of unity, eps^k a
-        unit); whatever g is, the canonical one, divided by den, is the
-        torsion multiple of least key in rank 0 (_least_torsion_multiple),
-        else the least unit multiple the search would see
-        (_least_unit_multiple).  In degree 1 the generators are +-N(fa).
+        unit); whatever g is, the canonical one is the torsion multiple of
+        least key in rank 0 (_least_torsion_multiple), else the least unit
+        multiple the search would see (_least_unit_multiple).  In degree 1
+        the generators of num are +-N(num).
         """
         K = self.field
         if K.degree == 1:
@@ -543,7 +565,7 @@ class ClassGroup:
                     num *= q.p**e
                 else:
                     den *= q.p**-e
-            return AlgebraicNumber._of(K, (num,)) if den == 1 else K.element([Fraction(num, den)])
+            return (num,), den
         num, den = fa.cleared()
         cls, coords, scale = self._compose(num.exps, ceilings)
         if cls:
@@ -556,9 +578,7 @@ class ClassGroup:
             best = self._least_unit_multiple(coords, target, ceilings)
         else:
             best = self._least_torsion_multiple(coords)
-        if den == 1:
-            return AlgebraicNumber._of(K, tuple(best))
-        return K.element([Fraction(c, den) for c in best])
+        return tuple(best), den
 
     def _least_unit_multiple(
         self, coords: list[int], target: int, ceilings: Ceilings | None
@@ -597,16 +617,13 @@ class ClassGroup:
         points = math.prod(map(len, ranges))
         if points > ceilings.search_points:
             raise CeilingError(f"unit reduction over {points} box points", ceilings.search_points)
-        start = coords
-        for (u, u_inv), rng in zip(self._unit_coords, ranges):
-            for _ in range(abs(rng.start)):
-                start = mul(start, u if rng.start > 0 else u_inv)
+        start = ug.times_units(tuple(coords), [rng.start for rng in ranges])
 
         def box(j: int, x, ks: tuple):
             if j == ug.rank:
                 yield ks, x
                 return
-            u = self._unit_coords[j][0]
+            u = ug.unit_coords[j][0]
             for k in ranges[j]:
                 yield from box(j + 1, x, ks + (k,))
                 x = mul(x, u)

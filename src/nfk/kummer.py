@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Iterator
 
 from sympy import integer_nthroot
@@ -78,15 +79,6 @@ def _power_root(fa: FactoredIdeal, ell: int) -> FactoredIdeal:
     return FactoredIdeal(fa.field, {q: e // ell for q, e in fa.exps.items()})
 
 
-def _as_unit(K: NumberField, x: AlgebraicNumber) -> AlgebraicNumber:
-    if not x.is_integral():
-        raise ArithmeticError(f"{x!r} should be a unit but is not integral")
-    u = K.element(x.int_coords())
-    if abs(u.norm()) != 1:
-        raise ArithmeticError(f"{u!r} should be a unit but has norm {u.norm()}")
-    return u
-
-
 def normalize_gamma(
     gamma: AlgebraicNumber,
     ell: int,
@@ -104,11 +96,15 @@ def normalize_gamma(
     fa is gamma O_K already factored (the cell loop passes the cell's
     ideal to the m-th power); without it gamma O_K is built and factored
     here.  The result is the same either way: k^ell alpha generates fa
-    for the canonical generator alpha of the normalized ideal, so the one
-    division u = gamma / (k^ell alpha) is a unit exactly when
-    fa = gamma O_K.  A wrong fa raises instead of giving a wrong key:
-    ArithmeticError from _as_unit, or NotPrincipalError first when fa is
-    not principal.  gamma' = alpha u is then integral by construction.
+    for the canonical generator alpha of the normalized ideal, so
+    u = gamma / (k^ell alpha) is a unit exactly when fa = gamma O_K.  The
+    element work runs on int coordinates: with k = kc/dk and alpha = a/da
+    (ClassGroup.generator_coords), u is the one exact quotient
+    gamma dk^ell da / (kc^ell a) (NumberField.div_int_coords), and a wrong
+    fa raises instead of giving a wrong key: ArithmeticError when u has a
+    Fraction coordinate or a norm other than +-1, or NotPrincipalError
+    first when fa is not principal.  gamma' = alpha u = a u / da is then
+    integral by construction, and exactly divided.
     """
     K = gamma.field
     if gamma.is_zero():
@@ -130,17 +126,28 @@ def normalize_gamma(
     parts = decompose_parts(fa2, ell)
     if parts.root != rep or parts.reconstruct() != fa2:
         raise ArithmeticError("parts decomposition does not reconstruct gamma")
-    alpha = K.one if fa2.is_unit_ideal() else cg.generator(fa2, ceilings)
-    if quo.is_unit_ideal():
-        u = _as_unit(K, gamma / alpha)
-    else:
-        u = _as_unit(K, gamma / (cg.generator(quo, ceilings) ** ell * alpha))
-    coset = unit_coset_coords(cg.units, u, ell)
+    one = K.one.coords
+    mul = K.mul_int_coords
+    alpha, da = (one, 1) if fa2.is_unit_ideal() else cg.generator_coords(fa2, ceilings)
+    top, scale = alpha, da  # k^ell alpha = top / scale
+    if not quo.is_unit_ideal():
+        kc, dk = cg.generator_coords(quo, ceilings)
+        top = kc
+        for _ in range(ell - 1):
+            top = mul(top, kc)
+        top, scale = mul(top, alpha), dk**ell * da
+    g = gamma.coords
+    u = K.div_int_coords([c * scale for c in g] if scale != 1 else g, top)
+    if Fraction in map(type, u) or abs(K.norm_int(u)) != 1:
+        raise ArithmeticError(f"{gamma!r} / (k^{ell} alpha) = {u} should be a unit")
+    unit = AlgebraicNumber._of(K, u)
+    coset = unit_coset_coords(cg.units, unit, ell)
     if fa2.is_unit_ideal() and all(c == 0 for c in coset):
         raise DegenerateExtensionError(
             f"{gamma!r} is an {ell}-th power; the extension is trivial"
         )
-    return KummerDatum(K, ell, alpha * u, parts, u, cls, coset)
+    g2 = mul(alpha, u) if da == 1 else K.div_int_coords(mul(alpha, u), one, da)
+    return KummerDatum(K, ell, AlgebraicNumber._of(K, g2), parts, unit, cls, coset)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +522,16 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
     ell-part L.  A record's Steinitz class is that of sqrt(L / Q^(ell-1)),
     checked and looked up once per (row, L), minus that of the cell's off,
     once per cell.  For odd ell, orbit dedup makes one normalize_gamma call
-    per power gamma^m tried, passing it fa^m, the ideal of gamma^m in
-    factored form.
+    per power gamma^m tried, passing it gamma^m from int products and fa^m,
+    the ideal of gamma^m in factored form, made once per cell on first need;
+    a power whose key precedes the candidate's (_precedes) drops it.
     """
     fa = rep**ell * Q * I
     unit_cell = fa.is_unit_ideal()
-    alpha = K.one if unit_cell else cg.generator(fa, ceilings)
+    if unit_cell:
+        alpha = K.one
+    else:  # fa is integral, so the generator's denominator is 1
+        alpha = AlgebraicNumber._of(K, cg.generator_coords(fa, ceilings)[0])
     if ell == 2:  # I is squarefree: its own one power part
         power_parts = {1: I}
     else:
@@ -534,6 +545,7 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
     off_cls = cg.index_of(cell.off.inverse(), ceilings)
     mul = K.mul_int_coords
     by_disc = order_by == "disc"
+    fa_pows: list[FactoredIdeal] = []  # fa^2, fa^3, ..., each made on first need
     for u, coset in units:
         if unit_cell and not any(coset):
             continue  # gamma is the trivial ell-th power
@@ -545,11 +557,14 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
         if (disc_norm if by_disc else tame_norm) > X:
             continue
         if dedup and ell > 2:
-            key = datum.key()
-            smaller = False
+            power, smaller = gamma.coords, False
             for m in range(2, ell):
-                other = normalize_gamma(gamma**m, ell, ceilings, fa=fa**m)
-                if other.key() < key:
+                power = mul(power, gamma.coords)
+                if len(fa_pows) < m - 1:
+                    fa_pows.append(fa**m)
+                gamma_m = AlgebraicNumber._of(K, power)
+                other = normalize_gamma(gamma_m, ell, ceilings, fa=fa_pows[m - 2])
+                if _precedes(other, datum):
                     smaller = True
                     break
             if smaller:
@@ -560,6 +575,14 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
         if off_cls:
             st = cg.group.op(st, off_cls)
         yield ExtensionRecord(datum, delta, lpart, fpart, st, disc_norm)
+
+
+def _precedes(other: KummerDatum, datum: KummerDatum) -> bool:
+    """other.key() < datum.key(): the unit cosets decide unless they tie,
+    and only a tie builds the keys."""
+    if other.unit_coset != datum.unit_coset:
+        return other.unit_coset < datum.unit_coset
+    return other.key() < datum.key()
 
 
 def record_json_dict(record: ExtensionRecord, cg: ClassGroup) -> dict:

@@ -52,8 +52,10 @@ class AlgebraicNumber:
             raise ValueError("coordinate length != field degree")
 
     @classmethod
-    def _of(cls, field: "NumberField", coords: tuple[int, ...]) -> "AlgebraicNumber":
-        """The element of a tuple of field.degree ints, taken as is."""
+    def _of(cls, field: "NumberField", coords: tuple) -> "AlgebraicNumber":
+        """The element of a tuple of field.degree coordinates already in
+        normal form (ints, and Fractions only where not integral), taken as
+        is: an int product, or a quotient from NumberField.div_int_coords."""
         out = object.__new__(cls)
         out.field = field
         out.coords = coords
@@ -96,9 +98,15 @@ class AlgebraicNumber:
         return AlgebraicNumber(self.field, [-a for a in self.coords])
 
     def __mul__(self, other) -> "AlgebraicNumber":
+        """x * y, or x times an int or Fraction; a product of int coordinates
+        is an int tuple, taken as is (_of)."""
         if isinstance(other, (int, Fraction)):
-            return AlgebraicNumber(self.field, [a * other for a in self.coords])
-        return AlgebraicNumber(self.field, self.field.mul_int_coords(self.coords, other.coords))
+            prod = tuple(a * other for a in self.coords)
+        else:
+            prod = self.field.mul_int_coords(self.coords, other.coords)
+        if Fraction in map(type, prod):
+            return AlgebraicNumber(self.field, prod)
+        return AlgebraicNumber._of(self.field, prod)
 
     __rmul__ = __mul__
 
@@ -126,32 +134,28 @@ class AlgebraicNumber:
         return self.field.one / self
 
     def __truediv__(self, other: "AlgebraicNumber") -> "AlgebraicNumber":
-        """x / y as the solution z of y z = x, by one fraction-free solve.
+        """x / y, on the one division path NumberField.div_int_coords.
 
         With x = a/d and y = b/e for integral a, b and least common
-        denominators d, e, the vector d z solves b (d z) = e a on the int
-        multiplication matrix of b (_solve_int, which divides by d at the
-        end).  Every operand, integral or not, takes this path.
+        denominators d, e, x / y is (e a) / (d b).  Every operand, integral
+        or not, takes this path.
         """
         if isinstance(other, (int, Fraction)):
             return AlgebraicNumber(self.field, [Fraction(a, 1) / other for a in self.coords])
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        K = self.field
         a, d = _int_scaled(self.coords)
         b, e = _int_scaled(other.coords)
-        cols = [K.mul_int_coords(b, K.theta_power(j)) for j in range(K.degree)]
-        m = [list(r) for r in zip(*cols)]
-        return AlgebraicNumber(K, _solve_int(m, [e * c for c in a], d))
+        if e != 1:
+            a = [e * c for c in a]
+        return AlgebraicNumber._of(self.field, self.field.div_int_coords(a, b, d))
 
 
-def _int_scaled(coords: Sequence) -> tuple[list[int], int]:
+def _int_scaled(coords: Sequence) -> tuple[Sequence[int], int]:
     """(a, d) with coords = a/d for int a and d the least common denominator."""
     d = math.lcm(*(c.denominator for c in coords if isinstance(c, Fraction)))
-    return [int(c * d) for c in coords], d
+    return (coords if d == 1 else [int(c * d) for c in coords]), d
 
 
-def _solve_int(m: list[list[int]], rhs: Sequence[int], den: int = 1) -> list:
+def _solve_int(m: list[list[int]], rhs: Sequence[int], den: int = 1) -> tuple:
     """The solution x of m x = rhs / den for a nonsingular int matrix, by
     Bareiss's fraction-free elimination.
 
@@ -181,8 +185,20 @@ def _solve_int(m: list[list[int]], rhs: Sequence[int], den: int = 1) -> list:
     for i in range(n - 1, -1, -1):
         acc = det * a[i][n] - sum(a[i][j] * x[j] for j in range(i + 1, n))
         x[i] = acc // a[i][i]
-    det *= den
-    return [v // det if v % det == 0 else Fraction(v, det) for v in x]
+    return _divided(x, det * den)
+
+
+def _divided(coords: Sequence[int], d: int) -> tuple:
+    """coords / d for a nonzero int d: an int where exact, else a Fraction."""
+    return tuple(c // d if not c % d else Fraction(c, d) for c in coords)
+
+
+def _fold(terms: Iterable[float]) -> float:
+    """The terms added left to right from 0: not sum(), which from Python
+    3.12 compensates float additions (CPython gh-100425), so every float
+    that steers LLL, Fincke-Pohst or a unit-log box is the same on every
+    interpreter pyproject.toml allows."""
+    return functools.reduce(operator.add, terms, 0)
 
 
 def _gram_schmidt(vecs: list[list[float]]) -> tuple[list[list[float]], list[float]]:
@@ -194,10 +210,10 @@ def _gram_schmidt(vecs: list[list[float]]) -> tuple[list[list[float]], list[floa
     for i, v in enumerate(vecs):
         w = list(v)
         for j in range(i):
-            mu[i][j] = sum(x * y for x, y in zip(v, stars[j])) / sq[j]
+            mu[i][j] = _fold(map(operator.mul, v, stars[j])) / sq[j]
             w = [x - mu[i][j] * y for x, y in zip(w, stars[j])]
         stars.append(w)
-        sq.append(sum(x * x for x in w))
+        sq.append(_fold(map(operator.mul, w, w)))
     return mu, sq
 
 
@@ -263,6 +279,7 @@ class NumberField:
         if n <= 3:
             self.mul_int_coords = _mul_kernel([self.theta_power(k) for k in range(n, 2 * n - 1)])
             self._norm = _norm_kernel(self.poly.coeffs)
+            self.div_int_coords = _div_kernel(self.poly.coeffs, self.mul_int_coords)
         else:
             self._norm = self._norm_form
 
@@ -367,6 +384,22 @@ class NumberField:
                     out[i] += ck * tp[i]
         return tuple(out)
 
+    def div_int_coords(self, a: Sequence[int], b: Sequence[int], den: int = 1) -> tuple:
+        """The exact quotient a / (den b) of int coordinates, b nonzero: an
+        int where exact, else a Fraction (_divided); b = 0 raises
+        ZeroDivisionError.
+
+        It solves b z = a on the int multiplication matrix of b by
+        fraction-free elimination (_solve_int).  A field of degree <= 3
+        shadows this method with a straight-line quotient set in __init__
+        (_div_kernel), a times the adjugate of b over N(b); the solve stays
+        the path of degree >= 4 and the tests' reference.
+        """
+        if not any(b):
+            raise ZeroDivisionError("division by zero")
+        cols = [self.mul_int_coords(b, self.theta_power(j)) for j in range(self.degree)]
+        return _solve_int([list(r) for r in zip(*cols)], a, den)
+
     def element(self, coords: Sequence) -> AlgebraicNumber:
         return AlgebraicNumber(self, coords)
 
@@ -447,13 +480,12 @@ class NumberField:
         rows = self._t2_rows
         if self.degree <= 3:
             return _embed_kernel(rows)
-        return lambda coords: [
-            functools.reduce(operator.add, map(operator.mul, row, coords), 0) for row in rows
-        ]
+        return lambda coords: [_fold(map(operator.mul, row, coords)) for row in rows]
 
     def t2(self, coords: Sequence) -> float:
         """T2(x) = sum over the n embeddings of |sigma(x)|^2, in floats."""
-        return sum(v * v for v in self._embed(coords))
+        v = self._embed(coords)
+        return _fold(map(operator.mul, v, v))
 
     def _place_sq(self, v: list[float]) -> list[float]:
         """|sigma(x)|^2 at each of the r1 + r2 places, from v = _embed(x)."""
@@ -475,7 +507,7 @@ class NumberField:
         that doubles until the same test holds with 2^-prec for 2^-53.
         """
         sq = self._place_sq(self._embed(coords))
-        sizes = [sum(abs(r * c) for r, c in zip(row, coords)) for row in self._t2_rows]
+        sizes = [_fold(map(abs, map(operator.mul, row, coords))) for row in self._t2_rows]
         r1 = self.r1
         bound = sizes[:r1] + [a + b for a, b in zip(sizes[r1::2], sizes[r1 + 1::2])]
         if all(s > (b * 2.0**-20) ** 2 for s, b in zip(sq, bound)):
@@ -513,7 +545,7 @@ class NumberField:
         # `partial` holds the power-basis coordinates of sum_{i>j} xs[i] basis[i].
         def descend(j: int, used: float, partial: list[int]):
             nonlocal points
-            c = sum(mu[i][j] * xs[i] for i in range(j + 1, n))
+            c = _fold(mu[i][j] * xs[i] for i in range(j + 1, n))
             half = math.sqrt(max(radius - used, 0.0) / sq[j])
             row = range(math.ceil(-c - half), math.floor(-c + half) + 1)
             if j:
@@ -645,6 +677,53 @@ def _norm_kernel(c: Sequence[int]) -> Callable[[Sequence[int]], int]:
         return a0 * (b1 * d2 - b2 * d1) - b0 * (a1 * d2 - a2 * d1) + d0 * (a1 * b2 - a2 * b1)
 
     return norm3
+
+
+def _div_kernel(
+    c: Sequence[int], mul: Callable[[Sequence, Sequence], tuple]
+) -> Callable[..., tuple]:
+    """NumberField.div_int_coords in degree n <= 3, f = c0 + c1 x + ... + x^n,
+    as a adj(b) / (den N(b)) with b adj(b) = N(b) (Cohen, GTM 138, 2.2).
+
+    Degree 2: adj(b) = conj(b) = (b0 - c1 b1) - b1 theta.  Degree 3: adj(b)
+    is the first column of the adjugate of the matrix with columns b,
+    theta b, theta^2 b, three 2x2 cofactors, and N(b) its determinant
+    expanded along the first row; mul is the field's product kernel.
+    """
+    if len(c) == 2:
+
+        def div1(a: Sequence[int], b: Sequence[int], den: int = 1) -> tuple:
+            if not b[0]:
+                raise ZeroDivisionError("division by zero")
+            return _divided(a, b[0] * den)
+
+        return div1
+    if len(c) == 3:
+        c0, c1 = c[0], c[1]
+
+        def div2(a: Sequence[int], b: Sequence[int], den: int = 1) -> tuple:
+            a0, a1 = a
+            b0, b1 = b
+            e0 = b0 - c1 * b1
+            n = b0 * e0 + c0 * b1 * b1
+            if not n:
+                raise ZeroDivisionError("division by zero")
+            return _divided((a0 * e0 + c0 * a1 * b1, a1 * b0 - a0 * b1), n * den)
+
+        return div2
+    c0, c1, c2 = c[0], c[1], c[2]
+
+    def div3(a: Sequence[int], b: Sequence[int], den: int = 1) -> tuple:
+        u0, u1, u2 = b
+        v0, v1, v2 = -c0 * u2, u0 - c1 * u2, u1 - c2 * u2
+        w0, w1, w2 = -c0 * v2, v0 - c1 * v2, v1 - c2 * v2
+        adj = (v1 * w2 - v2 * w1, w1 * u2 - w2 * u1, u1 * v2 - u2 * v1)
+        n = u0 * adj[0] + v0 * adj[1] + w0 * adj[2]
+        if not n:
+            raise ZeroDivisionError("division by zero")
+        return _divided(mul(a, adj), n * den)
+
+    return div3
 
 
 def _embed_kernel(rows: list[list[float]]) -> Callable[[Sequence], list[float]]:

@@ -50,3 +50,10 @@ def field_x4_7x2_13():
     # ell = 3 with h = 2 and w = 6 (unit rank 1): the one field here whose
     # Steinitz classes at ell = 3 are not all trivial
     return build_field([13, 0, 7, 0, 1], ell=3, label="x^4+7x^2+13")
+
+
+@pytest.fixture(scope="session")
+def field_x4_53x2_703():
+    # ell = 3 with Cl = Z/6 and unit rank 1: the one field here with ell | h
+    # for odd ell
+    return build_field([703, 0, 53, 0, 1], ell=3, label="x^4+53x^2+703")

@@ -27,6 +27,11 @@
   NumberField.norm_int and AlgebraicNumber.norm replaced by the norm form
   (a closed form in degree <= 3).  The matrix is built by shift-and-fold
   from theta_power, not through NumberField.mul_int_coords.
+- normalize_gamma_by_elements and unit_dlog_by_elements are the Kummer
+  normalization and the unit discrete log on AlgebraicNumber arithmetic
+  (Fraction coordinates, with _as_unit checking the quotient), which
+  kummer.normalize_gamma and class_unit.unit_dlog replaced by int
+  coordinate tuples and exact quotients (NumberField.div_int_coords).
 - is_isomorphic decides whether two Kummer data cut out the same extension;
   assert_pairwise_non_isomorphic runs it on every pair of enumerated
   records, the check of the orbit dedup in kummer.iter_extensions.
@@ -50,16 +55,24 @@ import mpmath
 import sympy
 
 from nfk.abelian_groups import unit_group_mod_ideal
-from nfk.class_unit import _find_class, compute_class_group, compute_unit_group, unit_coset_coords
+from nfk.class_unit import (
+    UnitGroup,
+    _find_class,
+    compute_class_group,
+    compute_unit_group,
+    unit_coset_coords,
+)
 from nfk.config import Ceilings
 from nfk.density import zeta_constants
-from nfk.errors import CeilingError, RankError
+from nfk.errors import CeilingError, DegenerateExtensionError, RankError
 from nfk.ideals import (
     FactoredIdeal,
     Ideal,
     PrimeIdeal,
     as_factored,
+    decompose_parts,
     factor_ideal,
+    ideal_from_element,
     primes_of_norm_up_to,
     residue_degrees,
     split_prime,
@@ -67,7 +80,6 @@ from nfk.ideals import (
 from nfk.kummer import (
     ExtensionRecord,
     KummerDatum,
-    _as_unit,
     _congruence_depth,
     _power_root,
     wild_saturation_depth,
@@ -119,6 +131,77 @@ def steinitz_class_from_parts(d: KummerDatum, cg, ceilings: Ceilings | None = No
     if st * st * den_pow != ell_part:
         raise ArithmeticError("Steinitz square does not reassemble the ell-part")
     return cg.index_of(st, ceilings)
+
+
+def _as_unit(K: NumberField, x: AlgebraicNumber) -> AlgebraicNumber:
+    if not x.is_integral():
+        raise ArithmeticError(f"{x!r} should be a unit but is not integral")
+    u = K.element(x.int_coords())
+    if abs(u.norm()) != 1:
+        raise ArithmeticError(f"{u!r} should be a unit but has norm {u.norm()}")
+    return u
+
+
+def unit_dlog_by_elements(ug: UnitGroup, u: AlgebraicNumber) -> tuple[int, tuple[int, ...]]:
+    """(a, b) with u = zeta^a prod fundamental_i^b_i: the float log solve,
+    then element powers and quotients, the torsion matched by element
+    equality and the factorization re-verified on elements."""
+    K = ug.field
+    if not (u.is_integral() and abs(u.norm()) == 1):
+        raise ValueError(f"{u!r} is not a unit")
+    r = ug.rank
+    b: list[int] = []
+    if r:
+        logs = K.log_abs_embeddings(u.int_coords())[:r]
+        for row in ug.vertex_inverses[r]:
+            x = sum(c * v for c, v in zip(row, logs))
+            n = round(x)
+            if abs(x - n) > 0.25:
+                raise ArithmeticError(f"unit dlog: exponent {x} is not near an integer")
+            b.append(n)
+    t = u
+    for f, e in zip(ug.fundamental, b):
+        t = t * f ** (-e) if e < 0 else t / f**e
+    t = K.element(t.int_coords())
+    for a, z in enumerate(ug.torsion_elements()):
+        if z == t:
+            check = z
+            for f, e in zip(ug.fundamental, b):
+                check = check * f**e if e >= 0 else check / f ** (-e)
+            if K.element(check.int_coords()) != u:
+                raise ArithmeticError("unit dlog verification failed")
+            return a, tuple(b)
+    raise ArithmeticError(f"unit dlog: residual {t!r} is not a root of unity")
+
+
+def normalize_gamma_by_elements(
+    gamma: AlgebraicNumber, ell: int, fa: FactoredIdeal | None = None
+) -> KummerDatum:
+    """kummer.normalize_gamma on elements: k^ell alpha from ClassGroup.generator,
+    u = gamma / (k^ell alpha) checked by _as_unit, and its coset from
+    unit_dlog_by_elements."""
+    K = gamma.field
+    cg = compute_class_group(K)
+    if fa is None:
+        fa = factor_ideal(ideal_from_element(gamma))
+    root = _power_root(fa, ell)
+    cls = cg.index_of(root)
+    rep = cg.ell_free_representative(cls, ell)
+    quo = root * rep.inverse()
+    fa2 = fa * quo.inverse() ** ell
+    parts = decompose_parts(fa2, ell)
+    if parts.root != rep or parts.reconstruct() != fa2:
+        raise ArithmeticError("parts decomposition does not reconstruct gamma")
+    alpha = K.one if fa2.is_unit_ideal() else cg.generator(fa2)
+    if quo.is_unit_ideal():
+        u = _as_unit(K, gamma / alpha)
+    else:
+        u = _as_unit(K, gamma / (cg.generator(quo) ** ell * alpha))
+    a, b = unit_dlog_by_elements(cg.units, u)
+    coset = (a % math.gcd(cg.units.w, ell),) + tuple(x % ell for x in b)
+    if fa2.is_unit_ideal() and not any(coset):
+        raise DegenerateExtensionError(f"{gamma!r} is an {ell}-th power")
+    return KummerDatum(K, ell, alpha * u, parts, u, cls, coset)
 
 
 def _lf(fa: FactoredIdeal, ell: int) -> FactoredIdeal:

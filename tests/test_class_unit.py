@@ -34,7 +34,7 @@ from nfk.ideals import (
 )
 from nfk.kummer import enumerate_extensions
 from nfk.number_field import NumberField, build_field
-from oracles import class_census_by_search, ell_free_ideals_of_norm_up_to
+from oracles import class_census_by_search, ell_free_ideals_of_norm_up_to, unit_dlog_by_elements
 
 
 def test_units_rank_zero(field_q, field_qi, field_qm5):
@@ -176,6 +176,33 @@ def test_unit_reduction_depends_only_on_the_lattice(coeffs):
         for f, e in zip(ug.fundamental, b):
             u = u * f**e
         assert unit_dlog(ug, u) == (a, b)
+
+
+@pytest.mark.parametrize("name", ["q", "zeta3", "qi", "qs2", "cubic9", "x4_7x2_13", "rank2"])
+def test_unit_dlog_matches_element_oracle(name, request):
+    # the unit group keeps each fundamental unit with its inverse and each
+    # root of unity's coordinates; unit_dlog on int tuples reads the same
+    # exponents as the element path, and rejects what it rejects
+    K = request.getfixturevalue(f"field_{name}")
+    ug = compute_unit_group(K)
+    one = K.one.coords
+    assert [c for c, _ in ug.unit_coords] == [f.coords for f in ug.fundamental]
+    for f, f_inv in ug.unit_coords:
+        assert K.mul_int_coords(f, f_inv) == one
+    assert ug.torsion_index == {t.coords: a for a, t in enumerate(ug.torsion_elements())}
+    rng = random.Random(23)
+    for _ in range(30):
+        a = rng.randrange(ug.w)
+        b = [rng.randint(-9, 9) for _ in ug.fundamental]
+        u = ug.zeta**a
+        for f, e in zip(ug.fundamental, b):
+            u = u * f**e
+        assert ug.times_units(ug.torsion_elements()[a].coords, b) == u.coords
+        assert unit_dlog(ug, u) == unit_dlog_by_elements(ug, u) == (a, tuple(b))
+    for x in (K.from_int(2), K.element([Fraction(1, 2)] + [0] * (K.degree - 1))):
+        for dlog in (unit_dlog, unit_dlog_by_elements):
+            with pytest.raises(ValueError):
+                dlog(ug, x)
 
 
 def test_unit_coset_reps_counts(field_q, field_qi, field_qm5, field_cubic9, field_zeta3):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from nfk import ideals, kummer
+from nfk import ideals, kummer, number_field
 from nfk.abelian_groups import is_power_class
 from nfk.class_unit import (
     compute_class_group,
@@ -16,12 +16,18 @@ from nfk.class_unit import (
     unit_coset_reps,
 )
 from nfk.config import Ceilings
-from nfk.errors import CeilingError, DegenerateExtensionError, MissingRootOfUnityError
+from nfk.errors import (
+    CeilingError,
+    DegenerateExtensionError,
+    MissingRootOfUnityError,
+    NotPrincipalError,
+)
 from nfk.ideals import (
     FactoredIdeal,
     decompose_parts,
     factor_ideal,
     ideal_from_element,
+    primes_of_norm_up_to,
     split_prime,
 )
 from nfk.kummer import (
@@ -37,13 +43,14 @@ from nfk.kummer import (
     trace_form_discriminant,
     verify_trace_determinant,
 )
-from nfk.number_field import build_field
+from nfk.number_field import AlgebraicNumber, build_field
 from oracles import (
     assert_pairwise_non_isomorphic,
     discriminant_split_from_ideal,
     congruence_depth_walk,
     ell_power_residues,
     is_isomorphic,
+    normalize_gamma_by_elements,
     steinitz_class_from_parts,
     steinitz_denominator,
 )
@@ -724,13 +731,16 @@ def test_row_entry_takes_an_equal_ell_part_built_elsewhere(field_qm5, monkeypatc
 
 @pytest.mark.parametrize(
     "name, X, options",
-    [("zeta3", 100000, {}), ("x4_7x2_13", 20, {"order_by": "ell_free"})],
-    ids=["zeta3", "x4_7x2_13-ell_free"],
+    [("zeta3", 100000, {}), ("x4_7x2_13", 20, {"order_by": "ell_free"}),
+     ("x4_53x2_703", 1000, {"order_by": "ell_free"})],
+    ids=["zeta3", "x4_7x2_13-ell_free", "x4_53x2_703-ell_free"],
 )
 def test_normalize_hint_matches_factoring(name, X, options, request, monkeypatch):
     # the cell loop passes gamma^m O_K = fa^m to normalize_gamma; on every
     # deduped candidate the result equals the one that factors gamma^m O_K
-    # itself.  On x^4+7x^2+13 (h = 2, rank 1) the power root moves to a
+    # itself, and the element path's (normalize_gamma_by_elements) gamma,
+    # unit coordinate, coset, class and parts.  On x^4+7x^2+13 (h = 2,
+    # rank 1) and x^4+53x^2+703 (Cl = Z/6) the power root moves to a
     # nontrivial class representative, and its generator is composed with
     # no norm-match search.
     K = request.getfixturevalue(f"field_{name}")
@@ -751,33 +761,91 @@ def test_normalize_hint_matches_factoring(name, X, options, request, monkeypatch
     for gamma, fa, got in calls:
         assert fa is not None
         assert normalize(gamma, 3) == got
-    if name == "x4_7x2_13":
+        want = normalize_gamma_by_elements(gamma, 3, fa)
+        assert (got.gamma, got.unit_coordinate, got.unit_coset, got.power_root_class, got.parts) == (
+            want.gamma, want.unit_coordinate, want.unit_coset, want.power_root_class, want.parts
+        )
+    assert any(any(d.unit_coset) for *_, d in calls)
+    if name != "zeta3":
         assert any(d.power_root_class for *_, d in calls)
     assert not searches
 
 
+def _raises_on_both_paths(error, gamma, fa):
+    with pytest.raises(error):
+        normalize_gamma(gamma, 3, fa=fa)
+    with pytest.raises(error):
+        normalize_gamma_by_elements(gamma, 3, fa)
+
+
 def test_normalize_rejects_a_wrong_hint(field_zeta3, field_x4_7x2_13):
-    # u = gamma / (k^ell alpha) is a unit exactly when the hint is gamma O_K
+    # u = gamma / (k^ell alpha) is a unit exactly when the hint is gamma O_K;
+    # the int path raises where the element path does: ArithmeticError for
+    # a wrong principal hint (u with a Fraction coordinate, or integral of
+    # norm other than +-1), NotPrincipalError for a non-principal one
     K = field_zeta3
     cg = compute_class_group(K)
     q, qbar = split_prime(K, 7)
     g = cg.generator(FactoredIdeal(K, {q: 1}))
     assert normalize_gamma(g, 3, fa=FactoredIdeal(K, {q: 1})) == normalize_gamma(g, 3)
-    with pytest.raises(ArithmeticError):
-        normalize_gamma(g, 3, fa=FactoredIdeal(K, {qbar: 1}))  # the conjugate prime
+    _raises_on_both_paths(ArithmeticError, g, FactoredIdeal(K, {qbar: 1}))  # the conjugate prime
     five = FactoredIdeal(K, {r: 1 for r in split_prime(K, 5)})
     gamma = K.from_int(5) * g**3
     assert normalize_gamma(gamma, 3, fa=five * FactoredIdeal(K, {q: 3})) == normalize_gamma(gamma, 3)
-    with pytest.raises(ArithmeticError):
-        normalize_gamma(gamma, 3, fa=five)  # drops the cube q^3
+    _raises_on_both_paths(ArithmeticError, gamma, five)  # drops the cube q^3
+    _raises_on_both_paths(ArithmeticError, g * K.from_int(2), FactoredIdeal(K, {q: 1}))  # N(u) = 4
     # an extra principal cube on x^4+7x^2+13 leaves the classes alone
     K = field_x4_7x2_13
+    cg = compute_class_group(K)
     gamma = K.from_int(5) * K.theta
     fa = factor_ideal(ideal_from_element(gamma))
     two = FactoredIdeal(K, {r: r.e for r in split_prime(K, 2)})
     assert normalize_gamma(gamma, 3, fa=fa) == normalize_gamma(gamma, 3)
-    with pytest.raises(ArithmeticError):
-        normalize_gamma(gamma, 3, fa=fa * two**3)
+    _raises_on_both_paths(ArithmeticError, gamma, fa * two**3)
+    odd = next(p for p in primes_of_norm_up_to(K, 100) if cg.index_of(FactoredIdeal(K, {p: 1})))
+    _raises_on_both_paths(ArithmeticError, gamma, fa * FactoredIdeal(K, {odd: 2}))  # principal
+    _raises_on_both_paths(NotPrincipalError, gamma, fa * FactoredIdeal(K, {odd: 1}))
+    _raises_on_both_paths(NotPrincipalError, gamma, FactoredIdeal(K, {odd: 1}))
+
+
+def test_cell_loop_dedup_takes_no_fraction_path(field_zeta3, monkeypatch):
+    # over Q(zeta3), the one field of degree <= 3 with ell > 2, the cell
+    # loop's normalize_gamma calls neither the normalizing element
+    # constructor nor the fraction-free solve: only int tuples and the
+    # field's straight-line kernels
+    K = field_zeta3
+    expected = enumerate_extensions(K, 3, 100000)
+    inside, seen, calls = [0], [], [0]
+    init, solve = AlgebraicNumber.__init__, number_field._solve_int
+    normalize = kummer.normalize_gamma
+
+    def spy_init(self, *args):
+        if inside[0]:
+            seen.append("AlgebraicNumber.__init__")
+        init(self, *args)
+
+    def spy_solve(*args):
+        if inside[0]:
+            seen.append("_solve_int")
+        return solve(*args)
+
+    def tracked(*args, **kwargs):
+        calls[0] += 1
+        inside[0] += 1
+        try:
+            return normalize(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(AlgebraicNumber, "__init__", spy_init)
+    monkeypatch.setattr(number_field, "_solve_int", spy_solve)
+    monkeypatch.setattr(kummer, "normalize_gamma", tracked)
+    assert enumerate_extensions(K, 3, 100000) == expected
+    assert calls[0] > len(expected) and not seen
+    # the spies see the element path: its unit check builds an element
+    inside[0] += 1
+    normalize_gamma_by_elements(expected[0].datum.gamma**2, 3)
+    assert "AlgebraicNumber.__init__" in seen
 
 
 def test_int_nth_root_beyond_float_range():

@@ -13,6 +13,7 @@ import pytest
 import sympy
 from sympy import factorint
 
+from nfk import number_field
 from nfk.class_unit import compute_unit_group
 from nfk.errors import CeilingError, FieldConstructionError, MissingRootOfUnityError
 from nfk.ideals import split_prime
@@ -219,6 +220,111 @@ def test_element_kernels_match_generic_loops(coeffs, ell):
         for x in (a, b):
             fold = [functools.reduce(operator.add, (r * c for r, c in zip(row, x)), 0) for row in rows]
             assert K._embed(x) == fold, x
+
+
+def _quotient_mod_f(K, a, b):
+    """a/b as a times the inverse of b mod f (sympy, over QQ)."""
+    x = sympy.Symbol("x")
+    f = sympy.Poly(K.poly.coeffs[::-1], x)
+    inv = sympy.invert(sympy.Poly(list(b)[::-1], x, domain="QQ"), f)
+    rem = sympy.rem(sympy.Poly(list(a)[::-1], x, domain="QQ") * inv, f)
+    got = [Fraction(int(c.p), int(c.q)) for c in rem.all_coeffs()[::-1]]
+    return got + [Fraction(0)] * (K.degree - len(got))
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell",
+    [pytest.param(spec["poly"], spec["ell"], id=spec["label"]) for spec in
+     (json.loads(f.read_text()) for f in sorted(_SPECS.glob("*.json")))]
+    + [pytest.param([1] * 7, 7, id="Q(zeta7)"), pytest.param([1, -2, -1, 1], 2, id="x^3-x^2-2x+1")],
+)
+def test_div_int_coords_matches_solve_and_sympy(coeffs, ell):
+    # degree <= 3 divides by a straight-line adjugate over N(b); the
+    # fraction-free solve (NumberField.div_int_coords on the class, the path
+    # of degree >= 4) is the reference and sympy's inverse mod f checks
+    # both.  Exact quotients come back as ints, the rest with Fractions.
+    K = build_field(coeffs, ell=ell)
+    rng = random.Random(17 + K.degree)
+    for trial in range(240):
+        height = 5 if trial < 80 else 10**9
+        a, b = ([rng.randint(-height, height) for _ in range(K.degree)] for _ in range(2))
+        if not any(b):
+            continue
+        den = 1 if trial % 3 else rng.randint(2, 12)
+        if trial % 2:  # an exact quotient: a = q b
+            q = tuple(a)
+            a = K.mul_int_coords(q, b)
+            assert K.div_int_coords(a, b) == NumberField.div_int_coords(K, a, b) == q
+        got = K.div_int_coords(a, b, den)
+        assert got == NumberField.div_int_coords(K, a, b, den), (a, b, den)
+        assert list(got) == [c / den for c in _quotient_mod_f(K, a, b)], (a, b, den)
+        assert all(isinstance(c, int) or c.denominator > 1 for c in got)
+    assert any(isinstance(c, Fraction) for c in K.div_int_coords([1] + [0] * (K.degree - 1), [2] * K.degree))
+    for div in (K.div_int_coords, functools.partial(NumberField.div_int_coords, K)):
+        with pytest.raises(ZeroDivisionError):
+            div([1] * K.degree, [0] * K.degree)
+
+
+def test_products_and_quotients_keep_the_normal_form(field_zeta3, field_cubic9):
+    # an int product and an exact quotient are int tuples, taken as is; a
+    # Fraction operand still goes through the normalizing constructor, so an
+    # integral result has int coordinates either way
+    for K in (field_zeta3, field_cubic9):
+        n = K.degree
+        half = K.element([Fraction(1, 2)] + [0] * (n - 1))
+        x = K.element(list(range(2, n + 2)))
+        for z in (x * x, x * 3, half * K.from_int(4), (x * x) / x, x / half, K.from_int(6) * half):
+            assert all(type(c) is int for c in z.coords), z
+        assert (x * half) == K.element([Fraction(c, 2) for c in x.coords])
+        assert (x / K.from_int(2)).coords == (x * half).coords
+
+
+def _left_fold(terms):
+    acc = 0
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+def _no_sum(*args):
+    raise AssertionError("a float sum() in nfk.number_field")
+
+
+@pytest.mark.parametrize(
+    "coeffs, ell", [(CUBIC, 2), ([1, -2, -1, 1], 2), ([13, 0, 7, 0, 1], 3), ([5, 0, 1], 2)],
+    ids=["cubic9", "rank2", "x4_7x2_13", "qm5"],
+)
+def test_float_sums_fold_left_from_zero(coeffs, ell, monkeypatch):
+    # from Python 3.12 sum() compensates float additions (CPython gh-100425),
+    # so the Gram-Schmidt dot products and squared norms, T2, the sizes in
+    # log_abs_embeddings and the Fincke-Pohst centres all fold left to right
+    # from 0, as sum() did up to 3.11: with sum() shadowed by a function that
+    # fails once the unit group is built, the short vectors and logs still
+    # come out, and the observable sums equal their explicit left folds
+    assert number_field._fold([1e16, 1.0, -1e16]) == _left_fold([1e16, 1.0, -1e16]) == 0.0
+    K = build_field(coeffs, ell=ell)
+    eps = compute_unit_group(K).fundamental
+    # shadowed only now: the unit search divides, and _solve_int sums ints
+    monkeypatch.setattr(number_field, "sum", _no_sum, raising=False)
+    rng = random.Random(3 + K.degree)
+    for trial in range(50):
+        x = [rng.randint(-10**6, 10**6) for _ in range(K.degree)]
+        v = K._embed(x)
+        assert K.t2(x) == _left_fold(c * c for c in v)
+        K.log_abs_embeddings(x)
+    for u in eps:
+        K.log_abs_embeddings((u**40).int_coords())  # the mpmath path
+    vecs = [K._embed(K.theta_power(k + K.degree)) for k in range(K.degree)]
+    mu, sq = number_field._gram_schmidt(vecs)
+    stars = []
+    for i, v in enumerate(vecs):
+        w = list(v)
+        for j in range(i):
+            assert mu[i][j] == _left_fold(p * q for p, q in zip(v, stars[j])) / sq[j]
+            w = [p - mu[i][j] * q for p, q in zip(w, stars[j])]
+        stars.append(w)
+        assert sq[i] == _left_fold(p * p for p in w)
+    assert list(K.short_vectors([K.theta_power(k) for k in range(K.degree)], 4 * K.degree))
 
 
 @pytest.mark.parametrize(
