@@ -88,7 +88,7 @@ class UnitGroup:
         self.unit_coords = [(u.coords, K.div_int_coords(one, u.coords)) for u in self.fundamental]
         self.torsion_index = {t.coords: a for a, t in enumerate(self._torsion)}
         # log |sigma_i(eps_j)|, one row per place; for each place m, the
-        # inverse of the rows of the other places (ClassGroup.generator; the
+        # inverse of the rows of the other places (_least_unit_multiple; the
         # last, of the first r places, serves unit_dlog)
         r = self.rank
         cols = [K.log_abs_embeddings(u.int_coords()) for u in self.fundamental]
@@ -398,9 +398,10 @@ class ClassGroup:
     q = (g) reps[c].  Each g is an int coordinate tuple over one positive
     int denominator, the first generator a class search, relation or
     reduced form found.
-    generator() multiplies them into a generator of an ideal and picks the
-    canonical one among its torsion and unit multiples, whichever g it
-    started from, with no search.
+    generator_coords() multiplies them into a generator of an ideal, and
+    ell_free_ideals() carries one along its walk; canonical_coords() picks
+    the canonical generator among its torsion and unit multiples, whichever
+    g it started from, with no search.
     """
 
     field: NumberField
@@ -418,7 +419,7 @@ class ClassGroup:
     _log_scale: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # y -> t*y for each root of unity t, as int matrix rows (generator())
+        # y -> t*y for each root of unity t, as int matrix rows (_least_torsion_multiple)
         K = self.field
         basis = [K.theta_power(j) for j in range(K.degree)]
         self._torsion_rows = []
@@ -518,7 +519,10 @@ class ClassGroup:
     def _compose(self, exps: dict, ceilings: Ceilings | None) -> tuple[int, tuple, int]:
         """(cls, coords, scale) with prod q^e = (coords / scale) reps[cls],
         for exponents e >= 0, multiplied from the stored generators through
-        the times table; class_of_prime looks up a new prime."""
+        the times table; class_of_prime looks up a new prime.  In degree 1
+        every prime is (p) in class 0, and none is looked up."""
+        if self.field.degree == 1:
+            return 0, (math.prod(q.p**e for q, e in exps.items()),), 1
         mul = self.field.mul_int_coords
         coords = one = self.field.one.coords
         scale, cls = 1, 0
@@ -532,53 +536,48 @@ class ClassGroup:
                 scale *= dq * dp
         return cls, coords, scale
 
-    def generator(self, fa: FactoredIdeal, ceilings: Ceilings | None = None) -> AlgebraicNumber:
-        """The canonical generator of fa, as canonical_generator chooses it,
-        composed from stored generators with no lattice search: the element
-        of generator_coords."""
-        coords, den = self.generator_coords(fa, ceilings)
-        if den == 1:
-            return AlgebraicNumber._of(self.field, coords)
-        return self.field.element([Fraction(c, den) for c in coords])
-
     def generator_coords(
         self, fa: FactoredIdeal, ceilings: Ceilings | None = None
     ) -> tuple[tuple[int, ...], int]:
-        """(coords, den) for int coordinates with generator(fa) = coords/den,
-        den > 0, on int arithmetic alone.
+        """(coords, den) for int coordinates with coords/den the canonical
+        generator of fa, as canonical_generator chooses it, den > 0, on int
+        arithmetic alone.
 
         fa is cleared to num/den (FactoredIdeal.cleared), and one generator
         g of num is carried prime by prime through the stored generators and
         the times table (class_of_prime, under the caller's ceilings, looks
         up a new prime); NotPrincipalError when the class does not end at 0.
-        Every generator of num is t g eps^k (t a root of unity, eps^k a
-        unit); whatever g is, the canonical one is the torsion multiple of
-        least key in rank 0 (_least_torsion_multiple), else the least unit
-        multiple the search would see (_least_unit_multiple).  In degree 1
-        the generators of num are +-N(num).
+        canonical_coords brings g to the canonical generator.
         """
-        K = self.field
-        if K.degree == 1:
-            num = den = 1
-            for q, e in fa.exps.items():
-                if e > 0:
-                    num *= q.p**e
-                else:
-                    den *= q.p**-e
-            return (num,), den
         num, den = fa.cleared()
         cls, coords, scale = self._compose(num.exps, ceilings)
         if cls:
             raise NotPrincipalError(f"{fa!r} is not principal")
-        if any(c % scale for c in coords):
-            raise ArithmeticError(f"composed generator of {fa!r} is not integral")
-        coords = [c // scale for c in coords]
+        target = math.prod(q.norm**e for q, e in num.exps.items())
+        return tuple(self.canonical_coords(coords, scale, target, ceilings)), den
+
+    def canonical_coords(
+        self, coords, scale: int, target: int, ceilings: Ceilings | None = None
+    ) -> list[int]:
+        """The canonical generator of the integral ideal of norm target that
+        coords/scale generates, as int coordinates.
+
+        Every generator of the ideal is t g eps^k (t a root of unity, eps^k a
+        unit); whatever g = coords/scale is, the canonical one is the torsion
+        multiple of least key in rank 0 (_least_torsion_multiple), else the
+        least unit multiple the search would see (_least_unit_multiple); in
+        degree 1, +-target the positive one.  ArithmeticError when scale does
+        not divide coords.
+        """
+        if scale != 1:
+            if any(c % scale for c in coords):
+                raise ArithmeticError(f"generator {coords}/{scale} is not integral")
+            coords = [c // scale for c in coords]
+        if self.field.degree == 1:
+            return [abs(coords[0])]
         if self.units.rank:
-            target = math.prod(q.norm**e for q, e in num.exps.items())
-            best = self._least_unit_multiple(coords, target, ceilings)
-        else:
-            best = self._least_torsion_multiple(coords)
-        return tuple(best), den
+            return self._least_unit_multiple(coords, target, ceilings)
+        return self._least_torsion_multiple(coords)
 
     def _least_unit_multiple(
         self, coords: list[int], target: int, ceilings: Ceilings | None
@@ -672,37 +671,63 @@ class ClassGroup:
         bound: int,
         ell: int,
         ceilings: Ceilings | None = None,
-    ) -> Iterator[tuple[tuple[tuple[PrimeIdeal, int], ...], int]]:
+    ) -> Iterator[tuple[tuple[tuple[PrimeIdeal, int], ...], int, tuple[int, ...], int]]:
         """Every ell-power-free ideal over the pool whose radical has norm
-        within the bound, with its class.
+        within the bound, with its class and a generator.
 
-        Yields (support, class index); support holds (q, a) pairs with
-        1 <= a <= ell-1, primes ordered by sort key (norm first).  The walk
-        is depth first, one prime and then one exponent at a time, from the
-        unit ideal ((), 0), and carries the class through the group
-        operation.  Every exponent a at q charges N(q) against the bound,
-        as the tame discriminant exponent is ell-1 whatever a is; a caller
-        that bounds N(I) instead walks to the same bound and filters, since
-        N(I) <= X implies N(rad I) <= X.  When h = 1 every class is 0 and
-        no prime is looked up.
+        Yields (support, c, coords, scale) with I = (coords / scale) reps[c]
+        for I the product of the support, coords int and scale a positive
+        int; support holds (q, a) pairs with 1 <= a <= ell-1, primes ordered
+        by sort key (norm first).  The walk is depth first, one prime and
+        then one exponent at a time, from the unit ideal (support (), class
+        0, generator 1 over scale 1), and each step by q = (g_q) reps[c_q]
+        takes the class and generator on through one times-table entry, as
+        _compose does.  Every exponent a
+        at q charges N(q) against the bound, as the tame discriminant
+        exponent is ell-1 whatever a is; a caller that bounds N(I) instead
+        walks to the same bound and filters, since N(I) <= X implies
+        N(rad I) <= X.  Every pool prime within the bound is looked up
+        (class_of_prime), except in degree 1, where the walk carries the
+        positive generator prod p^a as an int and looks up no prime.
         """
         pool = sorted((q for q in pool if q.norm <= bound), key=PrimeIdeal.sort_key)
         norms = [q.norm for q in pool]
-        cls_of = [self.class_of_prime(q, ceilings) for q in pool] if self.h > 1 else [0] * len(pool)
-        op = self.group.op
+        if self.field.degree == 1:
+            ps = [q.p for q in pool]
 
-        def walk(j0: int, support: tuple, cls: int, rem: int):
-            yield support, cls
+            def walk1(j0: int, support: tuple, n: int, rem: int):
+                yield support, 0, (n,), 1
+                for j in range(j0, len(pool)):
+                    if norms[j] > rem:
+                        break
+                    acc, left = n, rem // norms[j]
+                    for a in range(1, ell):
+                        acc *= ps[j]
+                        yield from walk1(j + 1, support + ((pool[j], a),), acc, left)
+
+            return walk1(0, (), 1, bound)
+
+        steps = []
+        for q in pool:
+            cq = self.class_of_prime(q, ceilings)
+            steps.append((cq, *self.prime_gen[q]))
+        products, mul = self.products, self.field.mul_int_coords
+        one = self.field.one.coords
+
+        def walk(j0: int, support: tuple, cls: int, coords: tuple, scale: int, rem: int):
+            yield support, cls, coords, scale
             for j in range(j0, len(pool)):
-                n = norms[j]
-                if n > rem:
+                if norms[j] > rem:
                     break
-                acc, left = cls, rem // n
+                cq, gq, dq = steps[j]
+                acc, g, s, left = cls, coords, scale, rem // norms[j]
                 for a in range(1, ell):
-                    acc = op(acc, cls_of[j])
-                    yield from walk(j + 1, support + ((pool[j], a),), acc, left)
+                    acc, (gp, dp) = products[acc, cq]
+                    g = mul(g, gq) if gp == one else mul(mul(g, gq), gp)
+                    s *= dq * dp
+                    yield from walk(j + 1, support + ((pool[j], a),), acc, g, s, left)
 
-        return walk(0, (), 0, bound)
+        return walk(0, (), 0, one, 1, bound)
 
     def ell_free_representative(
         self, index: int, ell: int, ceilings: Ceilings | None = None

@@ -21,8 +21,8 @@ of an ideal names its class (class_unit._form_class).
 The canonical generator, the F-map of the Kummer layer, minimizes the
 largest embedding magnitude, ties to the least coordinate key (|c| before
 sign, so 2 beats -2; in imaginary quadratic fields every generator ties).
-ClassGroup.generator (class_unit) composes it from the stored generators
-with no search; principal_test_generator, which ranks every match, stays
+ClassGroup.canonical_coords (class_unit) picks it from a generator
+composed from the stored generators, with no search; principal_test_generator, which ranks every match, stays
 its oracle.
 """
 
@@ -547,8 +547,8 @@ def _reduced_basis(a: Ideal) -> tuple[tuple[int, int, int], list[int], list[int]
 
 def _search_constants(K: NumberField, units: Sequence[AlgebraicNumber]) -> float:
     """The unit-balance scale e^(max spread) * 1.0001 of _lattice_norm_matches,
-    in floats from K.log_abs_embeddings.  ClassGroup.generator bounds its
-    reduction modulo units with the same scale."""
+    in floats from K.log_abs_embeddings.  ClassGroup.canonical_coords bounds
+    its reduction modulo units with the same scale."""
     logs = [K.log_abs_embeddings(u.int_coords()) for u in units]
     spread = max((sum(map(abs, place)) / 2 for place in zip(*logs)), default=0.0)
     return math.exp(spread) * 1.0001

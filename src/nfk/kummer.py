@@ -52,7 +52,7 @@ class KummerDatum:
     gamma is integral, its ell-power root is the fixed class
     representative of its ideal class, its ell-part is ell-power-free,
     and unit_coordinate = gamma / alpha for alpha the canonical generator
-    of gamma O_K (ClassGroup.generator).  cell is None until _cell_of.
+    of gamma O_K (ClassGroup.generator_coords).  cell is None until _cell_of.
     """
 
     field: NumberField
@@ -456,6 +456,9 @@ def iter_extensions(
     units = [(u, unit_coset_coords(ug, u, ell)) for u in u_reps]
     group = cg.group
     reps = [cg.ell_free_representative(cls, ell, ceilings) for cls in range(cg.h)]
+    # for ell = 2 a cell's off is its rep (_Cell), so [off^-1] is known per
+    # class; for odd ell off involves I, and _cell_records looks it up (None)
+    off_classes = [cg.index_of(rep.inverse(), ceilings) if ell == 2 else None for rep in reps]
     # the classes cls with cls^ell = t, ascending, for each class t
     ell_roots: dict[int, list[int]] = {}
     for cls in range(cg.h):
@@ -485,13 +488,21 @@ def iter_extensions(
             for c in range(cg.h)
         ]
         row = _Row(Q, ell)
-        for support, c in cg.ell_free_ideals(pool, s_bound, ell, ceilings):
+        # rep^ell Q = (g / s) cg.reps[c] and its norm, per cell class, once per row
+        heads = []
+        for rep in reps:
+            exps = (rep**ell * Q).exps
+            norm = math.prod(q.norm**e for q, e in exps.items())
+            heads.append((*cg._compose(exps, ceilings), norm))
+        for support, c, coords, scale in cg.ell_free_ideals(pool, s_bound, ell, ceilings):
             if not cells_of[c]:
                 continue
             I = FactoredIdeal._of(K, dict(support))
             for cls in cells_of[c]:
+                alpha = _cell_generator(cg, heads[cls], c, coords, scale, support, ceilings)
                 yield from _cell_records(
-                    K, ell, X, order_by, dedup, ceilings, cg, units, row, reps[cls], cls, Q, I
+                    K, ell, X, order_by, dedup, ceilings, cg, units, row, reps[cls], cls, Q, I,
+                    alpha, off_classes[cls],
                 )
 
 
@@ -512,26 +523,48 @@ def enumerate_extensions(
     return records
 
 
-def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls, Q, I):
-    """The records of one cell: gamma = alpha * u for the cell generator alpha
-    and each (u, coset) of units, the unit coset representatives.
+def _cell_generator(cg, head, c, coords, scale, support, ceilings) -> AlgebraicNumber:
+    """The canonical generator of a cell's ideal rep^ell Q I, for head = (c_h, g_h, s_h, N(rep^ell Q)) with
+    rep^ell Q = (g_h / s_h) reps[c_h], and I = (coords / scale) reps[c] the
+    product of support, as the walk carries it.
 
-    The cell computes its generator once and reads its parts off rep, Q and
-    I (rep is coprime to ell, Q lies over ell, I is ell-power-free); its
-    candidates share one _Cell and, through it, the row's memo of the wild
-    ell-part L.  A record's Steinitz class is that of sqrt(L / Q^(ell-1)),
-    checked and looked up once per (row, L), minus that of the cell's off,
-    once per cell.  For odd ell, orbit dedup makes one normalize_gamma call
-    per power gamma^m tried, passing it gamma^m from int products and fa^m,
-    the ideal of gamma^m in factored form, made once per cell on first need;
-    a power whose key precedes the candidate's (_precedes) drops it.
+    The times table gives reps[c_h] reps[c] = (g_p / d_p) reps[0], so
+    g_h coords g_p / (s_h scale d_p) generates the cell ideal, and
+    ClassGroup.canonical_coords brings it to the canonical generator; the
+    ideal's norm is needed in unit rank >= 1 only.
     """
-    fa = rep**ell * Q * I
-    unit_cell = fa.is_unit_ideal()
-    if unit_cell:
-        alpha = K.one
-    else:  # fa is integral, so the generator's denominator is 1
-        alpha = AlgebraicNumber._of(K, cg.generator_coords(fa, ceilings)[0])
+    ch, gh, sh, head_norm = head
+    k, (gp, dp) = cg.products[ch, c]
+    if k:
+        raise ArithmeticError(f"cell ideal of class {k} is not principal")
+    K = cg.field
+    g = K.mul_int_coords(gh, coords)
+    if gp != K.one.coords:
+        g = K.mul_int_coords(g, gp)
+    target = head_norm * math.prod(q.norm**a for q, a in support) if cg.units.rank else 0
+    alpha = cg.canonical_coords(g, sh * scale * dp, target, ceilings)
+    return AlgebraicNumber._of(K, tuple(alpha))
+
+
+def _cell_records(
+    K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls, Q, I, alpha, off_cls
+):
+    """The records of one cell: gamma = alpha * u for alpha, the canonical
+    generator of the cell ideal rep^ell Q I (_cell_generator), and each
+    (u, coset) of units, the unit coset representatives.
+
+    The cell reads its parts off rep, Q and I (rep is coprime to ell, Q
+    lies over ell, I is ell-power-free); its candidates share one _Cell and,
+    through it, the row's memo of the wild ell-part L.  A record's Steinitz
+    class is that of sqrt(L / Q^(ell-1)), checked and looked up once per
+    (row, L), minus off_cls, that of the cell's off (None: looked up here,
+    once per cell).  For odd ell, orbit dedup makes one normalize_gamma call
+    per power gamma^m tried, passing it gamma^m from int products and fa^m,
+    the ideal of gamma^m in factored form for fa = rep^ell Q I, made once
+    per cell on first need; a power whose key precedes the candidate's
+    (_precedes) drops it.
+    """
+    unit_cell = I.is_unit_ideal() and Q.is_unit_ideal() and rep.is_unit_ideal()
     if ell == 2:  # I is squarefree: its own one power part
         power_parts = {1: I}
     else:
@@ -542,7 +575,8 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
     parts = PartsDecomposition(ell, Q, rep, power_parts)
     cell = _Cell(parts, row)
     tame_norm = cell.tame_norm
-    off_cls = cg.index_of(cell.off.inverse(), ceilings)
+    if off_cls is None:
+        off_cls = cg.index_of(cell.off.inverse(), ceilings)
     mul = K.mul_int_coords
     by_disc = order_by == "disc"
     fa_pows: list[FactoredIdeal] = []  # fa^2, fa^3, ..., each made on first need
@@ -561,6 +595,8 @@ def _cell_records(K, ell, X, order_by, dedup, ceilings, cg, units, row, rep, cls
             for m in range(2, ell):
                 power = mul(power, gamma.coords)
                 if len(fa_pows) < m - 1:
+                    if not fa_pows:
+                        fa = rep**ell * Q * I
                     fa_pows.append(fa**m)
                 gamma_m = AlgebraicNumber._of(K, power)
                 other = normalize_gamma(gamma_m, ell, ceilings, fa=fa_pows[m - 2])

@@ -27,6 +27,10 @@
   NumberField.norm_int and AlgebraicNumber.norm replaced by the norm form
   (a closed form in degree <= 3).  The matrix is built by shift-and-fold
   from theta_power, not through NumberField.mul_int_coords.
+- composed_generator is ClassGroup.generator_coords as an element, the
+  canonical generator of a fractional ideal; the cell loop
+  (kummer._cell_generator) composes it from generators carried by
+  ClassGroup.ell_free_ideals instead.
 - normalize_gamma_by_elements and unit_dlog_by_elements are the Kummer
   normalization and the unit discrete log on AlgebraicNumber arithmetic
   (Fraction coordinates, with _as_unit checking the quotient), which
@@ -174,10 +178,20 @@ def unit_dlog_by_elements(ug: UnitGroup, u: AlgebraicNumber) -> tuple[int, tuple
     raise ArithmeticError(f"unit dlog: residual {t!r} is not a root of unity")
 
 
+def composed_generator(cg, fa: FactoredIdeal, ceilings: Ceilings | None = None) -> AlgebraicNumber:
+    """The canonical generator of fa, as canonical_generator chooses it,
+    composed from stored generators with no lattice search: the element of
+    ClassGroup.generator_coords."""
+    coords, den = cg.generator_coords(fa, ceilings)
+    if den == 1:
+        return AlgebraicNumber._of(cg.field, coords)
+    return cg.field.element([Fraction(c, den) for c in coords])
+
+
 def normalize_gamma_by_elements(
     gamma: AlgebraicNumber, ell: int, fa: FactoredIdeal | None = None
 ) -> KummerDatum:
-    """kummer.normalize_gamma on elements: k^ell alpha from ClassGroup.generator,
+    """kummer.normalize_gamma on elements: k^ell alpha from composed_generator,
     u = gamma / (k^ell alpha) checked by _as_unit, and its coset from
     unit_dlog_by_elements."""
     K = gamma.field
@@ -192,11 +206,11 @@ def normalize_gamma_by_elements(
     parts = decompose_parts(fa2, ell)
     if parts.root != rep or parts.reconstruct() != fa2:
         raise ArithmeticError("parts decomposition does not reconstruct gamma")
-    alpha = K.one if fa2.is_unit_ideal() else cg.generator(fa2)
+    alpha = K.one if fa2.is_unit_ideal() else composed_generator(cg, fa2)
     if quo.is_unit_ideal():
         u = _as_unit(K, gamma / alpha)
     else:
-        u = _as_unit(K, gamma / (cg.generator(quo) ** ell * alpha))
+        u = _as_unit(K, gamma / (composed_generator(cg, quo) ** ell * alpha))
     a, b = unit_dlog_by_elements(cg.units, u)
     coset = (a % math.gcd(cg.units.w, ell),) + tuple(x % ell for x in b)
     if fa2.is_unit_ideal() and not any(coset):
@@ -231,7 +245,7 @@ def is_isomorphic(
         if cg.index_of(rootm, ceilings) != cls2:
             continue
         quo = root2 * rootm.inverse()
-        c0 = K.one if quo.is_unit_ideal() else cg.generator(quo, ceilings)
+        c0 = K.one if quo.is_unit_ideal() else composed_generator(cg, quo, ceilings)
         v = _as_unit(K, d2.gamma / (d1.gamma**m * c0**ell))
         if all(c == 0 for c in unit_coset_coords(cg.units, v, ell)):
             return True
@@ -315,7 +329,7 @@ def ell_free_ideals_of_norm_up_to(
     if X > ceilings.search_points:
         raise CeilingError(f"ideal census to norm {X}", ceilings.search_points)
     pool = [q for q in primes_of_norm_up_to(cg.field, X) if q not in exclude]
-    for support, cls in cg.ell_free_ideals(pool, X, ell, ceilings):
+    for support, cls, _coords, _scale in cg.ell_free_ideals(pool, X, ell, ceilings):
         if math.prod(q.norm**a for q, a in support) <= X:
             yield support, cls
 
@@ -364,7 +378,7 @@ def generator_equidistribution(
 
     Runs over the principal A = ideal_factor * I with I ell-power-free,
     coprime to the modulus and to ideal_factor, and N(A) <= X;
-    ClassGroup.generator gives A's canonical generator.  A uniform spread
+    composed_generator gives A's canonical generator.  A uniform spread
     over H is what makes the rho model's congruence factors independent
     of the divisibility data.
     """
@@ -385,7 +399,7 @@ def generator_equidistribution(
         cg, budget, ell, exclude | set(factor.support()), ceilings
     ):
         if c == need:
-            gamma = cg.generator(factor * FactoredIdeal(K, dict(support)), ceilings)
+            gamma = composed_generator(cg, factor * FactoredIdeal(K, dict(support)), ceilings)
             tally[project(rug.image(gamma))] += 1
     return tally
 

@@ -34,7 +34,12 @@ from nfk.ideals import (
 )
 from nfk.kummer import enumerate_extensions
 from nfk.number_field import NumberField, build_field
-from oracles import class_census_by_search, ell_free_ideals_of_norm_up_to, unit_dlog_by_elements
+from oracles import (
+    class_census_by_search,
+    composed_generator,
+    ell_free_ideals_of_norm_up_to,
+    unit_dlog_by_elements,
+)
 
 
 def test_units_rank_zero(field_q, field_qi, field_qm5):
@@ -413,7 +418,13 @@ def test_ell_free_ideals_match_brute_force(name, bound, ell, radical, request):
     assert cg.h == 2
     pool = list(primes_of_norm_up_to(K, bound))  # by p, not by norm
     if radical:
-        walked = list(cg.ell_free_ideals(pool, bound, ell))
+        carried = list(cg.ell_free_ideals(pool, bound, ell))
+        assert carried[0] == ((), 0, K.one.coords, 1)
+        for support, c, coords, scale in carried:  # (coords / scale) reps[c] = prod q^a
+            gen = factor_ideal(ideal_from_element(K.element(coords)))
+            den = factor_ideal(ideal_from_element(K.from_int(scale)))
+            assert gen * cg.reps[c] == FactoredIdeal(K, dict(support)) * den, support
+        walked = [(support, c) for support, c, _, _ in carried]
     else:  # the census oracles' filter of the radical walk by N(I)
         walked = list(ell_free_ideals_of_norm_up_to(cg, bound, ell))
     assert walked[0] == ((), 0)
@@ -700,7 +711,7 @@ def _integral_ideals_up_to(K, bound):
 
 def _generator_or_none(cg, fa):
     try:
-        return cg.generator(fa)
+        return composed_generator(cg, fa)
     except NotPrincipalError:
         return None
 
@@ -811,10 +822,10 @@ def test_generator_is_canonical_generator_in_positive_rank(field_cubic9):
         want = principal_test_generator(fa, units)
         if want is not None:
             principal += 1
-            assert cg.generator(fa) == canonical_generator(fa, units) == want, fa
+            assert composed_generator(cg, fa) == canonical_generator(fa, units) == want, fa
         else:
             with pytest.raises(NotPrincipalError):
-                cg.generator(fa)
+                composed_generator(cg, fa)
     assert principal
 
 
@@ -829,14 +840,14 @@ def test_composed_generator_honours_search_ceiling_in_positive_rank():
     fa = FactoredIdeal(K, {q: q.e, q_sq: q_sq.e})
     tiny = Ceilings(search_points=1)
     with pytest.raises(CeilingError):
-        cg.generator(fa, tiny)
+        composed_generator(cg, fa, tiny)
     for prime in (q, q_sq):  # the failed search cached nothing
         assert prime not in cg.prime_class and prime not in cg.prime_gen
-    assert cg.generator(fa) == K.from_int(59)
+    assert composed_generator(cg, fa) == K.from_int(59)
     assert q in cg.prime_gen and q_sq in cg.prime_gen
     with pytest.raises(CeilingError):
-        cg.generator(fa * fa, tiny)
-    assert cg.generator(fa * fa) == K.from_int(59**2)
+        composed_generator(cg, fa * fa, tiny)
+    assert composed_generator(cg, fa * fa) == K.from_int(59**2)
 
 
 def test_composed_generator_honours_search_ceiling():
@@ -847,8 +858,8 @@ def test_composed_generator_honours_search_ceiling():
     q, q_bar = split_prime(K, 10007)
     fa = FactoredIdeal(K, {q: 1, q_bar: 1})
     with pytest.raises(CeilingError):
-        cg.generator(fa, Ceilings(search_points=1))
+        composed_generator(cg, fa, Ceilings(search_points=1))
     for prime in (q, q_bar):  # the failed search cached nothing
         assert prime not in cg.prime_class and prime not in cg.prime_gen
-    assert cg.generator(fa) == K.from_int(10007)
+    assert composed_generator(cg, fa) == K.from_int(10007)
     assert q in cg.prime_gen and q_bar in cg.prime_gen

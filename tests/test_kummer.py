@@ -10,6 +10,7 @@ import pytest
 from nfk import ideals, kummer, number_field
 from nfk.abelian_groups import is_power_class
 from nfk.class_unit import (
+    ClassGroup,
     compute_class_group,
     compute_unit_group,
     unit_coset_coords,
@@ -46,6 +47,7 @@ from nfk.kummer import (
 from nfk.number_field import AlgebraicNumber, build_field
 from oracles import (
     assert_pairwise_non_isomorphic,
+    composed_generator,
     discriminant_split_from_ideal,
     congruence_depth_walk,
     ell_power_residues,
@@ -599,6 +601,7 @@ def test_cells_run_no_generator_search_once_warm(name, ell, X, request, monkeypa
         ("q", 2, 2000, {}),
         ("qi", 2, 1000, {}),
         ("qm5", 2, 1000, {}),
+        ("qs2", 2, 2000, {}),
         ("cubic9", 2, 200, {}),
         ("zeta3", 3, 100000, {}),
         ("qm5", 2, 200, {"order_by": "ell_free"}),
@@ -606,14 +609,18 @@ def test_cells_run_no_generator_search_once_warm(name, ell, X, request, monkeypa
         ("qi", 2, 100, {"order_by": "ell_free"}),
         ("x4_7x2_13", 3, 20, {"order_by": "ell_free"}),
     ],
-    ids=["q", "qi", "qm5", "cubic9", "zeta3", "qm5-ell_free", "zeta3-raw", "qi-ell_free",
+    ids=["q", "qi", "qm5", "qs2", "cubic9", "zeta3", "qm5-ell_free", "zeta3-raw", "qi-ell_free",
          "x4_7x2_13-ell_free"],
 )
 def test_cell_loop_matches_per_candidate_oracle(name, ell, X, options, request, monkeypatch):
     # the cell loop shares the ell-free discriminant, its norm and the
     # Steinitz denominator across a cell; every candidate (norm-rejected
     # ones included) and every record must agree with the discriminant
-    # and Steinitz class rebuilt from the whole ideal gamma O_K
+    # and Steinitz class rebuilt from the whole ideal gamma O_K.  Each
+    # gamma is its cell generator, composed from the generators the walk
+    # carries, times its unit: the generator must be the canonical one
+    # that generator_coords composes from the whole ideal (on qs2 the unit
+    # reduction starts from a different generator)
     K = request.getfixturevalue(f"field_{name}")
     cg = compute_class_group(K)
     candidates = []
@@ -630,6 +637,8 @@ def test_cell_loop_matches_per_candidate_oracle(name, ell, X, options, request, 
     for d, got in candidates:
         assert got == discriminant_split_from_ideal(d)
         assert d.cell.row.q_pow * d.cell.off * d.cell.off == steinitz_denominator(d)
+        alpha, den = cg.generator_coords(d.parts.reconstruct())
+        assert den == 1 and d.gamma == AlgebraicNumber._of(K, alpha) * d.unit_coordinate
     for d, _ in candidates[:: len(candidates) // 200 + 1]:  # parts are those of gamma O_K
         fa = factor_ideal(ideal_from_element(d.gamma))
         assert d.parts.reconstruct() == fa and d.parts == decompose_parts(fa, ell)
@@ -641,6 +650,36 @@ def test_cell_loop_matches_per_candidate_oracle(name, ell, X, options, request, 
         assert r.steinitz == steinitz_class_from_parts(r.datum, cg)
         classes.add(r.steinitz)
     assert len(classes) == cg.h
+
+
+def test_cell_loop_composes_no_generator_per_cell(field_qm5, monkeypatch):
+    # a cell's generator comes from the one the walk carries and one
+    # composed per (row, class): no cell composes its ideal from its primes
+    cg = compute_class_group(field_qm5)
+    calls = {"generator_coords": 0, "_compose": 0, "rows": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ClassGroup, "generator_coords")
+    counting(ClassGroup, "_compose")
+    row_init = kummer._Row.__init__
+
+    def counting_row(self, *args):
+        calls["rows"] += 1
+        row_init(self, *args)
+
+    monkeypatch.setattr(kummer._Row, "__init__", counting_row)
+    records = enumerate_extensions(field_qm5, 2, 1000)
+    assert records and cg.h == 2 and calls["rows"] == 2
+    assert calls["generator_coords"] == 0
+    assert calls["_compose"] <= calls["rows"] * cg.h
 
 
 @pytest.mark.parametrize(
@@ -786,7 +825,7 @@ def test_normalize_rejects_a_wrong_hint(field_zeta3, field_x4_7x2_13):
     K = field_zeta3
     cg = compute_class_group(K)
     q, qbar = split_prime(K, 7)
-    g = cg.generator(FactoredIdeal(K, {q: 1}))
+    g = composed_generator(cg, FactoredIdeal(K, {q: 1}))
     assert normalize_gamma(g, 3, fa=FactoredIdeal(K, {q: 1})) == normalize_gamma(g, 3)
     _raises_on_both_paths(ArithmeticError, g, FactoredIdeal(K, {qbar: 1}))  # the conjugate prime
     five = FactoredIdeal(K, {r: 1 for r in split_prime(K, 5)})
