@@ -1,12 +1,16 @@
 """The nfk command line.
 
-Every subcommand reads a field from a JSON spec file and prints to
-stdout.  Exit codes: 0 on success, 1 when identity-check finds a
-mismatch, 2 for usage problems (argparse errors, bad spec files, an --ell
-that is not prime or that the field cannot support, an --ell other than 2
-on count-check or identity-check, which check ell = 2 statements and read
-no ell from the spec), 3 when a computation hits a search ceiling
-(NFK_CEILING / --ceiling raise them).
+Every subcommand reads a field from a JSON spec file, builds its report
+and prints it through harness.render in the --format asked for: indented
+JSON, csv or an aligned table.  The listing commands (field, classgroup,
+units, identity-check, count-check) print a key,value table; enumerate
+prints one compact JSON object per line in json.  Exit codes: 0 on
+success, 1 when identity-check finds a mismatch, 2 for usage problems
+(argparse errors, bad spec files, an --ell that is not prime or that the
+field cannot support, an --ell other than 2 on count-check or
+identity-check, which check ell = 2 statements and read no ell from the
+spec), 3 when a computation hits a search ceiling (NFK_CEILING /
+--ceiling raise them).
 """
 
 import argparse
@@ -20,11 +24,11 @@ from .density import density_report, identity_check
 from .errors import CeilingError, NfkError
 from .exact_math import frac_str
 from .harness import (
-    _csv_bytes,
-    _table_bytes,
     count_check_json_dict,
+    experiment_json_dict,
     ideal_label,
     load_field_spec,
+    render,
     report_serialize,
     run_count_asymptotic_check,
     run_equidistribution_experiment,
@@ -52,9 +56,12 @@ def _emit(data: bytes) -> None:
     sys.stdout.write(data.decode("utf-8"))
 
 
-def _kv_table(pairs) -> bytes:
-    width = max(len(k) for k, _ in pairs)
-    return ("\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n").encode()
+def _listing(args, data: dict, pairs=None) -> None:
+    """Print `data` as JSON, or `pairs` (by default data's items) as
+    key-value rows."""
+    if pairs is None:
+        pairs = data.items()
+    _emit(render(args.format, data, ["key", "value"], [[k, str(v)] for k, v in pairs]))
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -76,55 +83,41 @@ def _cmd_field(args, K, ell, ceilings) -> int:
         "fundamental_units": [list(u.int_coords()) for u in ug.fundamental],
         "regulator": float(ug.regulator),
     }
-    if args.format == "json":
-        _emit((json.dumps(info, indent=2) + "\n").encode())
-    else:
-        divisors = info["class_group"]
-        group_str = " x ".join(f"Z/{d}" for d in divisors) if divisors else "trivial"
-        pairs = [
-            ("field", info["label"]),
-            ("poly", info["poly"]),
-            ("degree", str(info["degree"])),
-            ("signature", f"({K.r1}, {K.r2})"),
-            ("disc", str(info["disc"])),
-            ("minkowski", f"{info['minkowski_bound']:.6f}"),
-            ("h", str(info["h"])),
-            ("class group", group_str),
-            ("w", str(info["w"])),
-            ("units", str(info["fundamental_units"])),
-            ("regulator", f"{info['regulator']:.12f}"),
-        ]
-        _emit(_kv_table(pairs))
+    divisors = info["class_group"]
+    _listing(args, info, [
+        ("field", info["label"]),
+        ("poly", info["poly"]),
+        ("degree", info["degree"]),
+        ("signature", f"({K.r1}, {K.r2})"),
+        ("disc", info["disc"]),
+        ("minkowski", f"{info['minkowski_bound']:.6f}"),
+        ("h", info["h"]),
+        ("class group", " x ".join(f"Z/{d}" for d in divisors) if divisors else "trivial"),
+        ("w", info["w"]),
+        ("units", info["fundamental_units"]),
+        ("regulator", f"{info['regulator']:.12f}"),
+    ])
     return 0
 
 
 def _cmd_classgroup(args, K, ell, ceilings) -> int:
     cg = compute_class_group(K, ceilings)
     reps = [ideal_label(rep) for rep in cg.reps]
-    if args.format == "json":
-        data = {"h": cg.h, "divisors": cg.group.divisor_chain(), "representatives": reps}
-        _emit((json.dumps(data, indent=2) + "\n").encode())
-    else:
-        pairs = [("h", str(cg.h)), ("divisors", str(cg.group.divisor_chain()))]
-        pairs += [(f"class {i}", rep) for i, rep in enumerate(reps)]
-        _emit(_kv_table(pairs))
+    data = {"h": cg.h, "divisors": cg.group.divisor_chain(), "representatives": reps}
+    pairs = [("h", cg.h), ("divisors", data["divisors"])]
+    _listing(args, data, pairs + [(f"class {i}", rep) for i, rep in enumerate(reps)])
     return 0
 
 
 def _cmd_units(args, K, ell, ceilings) -> int:
     ug = compute_unit_group(K, ceilings)
-    data = {
+    _listing(args, {
         "w": ug.w,
         "zeta": list(ug.zeta.int_coords()),
         "rank": ug.rank,
         "fundamental": [list(u.int_coords()) for u in ug.fundamental],
         "regulator": float(ug.regulator),
-    }
-    if args.format == "json":
-        _emit((json.dumps(data, indent=2) + "\n").encode())
-    else:
-        pairs = [(k, str(v)) for k, v in data.items()]
-        _emit(_kv_table(pairs))
+    })
     return 0
 
 
@@ -136,42 +129,22 @@ def _cmd_rho(args, K, ell, ceilings) -> int:
 def _cmd_enumerate(args, K, ell, ceilings) -> int:
     cg = compute_class_group(K, ceilings)
     records = enumerate_extensions(K, ell, args.bound, ceilings=ceilings)
-    if args.format == "json":
+    if args.format == "json":  # a stream: one compact object per record
         for rec in records:
             _emit((json.dumps(record_json_dict(rec, cg)) + "\n").encode())
-    else:
-        rows = [
-            [rec.disc_norm, list(rec.datum.gamma.int_coords()), rec.steinitz]
-            for rec in records
-        ]
-        header = ["disc_norm", "gamma", "steinitz"]
-        if args.format == "csv":
-            _emit(_csv_bytes(header, [[dn, f'"{g}"', st] for dn, g, st in rows]))
-        else:
-            title = f"{len(records)} extensions of {K.label} with N(disc) <= {args.bound}"
-            _emit(_table_bytes(header, rows, title))
+        return 0
+    rows = [[rec.disc_norm, list(rec.datum.gamma.int_coords()), rec.steinitz] for rec in records]
+    title = f"{len(records)} extensions of {K.label} with N(disc) <= {args.bound}"
+    _emit(render(args.format, None, ["disc_norm", "gamma", "steinitz"], rows, title))
     return 0
 
 
 def _cmd_steinitz(args, K, ell, ceilings) -> int:
-    report = run_equidistribution_experiment(K, ell, args.bound, ceilings)
-    total = report.total
-    fracs = report.class_fractions()
-    rows = [[c, n, frac_str(fracs[c])] for c, n in report.class_tallies]
-    if args.format == "json":
-        data = {
-            "field": K.label,
-            "ell": ell,
-            "X": args.bound,
-            "total": total,
-            "classes": [{"class": c, "count": n, "fraction": f} for c, n, f in rows],
-        }
-        _emit((json.dumps(data, indent=2) + "\n").encode())
-    elif args.format == "csv":
-        _emit(_csv_bytes(["class", "count", "fraction"], rows))
-    else:
-        title = f"Steinitz classes over {K.label}, X={args.bound}: {total} extensions"
-        _emit(_table_bytes(["class", "count", "fraction"], rows, title))
+    report = experiment_json_dict(run_equidistribution_experiment(K, ell, args.bound, ceilings))
+    data = {key: report[key] for key in ("field", "ell", "X", "total", "classes")}
+    rows = [[c["class"], c["count"], c["fraction"]] for c in data["classes"]]
+    title = f"Steinitz classes over {K.label}, X={args.bound}: {data['total']} extensions"
+    _emit(render(args.format, data, ["class", "count", "fraction"], rows, title))
     return 0
 
 
@@ -184,25 +157,12 @@ def _cmd_experiment(args, K, ell, ceilings) -> int:
 def _cmd_identity_check(args, K, ell, ceilings) -> int:
     got = identity_check(K, ceilings)
     want = Fraction(1, 2**K.r2)
-    if args.format == "json":
-        data = {"identity": frac_str(got), "expected": frac_str(want), "match": got == want}
-        _emit((json.dumps(data, indent=2) + "\n").encode())
-    else:
-        _emit(_kv_table([
-            ("identity", frac_str(got)),
-            ("expected", frac_str(want)),
-            ("match", str(got == want)),
-        ]))
+    _listing(args, {"identity": frac_str(got), "expected": frac_str(want), "match": got == want})
     return 0 if got == want else 1
 
 
 def _cmd_count_check(args, K, ell, ceilings) -> int:
-    check = run_count_asymptotic_check(K, args.bound, ceilings)
-    data = count_check_json_dict(check)
-    if args.format == "json":
-        _emit((json.dumps(data, indent=2) + "\n").encode())
-    else:
-        _emit(_kv_table([(k, str(v)) for k, v in data.items()]))
+    _listing(args, count_check_json_dict(run_count_asymptotic_check(K, args.bound, ceilings)))
     return 0
 
 
@@ -253,27 +213,18 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors via exit 2
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command in ("count-check", "identity-check") and args.ell not in (None, 2):
-        print(f"error: {args.command} checks ell = 2 only, not --ell {args.ell}", file=sys.stderr)
-        return 2
-
     try:
+        if args.command in ("count-check", "identity-check") and args.ell not in (None, 2):
+            raise NfkError(f"{args.command} checks ell = 2 only, not --ell {args.ell}")
         ceilings = Ceilings.from_env(args.ceiling)
         K = load_field_spec(args.spec)
         ell = args.ell if args.ell is not None else K.ell
         if K.contains_zeta(ell) is None:
-            print(
-                f"error: {K.label} has no primitive {ell}-th root of unity",
-                file=sys.stderr,
-            )
-            return 2
+            raise NfkError(f"{K.label} has no primitive {ell}-th root of unity")
         return args.func(args, K, ell, ceilings)
     except CeilingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NfkError as err:
+    except (OSError, ValueError, KeyError, NfkError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

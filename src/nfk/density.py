@@ -116,13 +116,6 @@ class DensityReport:
     identity: Fraction | None  # ell = 2 only
     identity_expected: Fraction | None
 
-    def rho_by_norm(self) -> dict[int, Fraction]:
-        """Total rho over the rows of each norm N(Q)."""
-        out: dict[int, Fraction] = {}
-        for _, n, r in self.rows:
-            out[n] = out.get(n, 0) + r
-        return out
-
 
 def density_report(
     K: NumberField, ell: int, ceilings: Ceilings | None = None

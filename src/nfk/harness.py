@@ -5,9 +5,10 @@ Kummer extension with discriminant norm up to X and tallies Steinitz
 classes, both globally and per wild-part row, checking the partition
 identities exactly along the way.  run_count_asymptotic_check compares
 the raw count against the analytic leading term in two algebraically
-equal forms.  report_serialize turns reports into deterministic bytes:
-counts and fractions are exact strings, and wall-clock metadata never
-enters the output.
+equal forms.  render is the one writer of every nfk report (JSON, csv or
+an aligned table); report_serialize feeds it a DensityReport or an
+ExperimentReport.  Counts and fractions are exact strings, and
+wall-clock metadata never enters the output.
 """
 
 import json
@@ -15,7 +16,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from io import StringIO
 from pathlib import Path
 
 from .class_unit import compute_class_group
@@ -252,13 +252,12 @@ def count_check_json_dict(check: CountCheck) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _experiment_json_dict(r: ExperimentReport) -> dict:
+def experiment_json_dict(r: ExperimentReport) -> dict:
+    """The JSON view of an experiment report; its "classes" block is what
+    `nfk steinitz` prints."""
+    fractions = r.class_fractions()
     classes = [
-        {
-            "class": c,
-            "count": n,
-            "fraction": frac_str(Fraction(n, r.total)) if r.total else "0",
-        }
+        {"class": c, "count": n, "fraction": frac_str(fractions[c])}
         for c, n in r.class_tallies
     ]
     rows = []
@@ -286,59 +285,68 @@ def _experiment_json_dict(r: ExperimentReport) -> dict:
     }
 
 
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
-    buf = StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(v) for v in row) + "\n")
-    return buf.getvalue().encode("utf-8")
+def _csv_cell(v) -> str:
+    text = str(v)
+    if isinstance(v, list) or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _table_bytes(header: list[str], rows: list[list], title: str) -> bytes:
-    cells = [[str(v) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h) for i, h in enumerate(header)]
-    lines = [title]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def render(fmt: str, data, header: list[str], rows: list[list], title: str = "") -> bytes:
+    """One report as bytes: `data` as indented JSON, or `rows` under
+    `header` as csv or as an aligned table.
+
+    csv quotes a value RFC-4180 style when it holds a comma or a double
+    quote, and a list always, so a list column reads the same in every
+    degree.  A table prints `title`, the header and a rule above its
+    rows; with no title it prints the rows alone, as a key-value listing.
+    """
+    if fmt == "json":
+        return (json.dumps(data, indent=2) + "\n").encode()
+    if fmt == "csv":
+        lines = [",".join(_csv_cell(v) for v in row) for row in [header, *rows]]
+    elif fmt == "table":
+        shown = [[str(v) for v in row] for row in ([header, *rows] if title else rows)]
+        widths = [max(len(row[i]) for row in shown) for i in range(len(header))]
+        lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in shown]
+        if title:
+            lines[:1] = [title, lines[0], "  ".join("-" * w for w in widths)]
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _density_rows(report: DensityReport) -> list[list]:
+    return [[norm, "", "", frac_str(rho)] for _, norm, rho in report.rows]
+
+
+def _experiment_rows(report: ExperimentReport) -> list[list]:
+    row_n = {(lbl, nrm): n for lbl, nrm, n in report.row_totals}
+    return [
+        [nrm, c, k, frac_str(Fraction(k, row_n[lbl, nrm])) if row_n[lbl, nrm] else "0"]
+        for lbl, nrm, c, k in report.cell_tallies
+    ]
 
 
 def report_serialize(report, fmt: str) -> bytes:
     """Deterministic bytes for a DensityReport or ExperimentReport.
 
     Formats: json (stable key order), csv (fixed columns Q_norm, class,
-    count, fraction), table (aligned text).  Counts and fractions are
-    exact decimal/rational strings; elapsed time is deliberately absent,
-    so equal tallies serialize to equal bytes.
+    count, fraction), table (aligned text); see render.  Counts and
+    fractions are exact decimal/rational strings; elapsed time is
+    deliberately absent, so equal tallies serialize to equal bytes.
     """
-    if fmt not in ("json", "csv", "table"):
-        raise ValueError(f"unknown format {fmt!r}")
-
     if isinstance(report, DensityReport):
-        if fmt == "json":
-            return (json.dumps(density_report_json_dict(report), indent=2) + "\n").encode()
-        rows = [[norm, "", "", frac_str(rho)] for _, norm, rho in report.rows]
-        if fmt == "csv":
-            return _csv_bytes(["Q_norm", "class", "count", "fraction"], rows)
+        to_json, to_rows = density_report_json_dict, _density_rows
         title = f"rho table for {report.field_label}, ell={report.ell}"
-        return _table_bytes(["Q_norm", "class", "count", "fraction"], rows, title)
-
-    if isinstance(report, ExperimentReport):
-        if fmt == "json":
-            return (json.dumps(_experiment_json_dict(report), indent=2) + "\n").encode()
-        row_n = {(lbl, nrm): n for lbl, nrm, n in report.row_totals}
-        rows = [
-            [nrm, c, k, frac_str(Fraction(k, row_n[lbl, nrm])) if row_n[lbl, nrm] else "0"]
-            for lbl, nrm, c, k in report.cell_tallies
-        ]
-        if fmt == "csv":
-            return _csv_bytes(["Q_norm", "class", "count", "fraction"], rows)
+    elif isinstance(report, ExperimentReport):
+        to_json, to_rows = experiment_json_dict, _experiment_rows
         title = (
             f"Steinitz tallies for {report.field_label}, ell={report.ell}, "
             f"X={report.X}: {report.total} extensions"
         )
-        return _table_bytes(["Q_norm", "class", "count", "fraction"], rows, title)
-
-    raise TypeError(f"cannot serialize {type(report).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(report).__name__}")
+    if fmt == "json":
+        return render(fmt, to_json(report), [], [])
+    return render(fmt, None, ["Q_norm", "class", "count", "fraction"], to_rows(report), title)

@@ -310,19 +310,12 @@ def factor_ideal(a: Ideal) -> "FactoredIdeal":
     n = a.norm()
     exps: dict[PrimeIdeal, int] = {}
     for p, ep in sorted(factorint(n).items()):
-        primes = split_prime(K, p)
-        live = [q for q in primes if q.ideal.contains_ideal(a)]
         total = 0
-        if len(live) == 1 and live[0].f and ep % live[0].f == 0 and len(primes) == 1:
-            v = ep // live[0].f
-            exps[live[0]] = v
-            total = v * live[0].f
-        else:
-            for q in live:
-                v = valuation(q, a)
-                if v:
-                    exps[q] = v
-                    total += v * q.f
+        for q in split_prime(K, p):
+            v = valuation(q, a)
+            if v:
+                exps[q] = v
+                total += v * q.f
         if total != ep:
             raise ArithmeticError(f"valuations at {p} sum to {total}, expected {ep}")
     return FactoredIdeal(K, exps)

@@ -283,7 +283,9 @@ def _element_det(K: NumberField, rows: list[list[AlgebraicNumber]]) -> Algebraic
 
 
 def _trace_delta(K: NumberField, gamma: AlgebraicNumber, ell: int) -> AlgebraicNumber:
-    sign = 1 if ell == 2 else -1
+    # the trace matrix is ell (+) an anti-diagonal block of ell*gamma of size
+    # ell - 1, whose reversal has sign (-1)^((ell-1)(ell-2)/2) = (-1)^((ell-1)//2)
+    sign = (-1) ** ((ell - 1) // 2)
     return K.from_int(sign * ell**ell) * gamma ** (ell - 1)
 
 
@@ -308,8 +310,8 @@ def verify_trace_determinant(K: NumberField, gamma: AlgebraicNumber, ell: int) -
 
 def trace_form_discriminant(d: KummerDatum) -> AlgebraicNumber:
     """Discriminant of the relative trace form: +ell^ell gamma^(ell-1) for
-    ell = 2 and -ell^ell gamma^(ell-1) for odd ell, checked against the
-    determinant of the trace matrix."""
+    ell = 2 and ell = 1 mod 4, -ell^ell gamma^(ell-1) for ell = 3 mod 4,
+    checked against the determinant of the trace matrix."""
     delta = _trace_delta(d.field, d.gamma, d.ell)
     if not verify_trace_determinant(d.field, d.gamma, d.ell):
         raise ArithmeticError("trace matrix determinant disagrees with the formula")

@@ -46,6 +46,9 @@
   through the ell-th power subgroups of the residue unit groups
   (abelian_groups.is_power_class), which kummer._depth_table replaced by
   one table per prime.
+- rho_by_norm totals a DensityReport's rho over the rows of each norm
+  N(Q), the per-norm view that the row-count tests compare against; no
+  report serializer needs it.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from nfk.class_unit import (
     unit_coset_coords,
 )
 from nfk.config import Ceilings
-from nfk.density import zeta_constants
+from nfk.density import DensityReport, zeta_constants
 from nfk.errors import CeilingError, DegenerateExtensionError, RankError
 from nfk.ideals import (
     FactoredIdeal,
@@ -605,3 +608,11 @@ def det_fraction(m: list[list[Fraction]]) -> Fraction:
                 factor = a[i][k] * inv
                 a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def rho_by_norm(report: DensityReport) -> dict[int, Fraction]:
+    """Total rho over the rows of each norm N(Q)."""
+    out: dict[int, Fraction] = {}
+    for _, n, r in report.rows:
+        out[n] = out.get(n, 0) + r
+    return out

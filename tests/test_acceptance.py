@@ -36,7 +36,7 @@ from nfk.kummer import (
     relative_discriminant,
     verify_trace_determinant,
 )
-from oracles import assert_pairwise_non_isomorphic
+from oracles import assert_pairwise_non_isomorphic, rho_by_norm
 
 
 def _report(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -353,13 +353,13 @@ def test_criterion_13_ell3_steinitz_classes(field_x4_7x2_13):
 
     by_class = Counter(rec.steinitz for rec in records)
     class_dev = max(sds(by_class[c], 1 / cg.h) for c in range(cg.h))
-    rho_by_norm = density_report(K, 3).rho_by_norm()
+    rho_of_norm = rho_by_norm(density_report(K, 3))
     by_norm = Counter(int(rec.ell_part.norm()) for rec in records)
-    row_dev = max(sds(by_norm[n], float(r)) for n, r in rho_by_norm.items())
+    row_dev = max(sds(by_norm[n], float(r)) for n, r in rho_of_norm.items())
     ok = (
         cg.h == 2
         and violations == 0
-        and set(by_norm) <= set(rho_by_norm)
+        and set(by_norm) <= set(rho_of_norm)
         and class_dev <= 4
         and row_dev <= 4
     )

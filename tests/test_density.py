@@ -31,7 +31,7 @@ from nfk.errors import CeilingError, UnrealizableEllPartError
 from nfk.harness import load_field_spec
 from nfk.ideals import FactoredIdeal, ideal_from_element, split_prime
 from nfk.number_field import build_field
-from oracles import euler_products_mpf, generator_equidistribution, squarefree_census
+from oracles import euler_products_mpf, generator_equidistribution, rho_by_norm, squarefree_census
 
 
 def _norms(fas):
@@ -208,7 +208,7 @@ def test_density_raises_at_residue_ring_ceiling():
     with pytest.raises(CeilingError):
         rho(K, 3, FactoredIdeal(K, {}), tight)
     assert K._depth_cache == {}
-    assert density_report(K, 3).rho_by_norm() == {
+    assert rho_by_norm(density_report(K, 3)) == {
         1: Fraction(1, 27),
         81: Fraction(2, 27),
         729: Fraction(2, 9),
@@ -259,14 +259,14 @@ def test_report_drops_density_zero_rows(field_qi):
 
 def test_report_rho_by_norm(field_qm5):
     rep = density_report(field_qm5, 2)
-    assert rep.rho_by_norm() == {r[1]: r[2] for r in rep.rows}
+    assert rho_by_norm(rep) == {r[1]: r[2] for r in rep.rows}
 
 
 def test_rho_by_norm_sums_rows_of_equal_norm():
     # x^4 + 7x^2 + 13 at ell = 3: 16 rows share 8 norms
     K = build_field([13, 0, 7, 0, 1], ell=3)
     rep = density_report(K, 3)
-    by_norm = rep.rho_by_norm()
+    by_norm = rho_by_norm(rep)
     assert (len(rep.rows), len(by_norm)) == (16, 8)
     assert sum(by_norm.values()) == Fraction(1)
 
